@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,29 +61,70 @@ class StreamSpec:
         if self.size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
         if self.vbr_trace is not None:
+            for i, (t, rate) in enumerate(self.vbr_trace):
+                if not math.isfinite(t):
+                    raise ValueError(f"vbr_trace[{i}]: time must be finite")
+                if not (math.isfinite(rate) and rate > 0):
+                    raise ValueError(
+                        f"vbr_trace[{i}]: rate must be finite and > 0")
             tr = sorted(self.vbr_trace)
             if not tr or tr[0][0] > 0:
                 tr = [(0.0, self.encoding_rate_bps)] + tr
             object.__setattr__(self, "vbr_trace", tr)
+            self._index_vbr(tr)
             integral = self._vbr_bytes_between(0.0, self.duration_s)
             if abs(integral - self.size_bytes) > 0.01 * self.size_bytes:
                 raise ValueError(
                     f"VBR trace integrates to {integral:.0f} B, "
                     f"size_bytes is {self.size_bytes:.0f} B (>1% apart)")
 
+    def _index_vbr(self, tr: list[tuple[float, float]]) -> None:
+        """Index the sorted trace from t=0 for O(log n) lookups.
+
+        Content starts at 0, so breakpoints at or before 0 collapse into
+        the rate in effect at 0.  The bytes in [0, times[k]] are
+        cum[k] + err[k]: each prefix sum carries its exact rounding error
+        (TwoSum), so the difference of two nearby prefixes deep into a long
+        trace keeps full relative precision.
+        """
+        times = [t for t, _ in tr]
+        k0 = bisect_right(times, 0.0) - 1
+        times = [0.0] + times[k0 + 1:]
+        rates = [rate for _, rate in tr[k0:]]
+        cum, err = [0.0], [0.0]
+        for k in range(1, len(times)):
+            a = cum[-1]
+            x = rates[k - 1] * (times[k] - times[k - 1]) / 8.0
+            s = a + x
+            bv = s - a
+            err.append(err[-1] + ((a - (s - bv)) + (x - bv)))
+            cum.append(s)
+        object.__setattr__(self, "_vbr_times", times)
+        object.__setattr__(self, "_vbr_rates", rates)
+        object.__setattr__(self, "_vbr_cum", cum)
+        object.__setattr__(self, "_vbr_err", err)
+
     @property
     def bytes_per_second(self) -> float:
         return self.encoding_rate_bps / 8.0
 
     def _vbr_bytes_between(self, a: float, b: float) -> float:
-        total = 0.0
-        tr = self.vbr_trace
-        for i, (t0, rate) in enumerate(tr):
-            t1 = tr[i + 1][0] if i + 1 < len(tr) else max(b, t0)
-            lo, hi = max(a, t0), min(b, t1)
-            if hi > lo:
-                total += rate * (hi - lo) / 8.0
-        return total
+        a = max(a, 0.0)
+        if b <= a:
+            return 0.0
+        times, rates, cum = self._vbr_times, self._vbr_rates, self._vbr_cum
+        j = bisect_right(times, b) - 1
+        tail = rates[j] * (b - times[j]) / 8.0
+        if a == 0.0:
+            # From 0 the prefix is the plain left-to-right sum of the
+            # segments: no difference of prefixes to lose precision in.
+            return cum[j] + tail
+        i = bisect_right(times, a) - 1
+        if i == j:
+            return rates[i] * (b - a) / 8.0
+        err = self._vbr_err
+        return (rates[i] * (times[i + 1] - a) / 8.0
+                + ((cum[j] - cum[i + 1]) + (err[j] - err[i + 1])) + tail)
 
     def bytes_for_content(self, a_s: float, b_s: float) -> float:
         """Bytes of content between playback positions a_s and b_s."""
@@ -96,9 +138,11 @@ class StreamSpec:
             return nbytes / self.bytes_per_second
         left = nbytes
         pos = from_pos_s
-        tr = self.vbr_trace
-        for i, (t0, rate) in enumerate(tr):
-            t1 = tr[i + 1][0] if i + 1 < len(tr) else math.inf
+        times, rates = self._vbr_times, self._vbr_rates
+        n = len(times)
+        for i in range(max(bisect_right(times, pos) - 1, 0), n):
+            t0, rate = times[i], rates[i]
+            t1 = times[i + 1] if i + 1 < n else math.inf
             if t1 <= pos:
                 continue
             lo = max(pos, t0)
@@ -130,6 +174,7 @@ class LinkModel:
                 raise ValueError("bandwidth must be >= 0")
             prev = t0
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "_starts", tuple(t0 for t0, _ in segs))
 
     @classmethod
     def constant(cls, bandwidth_bps: float, rtt_ms: float = 70.0) -> "LinkModel":
@@ -140,19 +185,12 @@ class LinkModel:
         return self.rtt_ms / 1000.0
 
     def bandwidth_at(self, t_s: float) -> float:
-        bw = self.segments[0][1]
-        for t0, b in self.segments:
-            if t0 <= t_s:
-                bw = b
-            else:
-                break
-        return bw
+        i = bisect_right(self._starts, t_s)
+        return self.segments[i - 1 if i else 0][1]
 
     def next_change_after(self, t_s: float) -> float:
-        for t0, _ in self.segments:
-            if t0 > t_s:
-                return t0
-        return math.inf
+        i = bisect_right(self._starts, t_s)
+        return self._starts[i] if i < len(self._starts) else math.inf
 
     def bytes_capacity(self, a_s: float, b_s: float) -> float:
         """Maximum bytes the link can carry over [a_s, b_s]."""
@@ -171,7 +209,9 @@ class LinkModel:
         """
         remaining = nbytes
         t = start_s
-        for _ in range(100000):
+        # Each pass returns or moves t to the next, strictly later segment
+        # start, so the loop runs at most len(segments) + 1 times.
+        while True:
             if remaining <= 1e-9:
                 return t - start_s
             rate = min(self.bandwidth_at(t), rate_cap_bps)
@@ -187,4 +227,3 @@ class LinkModel:
                 return t + remaining * 8.0 / rate - start_s
             remaining -= can
             t = nxt
-        return math.inf

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -73,3 +74,132 @@ def test_packet_event_invariants():
         PacketEvent(0.0, 500, 0, kind="persist_probe")  # control <= 100 B
     e = PacketEvent(1.0, 100, 2, "flow_control")
     assert e.sort_key() < PacketEvent(1.0, 100, 3, "data").sort_key()
+
+
+def test_transfer_time_spans_more_than_100k_segments():
+    # 1 ms segments at 8 Mbps carry 1000 B each; the transfer needs 100,000.5
+    # of them, so it runs off the last segment start and finishes after it.
+    link = LinkModel(tuple((i / 1000.0, 8e6) for i in range(100_001)))
+    assert link.transfer_time(0.0, 100_000_500) == pytest.approx(100.0005)
+
+
+@pytest.mark.parametrize("trace, match", [
+    ([(0.0, 1_000_000.0), (100.0, 0.0)], r"vbr_trace\[1\]: rate"),
+    ([(0.0, math.nan)], r"vbr_trace\[0\]: rate"),
+    ([(0.0, 1_000_000.0), (math.inf, 1_000_000.0)], r"vbr_trace\[1\]: time"),
+])
+def test_vbr_trace_rejects_bad_breakpoints(trace, match):
+    with pytest.raises(ValueError, match=match):
+        StreamSpec(duration_s=100, encoding_rate_bps=1_000_000,
+                   vbr_trace=trace)
+
+
+# Reference lookups: the linear scans the indexed ones replaced.
+
+def _ref_bandwidth_at(segments, t_s):
+    bw = segments[0][1]
+    for t0, b in segments:
+        if t0 <= t_s:
+            bw = b
+        else:
+            break
+    return bw
+
+
+def _ref_next_change_after(segments, t_s):
+    for t0, _ in segments:
+        if t0 > t_s:
+            return t0
+    return math.inf
+
+
+def _ref_vbr_bytes_between(tr, a, b):
+    total = 0.0
+    for i, (t0, rate) in enumerate(tr):
+        t1 = tr[i + 1][0] if i + 1 < len(tr) else max(b, t0)
+        lo, hi = max(a, t0), min(b, t1)
+        if hi > lo:
+            total += rate * (hi - lo) / 8.0
+    return total
+
+
+def _ref_seconds_for_bytes(tr, from_pos_s, nbytes):
+    left = nbytes
+    pos = from_pos_s
+    for i, (t0, rate) in enumerate(tr):
+        t1 = tr[i + 1][0] if i + 1 < len(tr) else math.inf
+        if t1 <= pos:
+            continue
+        lo = max(pos, t0)
+        span_bytes = rate * (t1 - lo) / 8.0
+        if span_bytes >= left or t1 is math.inf:
+            return (lo - from_pos_s) + left * 8.0 / rate
+        left -= span_bytes
+        pos = t1
+    return pos - from_pos_s
+
+
+def _probe_times(rng, starts, k):
+    """Boundaries, their float neighbours, points between, t < 0 and t past
+    the last start, for k sampled boundaries."""
+    picks = set(rng.sample(range(len(starts)), min(k, len(starts))))
+    picks |= {0, len(starts) - 1}
+    out = [-1.0, -1e-9, 0.0, starts[-1] + 1.0, starts[-1] * 2 + 1e6]
+    for i in sorted(picks):
+        t = starts[i]
+        nxt = starts[i + 1] if i + 1 < len(starts) else t + 1.0
+        out += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf),
+                rng.uniform(t, nxt)]
+    return out
+
+
+@pytest.mark.parametrize("seed, n", [(1, 1), (2, 2), (3, 7), (4, 60),
+                                     (5, 500), (6, 3000)])
+def test_link_lookups_equal_linear_reference(seed, n):
+    rng = random.Random(seed)
+    starts, t = [0.0], 0.0
+    for _ in range(n - 1):
+        t += rng.choice([0.2, 1.0, rng.uniform(1e-4, 30.0)])
+        starts.append(t)
+    segs = tuple((t0, rng.choice([0.0, 1e6, rng.uniform(1e5, 2e7)]))
+                 for t0 in starts)
+    link = LinkModel(segs)
+    for q in _probe_times(rng, starts, 200):
+        assert link.bandwidth_at(q) == _ref_bandwidth_at(segs, q)
+        assert link.next_change_after(q) == _ref_next_change_after(segs, q)
+
+
+@pytest.mark.parametrize("seed, n, first", [(1, 0, 0.0), (2, 1, 5.0),
+                                            (3, 8, 0.0), (4, 60, 3.0),
+                                            (5, 600, 0.0), (6, 600, 0.7)])
+def test_vbr_lookups_equal_linear_reference(seed, n, first):
+    rng = random.Random(seed)
+    duration, rate = 600.0, 2_000_000.0
+    times = sorted([first] + [rng.uniform(first, duration) for _ in range(n)])
+    if n > 2:
+        times.append(times[n // 2])          # a repeated breakpoint time
+        times += [0.9 * duration + 1e-3 * m for m in range(4)]  # a 1 ms burst
+    trace = [(t, rate * rng.uniform(0.5, 1.5)) for t in times]
+    prepared = sorted(trace)
+    if prepared[0][0] > 0:
+        prepared = [(0.0, rate)] + prepared
+    size = _ref_vbr_bytes_between(prepared, 0.0, duration)
+    s = StreamSpec(duration_s=duration, encoding_rate_bps=rate,
+                   size_bytes=size, vbr_trace=trace)
+    tr = s.vbr_trace
+    assert tr == prepared
+    probes = _probe_times(rng, [t for t, _ in tr], 8) + [duration]
+    for a in probes:
+        for b in probes:                     # a > b included
+            ref = _ref_vbr_bytes_between(tr, a, b)
+            assert s.bytes_for_content(a, b) == pytest.approx(ref, rel=1e-12)
+        for nbytes in (0.0, 1.0, rng.uniform(0, 1e6), size, 1e12,
+                       _ref_vbr_bytes_between(tr, a, rng.choice(probes))):
+            assert (s.seconds_for_bytes(a, nbytes)
+                    == _ref_seconds_for_bytes(tr, a, nbytes))
+    # Short spans over two breakpoints, all along the trace: the bytes of a
+    # short segment deep into it must survive the difference of two prefixes.
+    mids = [(t0 + t1) / 2 for (t0, _), (t1, _) in zip(tr, tr[1:])]
+    for a, b in zip(mids, mids[2:]):
+        ref = _ref_vbr_bytes_between(tr, a, b)
+        assert s.bytes_for_content(a, b) == pytest.approx(ref, rel=1e-12)
