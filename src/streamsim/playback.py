@@ -11,11 +11,13 @@ trace, so VBR streams are handled exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .radio import promotion_latency
-from .streams import LinkModel, PacketEvent, StreamSpec
+from .streams import (LinkModel, PacketEvent, StreamSpec, TransferSpan,
+                      as_runs)
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
 
 _EPS = 1e-9
@@ -49,22 +51,18 @@ class BufferTimeline:
         return lines
 
     def value_at(self, t_s: float) -> float:
-        """Buffered seconds at wall time t_s.
-
-        Between samples the buffer can only drain (arrivals always create a
-        sample), so interpolation assumes a unit drain while playing.
-        """
-        prev: Optional[BufferSample] = None
-        for s in self.samples:
-            if s.t_s > t_s + _EPS:
-                break
-            prev = s
-        if prev is None:
+        """Buffered seconds at wall time t_s, interpolated linearly
+        between the samples around it."""
+        i = bisect_right(self.samples, t_s + _EPS, key=lambda s: s.t_s)
+        if i == 0:
             return 0.0
-        drain = (t_s - prev.t_s
-                 if not math.isinf(self.joining_time_s)
-                 and t_s > self.joining_time_s else 0.0)
-        return max(prev.buffered_seconds - drain, 0.0)
+        a = self.samples[i - 1]
+        if i == len(self.samples) or t_s <= a.t_s:
+            return a.buffered_seconds
+        b = self.samples[i]
+        w = (t_s - a.t_s) / (b.t_s - a.t_s)
+        return a.buffered_seconds + w * (b.buffered_seconds
+                                          - a.buffered_seconds)
 
 
 @dataclass
@@ -96,6 +94,111 @@ def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
     return promo + link.rtt_s + fill
 
 
+class _Playout:
+    """Playback clock and buffer fill, replayed over data arrivals."""
+
+    def __init__(self, stream: StreamSpec, join: float, resume_s: float,
+                 watched: float):
+        self.stream = stream
+        self.join = join
+        self.resume_s = resume_s
+        self.watched = watched
+        self.t = 0.0
+        self.fill = 0.0          # content position delivered up to
+        self.play = 0.0          # content position played up to
+        self.started = False
+        self.stalled = False
+        self.done_at: Optional[float] = None
+        self.samples: list[BufferSample] = []
+
+    @property
+    def playing(self) -> bool:
+        return self.started and not self.stalled and self.done_at is None
+
+    def emit(self) -> None:
+        self.samples.append(BufferSample(
+            self.t, max(self.fill - self.play, 0.0),
+            self.stream.bytes_for_content(self.play, self.fill)))
+
+    def drain_to(self, to_t: float) -> None:
+        while self.t < to_t - 1e-12:
+            if not self.started:
+                if math.isinf(self.join) or to_t < self.join:
+                    self.t = to_t
+                    return
+                self.t = self.join
+                self.started = True
+                if self.fill - self.play <= _EPS:
+                    self.stalled = True
+                self.emit()
+                continue
+            if self.done_at is not None or self.stalled:
+                self.t = to_t
+                return
+            span = min(to_t - self.t, self.fill - self.play,
+                       self.watched - self.play)
+            if span > 0:
+                self.play += span
+                self.t += span
+            if self.play >= self.watched - 1e-9:
+                self.done_at = self.t
+                self.emit()
+                self.t = to_t
+                return
+            if self.fill - self.play <= _EPS:
+                if self.t < to_t - 1e-12:
+                    self.stalled = True
+                    self.emit()
+                else:
+                    return
+
+    def add(self, nbytes: float) -> None:
+        self.fill = min(self.fill + self.stream.seconds_for_bytes(
+            self.fill, nbytes), self.stream.duration_s)
+        if (self.stalled
+                and self.fill - self.play >= self.resume_s - 1e-9):
+            self.stalled = False
+
+    def whole_ticks(self, dt: float, nbytes: float,
+                    rates: tuple[float, float]) -> int:
+        """Arrivals of nbytes every dt that can be applied in closed form.
+
+        The run stops a tick short of the earliest predicted join, stall,
+        resume or end, so that tick is replayed singly.  A VBR stream's
+        content per tick is bounded by its lowest and highest rates.
+        """
+        full = self.fill >= self.stream.duration_s
+        gain_lo = 0.0 if full else nbytes * 8.0 / rates[1]
+        gain_hi = 0.0 if full else nbytes * 8.0 / rates[0]
+        buffered = self.fill - self.play
+        x = math.inf
+        if not self.started:
+            x = (self.join - self.t) / dt
+        elif self.stalled:
+            if gain_hi > 0:
+                x = (self.resume_s - 1e-6 - buffered) / gain_hi
+        else:
+            # the buffer must cover every tick's drain; a VBR tick's content
+            # is bounded only until the fill reaches the end of the content
+            x = (self.watched - self.play) / dt
+            if gain_hi > 0:
+                x = min(x, (self.stream.duration_s - self.fill) / gain_hi)
+            margin = buffered - dt - 1e-6
+            if margin <= 0:
+                return 0
+            if gain_lo < dt:
+                x = min(x, margin / (dt - gain_lo))
+        return int(min(x, 1e9)) - 1
+
+    def jump(self, t: float, m: int, dt: float, nbytes: float) -> None:
+        """Apply m arrivals of nbytes every dt, the last one at t."""
+        if self.playing:
+            self.play += m * dt
+        self.fill = min(self.fill + self.stream.seconds_for_bytes(
+            self.fill, m * nbytes), self.stream.duration_s)
+        self.t = t
+
+
 def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
                    joining_time_s: float,
                    resume_threshold_s: float = RESUME_THRESHOLD_S,
@@ -106,84 +209,56 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     it empties during playback, consumption halts until the resume
     threshold is met again, and the zero span shows up in the samples.
     watch_end_s bounds consumption for abandoned sessions.
+
+    The transfer spans of a TickSeq are replayed with the delivery
+    engine's rule: runs of ticks in closed form, the ticks next to a state
+    change one at a time.  Samples are kept at the first and last tick of
+    each span and at every state change: join, stall, the arrivals stepped
+    singly while stalled (the first one after the stall and those at the
+    resume crossing) and end.
     """
-    data = sorted((e for e in arrivals if e.kind == "data"),
-                  key=lambda e: e.t_s)
-    prev_t = 0.0
-    for e in data:
-        if e.t_s < prev_t - _EPS:
-            raise ValueError("arrivals must be sorted by time")
-        prev_t = e.t_s
+    runs = sorted((r for r in as_runs(arrivals) if r.kind == "data"),
+                  key=lambda r: r.t_s)
     join = joining_time_s
     watched = stream.duration_s if watch_end_s is None else min(
         watch_end_s, stream.duration_s)
+    rates = stream.rate_range_bps()
 
-    tl = BufferTimeline(join, 0.0, watched,
-                        resume_threshold_s=resume_threshold_s)
-    samples = tl.samples
-    state = {"t": 0.0, "fill": 0.0, "play": 0.0, "started": False,
-             "stalled": False, "done_at": None}
-
-    def emit() -> None:
-        buffered = max(state["fill"] - state["play"], 0.0)
-        samples.append(BufferSample(
-            state["t"], buffered,
-            max(stream.bytes_for_content(state["play"], state["fill"]), 0.0)))
-
-    def drain_to(to_t: float) -> None:
-        while state["t"] < to_t - 1e-12:
-            if not state["started"]:
-                if math.isinf(join) or to_t < join:
-                    state["t"] = to_t
-                    return
-                state["t"] = join
-                state["started"] = True
-                if state["fill"] - state["play"] <= _EPS:
-                    state["stalled"] = True
-                emit()
-                continue
-            if state["done_at"] is not None or state["stalled"]:
-                state["t"] = to_t
-                return
-            span = min(to_t - state["t"],
-                       state["fill"] - state["play"],
-                       watched - state["play"])
-            if span > 0:
-                state["play"] += span
-                state["t"] += span
-            if state["play"] >= watched - 1e-9:
-                state["done_at"] = state["t"]
-                emit()
-                state["t"] = to_t
-                return
-            if state["fill"] - state["play"] <= _EPS:
-                if state["t"] < to_t - 1e-12:
-                    state["stalled"] = True
-                    emit()
-                else:
-                    return
-
-    emit()
-    for e in data:
-        drain_to(e.t_s)
-        if state["done_at"] is not None:
+    p = _Playout(stream, join, resume_threshold_s, watched)
+    p.emit()
+    for r in runs:
+        n = r.n if isinstance(r, TransferSpan) else 1
+        nbytes = r.bytes
+        k = 0
+        while k < n and p.done_at is None:
+            if 0 < k < n - 1:
+                m = min(p.whole_ticks(r.dt_s, nbytes, rates), n - 1 - k)
+                if m > 0:
+                    k += m
+                    p.jump(r.tick_t(k - 1), m, r.dt_s, nbytes)
+                    continue
+            p.drain_to(r.tick_t(k) if n > 1 else r.t_s)
+            if p.done_at is not None:
+                break
+            was_stalled = p.stalled
+            p.add(nbytes)
+            if k == 0 or k == n - 1 or was_stalled:
+                p.emit()
+            k += 1
+        if p.done_at is not None:
             break
-        state["fill"] = min(
-            state["fill"] + stream.seconds_for_bytes(state["fill"], e.bytes),
-            stream.duration_s)
-        if (state["stalled"]
-                and state["fill"] - state["play"] >= resume_threshold_s - 1e-9):
-            state["stalled"] = False
-        emit()
 
-    if state["done_at"] is None and not math.isinf(join):
-        drain_to(max(state["t"], join) + _EPS)
-        if not state["stalled"]:
-            drain_to(state["t"] + max(state["fill"] - state["play"], 0.0) + _EPS)
+    if p.done_at is None and not math.isinf(join):
+        p.drain_to(max(p.t, join) + _EPS)
+        if not p.stalled:
+            p.drain_to(p.t + max(p.fill - p.play, 0.0) + _EPS)
 
-    completed = state["done_at"] is not None
+    samples = p.samples
+    tl = BufferTimeline(join, 0.0, watched, samples,
+                        resume_threshold_s=resume_threshold_s)
+    completed = p.done_at is not None
     if completed:
-        end = state["done_at"]
+        end = p.done_at
     elif math.isinf(join):
         end = watched
     else:
@@ -192,8 +267,7 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     tl.playback_end_s = end
     tl.completed = completed
     if not samples or samples[-1].t_s < end - _EPS:
-        buffered = 0.0 if not completed else max(
-            state["fill"] - state["play"], 0.0)
+        buffered = 0.0 if not completed else max(p.fill - p.play, 0.0)
         samples.append(BufferSample(end, buffered, buffered
                                     * stream.bytes_per_second))
     return tl

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import PacketEvent
+from .streams import PacketEvent, TransferSpan, as_runs
 
 log = logging.getLogger(__name__)
 
@@ -151,17 +151,42 @@ class RadioTimeline:
                 for iv in self.intervals]
 
 
-def _check_events(events: Iterable[PacketEvent]) -> list[PacketEvent]:
-    evs = list(events)
+def _bursts(events: Iterable[PacketEvent],
+            joins_burst: Callable[[float], bool]
+            ) -> list[tuple[float, float, int]]:
+    """(first, last, bytes) per run of back-to-back packets, in time order.
+
+    A transfer span whose tick spacing passes joins_burst is one run: every
+    tick after its first finds the radio in the state the first left it
+    in.  Any other span is walked tick by tick, and a single event is a
+    run of its own.
+    """
+    out = []
     prev = 0.0
-    for i, ev in enumerate(evs):
+    for i, ev in enumerate(as_runs(events)):
         if ev.t_s < 0:
             raise ValueError(f"event {i} has negative time {ev.t_s}")
         if ev.t_s < prev - _EPS:
             raise ValueError(
                 f"events not sorted: event {i} at t={ev.t_s} after t={prev}")
-        prev = ev.t_s
-    return evs
+        if not isinstance(ev, TransferSpan):
+            out.append((ev.t_s, ev.t_s, ev.bytes))
+        elif ev.n == 1 or joins_burst(ev.dt_s):
+            out.append((ev.t_s, ev.t_end_s, ev.bytes))
+        else:
+            out += [(t, t, ev.bytes)
+                    for t in (ev.tick_t(k) for k in range(ev.n))]
+        prev = out[-1][1]
+    return out
+
+
+def _session_end(runs: list[tuple[float, float, int]],
+                 session_end_s: Optional[float]) -> float:
+    end = session_end_s if session_end_s is not None else (
+        runs[-1][1] if runs else 0.0)
+    if runs and runs[-1][1] > end + _EPS:
+        raise ValueError("events extend past session_end_s")
+    return end
 
 
 class _Builder:
@@ -207,12 +232,10 @@ def simulate_wifi(events: Iterable[PacketEvent], cfg: WifiPsmConfig,
     it holds the idle tail for tail_ms and then sleeps, waking every listen
     interval for the beacon (charged as a blended sleep current).
     """
-    evs = _check_events(events)
-    end = session_end_s if session_end_s is not None else (evs[-1].t_s if evs else 0.0)
-    if evs and evs[-1].t_s > end + _EPS:
-        raise ValueError("events extend past session_end_s")
-
     tail_s = cfg.tail_ms / 1000.0
+    runs = _bursts(events, lambda dt: dt <= tail_s + _EPS)
+    end = _session_end(runs, session_end_s)
+
     sleep_ma = wifi_sleep_current(cfg, profile)
     sleep_state = "sleep" if cfg.sleep_current_applies else "idle_tail"
     if not cfg.sleep_current_applies:
@@ -220,15 +243,16 @@ def simulate_wifi(events: Iterable[PacketEvent], cfg: WifiPsmConfig,
 
     b = _Builder("wifi")
     i = 0
-    n = len(evs)
+    n = len(runs)
     while i < n:
-        # burst: consecutive events with gaps <= tail
+        # burst: consecutive runs with gaps <= tail
         j = i
-        while j + 1 < n and evs[j + 1].t_s - evs[j].t_s <= tail_s + _EPS:
+        while j + 1 < n and runs[j + 1][0] - runs[j][1] <= tail_s + _EPS:
             j += 1
-        b.push(sleep_state, min(evs[i].t_s, end), sleep_ma)
-        b.push("active", min(evs[j].t_s, end), profile.wifi_active)
-        b.push("idle_tail", min(evs[j].t_s + tail_s, end), profile.wifi_idle_tail)
+        b.push(sleep_state, min(runs[i][0], end), sleep_ma)
+        b.push("active", min(runs[j][1], end), profile.wifi_active)
+        b.push("idle_tail", min(runs[j][1] + tail_s, end),
+               profile.wifi_idle_tail)
         i = j + 1
     b.push(sleep_state, end, sleep_ma)
     b.timeline.validate(end)
@@ -264,7 +288,8 @@ def _chain_state_at(chain: list[tuple[str, float]], tau: float) -> str:
     off = 0.0
     for state, dwell in chain:
         off += dwell
-        if tau < off:
+        # a timer counts as expired within _EPS: wall times carry round-off
+        if tau < off - _EPS:
             return state
     return chain[-1][0]
 
@@ -281,10 +306,10 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
     smaller than fach_max_bytes that arrive while in CELL_FACH are served
     there without promotion.
     """
-    evs = _check_events(events)
-    end = session_end_s if session_end_s is not None else (evs[-1].t_s if evs else 0.0)
-    if evs and evs[-1].t_s > end + _EPS:
-        raise ValueError("events extend past session_end_s")
+    shortest = min(cfg.t1_s, cfg.t2_s, cfg.t3_s,
+                   cfg.fd_timer_s if cfg.fd_timer_s is not None else cfg.t1_s)
+    runs = _bursts(events, lambda dt: dt < shortest)
+    end = _session_end(runs, session_end_s)
     if cfg.fd_timer_s is not None and cfg.fd_target == "idle":
         log.debug("fast dormancy targets IDLE; T3 never applies")
 
@@ -311,8 +336,8 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
             b.push("dch", t_to, cur["dch"])
 
     chain: list[tuple[str, float]] = [("idle", float("inf"))]
-    for ev in evs:
-        t = min(ev.t_s, end)
+    for t_first, t_last, nbytes in runs:
+        t = min(t_first, end)
         tau = t - gap_start
         before = _chain_state_at(chain, tau)
         promote_at = None
@@ -328,14 +353,16 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
             promote_at = max(t - cfg.promotion_latency_s, low_entry, b.t)
             after = "dch"
         elif before == "fach":
-            after = "fach" if ev.bytes < cfg.fach_max_bytes else "dch"
+            after = "fach" if nbytes < cfg.fach_max_bytes else "dch"
         else:
             after = "dch"
         carve_gap(b.t, t, chain, promote_at)
         state = after
-        gap_start = t
+        # the rest of the run keeps the radio in that state
+        gap_start = min(t_last, end)
+        b.push(state, gap_start, cur[state])
         chain = _hspa_chain(cfg, state)
-    if evs:
+    if runs:
         carve_gap(b.t, end, chain, None)
     else:
         b.push("idle", end, cur["idle"])
@@ -359,12 +386,11 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
     drx_on_ms.  A packet arriving in IDLE charges the promotion latency at
     the reception current before the packet time.
     """
-    evs = _check_events(events)
-    end = session_end_s if session_end_s is not None else (evs[-1].t_s if evs else 0.0)
-    if evs and evs[-1].t_s > end + _EPS:
-        raise ValueError("events extend past session_end_s")
-
     inact = cfg.drx_inactivity_ms / 1000.0
+    runs = _bursts(events, lambda dt: dt < cfg.rrc_idle_s
+                   and (dt <= inact or not cfg.drx_enabled))
+    end = _session_end(runs, session_end_s)
+
     cycle = cfg.drx_cycle_ms / 1000.0
     on_s = min(profile.drx_on_overstay_ms, cfg.drx_cycle_ms) / 1000.0
     promo = cfg.promotion_latency_ms / 1000.0
@@ -392,8 +418,8 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
             b.push("rx", t_to, profile.lte_rx)
 
     last = None
-    for ev in evs:
-        t = min(ev.t_s, end)
+    for t_first, t_last, _ in runs:
+        t = min(t_first, end)
         if last is None:
             promote_at = max(t - promo, 0.0)
             b.push("idle", promote_at, profile.lte_idle)
@@ -401,10 +427,12 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
         else:
             tau = t - last
             promote_at = None
-            if tau >= cfg.rrc_idle_s:
+            if tau >= cfg.rrc_idle_s - _EPS:
                 promote_at = max(t - promo, last + cfg.rrc_idle_s, b.t)
             carve_gap(b.t, t, last, promote_at)
-        last = t
+        # the rest of the run keeps the radio in continuous reception
+        last = min(t_last, end)
+        b.push("rx", last, profile.lte_rx)
     if last is not None:
         carve_gap(b.t, end, last, None)
     else:

@@ -201,7 +201,14 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
             segs.append((float(t0), float(bw)))
         link = _build(LinkModel, {"segments": tuple(segs), "rtt_ms": rtt}, "link")
     elif "bandwidth_bps" in li:
-        link = LinkModel.constant(float(li.pop("bandwidth_bps")), float(rtt))
+        raw = li.pop("bandwidth_bps")
+        try:
+            bw = float(raw)
+        except (TypeError, ValueError):
+            raise ConfigError("link.bandwidth_bps",
+                              f"not a number: {raw!r}") from None
+        link = _build(LinkModel, {"segments": ((0.0, bw),),
+                                  "rtt_ms": float(rtt)}, "link.bandwidth_bps")
     else:
         raise ConfigError("link.bandwidth_bps",
                           "need link.bandwidth_bps or link.segments")

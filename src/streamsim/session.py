@@ -10,12 +10,13 @@ from .energy import SessionSummary, summarize
 from .playback import BufferTimeline, QoeReport
 from .radio import RadioTimeline, simulate_radio
 from .scenario import Scenario
+from .streams import TickSeq
 
 
 @dataclass
 class SessionResult:
     scenario: Scenario
-    events: list
+    events: TickSeq
     dlog: delivery.DeliveryLog
     buffer: BufferTimeline
     qoe: QoeReport

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, ClassVar, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
 _KIND_ORDER = {k: i for i, k in enumerate(EVENT_KINDS)}
@@ -14,6 +15,12 @@ _KIND_ORDER = {k: i for i, k in enumerate(EVENT_KINDS)}
 REQUEST_BYTES = 500
 PROBE_BYTES = 60
 FLOW_CONTROL_BYTES = 60
+
+
+def check_finite(name: str, value: float) -> None:
+    """Reject NaN and infinities in a numeric input, naming the field."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -38,6 +45,107 @@ class PacketEvent:
         return (self.t_s, self.connection_id, _KIND_ORDER[self.kind])
 
 
+@dataclass
+class TransferSpan:
+    """n back-to-back data ticks of equal size on one connection.
+
+    Tick k (0-based) completes at t_s + k * dt_s carrying nbytes, and the
+    sender's playback buffer holds buffer_s + k * dbuffer_s seconds of
+    content after it.  dt_s is the tick's transfer time, so it is also the
+    spacing of the ticks.
+    """
+    t_s: float
+    dt_s: float
+    n: int
+    connection_id: int
+    nbytes: float
+    buffer_s: float = 0.0
+    dbuffer_s: float = 0.0
+
+    kind: ClassVar[str] = "data"
+
+    @property
+    def bytes(self) -> int:
+        """Wire bytes of one tick, as its PacketEvent carries them."""
+        return int(round(self.nbytes))
+
+    @property
+    def t_end_s(self) -> float:
+        return self.tick_t(self.n - 1)
+
+    def tick_t(self, k: int) -> float:
+        return self.t_s + k * self.dt_s
+
+    def event(self, k: int) -> PacketEvent:
+        return PacketEvent(self.tick_t(k), self.bytes, self.connection_id)
+
+    def sort_key(self):
+        return (self.t_s, self.connection_id, _KIND_ORDER["data"])
+
+
+def as_runs(events) -> list:
+    """Events as stored runs: TransferSpans and single PacketEvents.
+
+    A TickSeq gives its runs as they are; any other iterable of
+    PacketEvents is taken event by event.
+    """
+    return events.items if isinstance(events, TickSeq) else list(events)
+
+
+class TickSeq(Sequence):
+    """Read-only per-tick view of a list of runs.
+
+    items holds single entries and TransferSpans.  A span stands for its n
+    ticks, each built by expand(span, k) only when it is read; expansion is
+    streamed and never cached.  The view compares equal to a list (or
+    another view) holding the same entries in the same order.
+    """
+
+    def __init__(self, items: list,
+                 expand: Callable[[TransferSpan, int], object]):
+        self.items = items
+        self._expand = expand
+
+    def __iter__(self):
+        expand = self._expand
+        for it in self.items:
+            if isinstance(it, TransferSpan):
+                for k in range(it.n):
+                    yield expand(it, k)
+            else:
+                yield it
+
+    def __len__(self) -> int:
+        return sum(it.n if isinstance(it, TransferSpan) else 1
+                   for it in self.items)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self)[index]
+        items = self.items if index >= 0 else reversed(self.items)
+        want = index if index >= 0 else -index - 1   # ticks to skip
+        for it in items:
+            size = it.n if isinstance(it, TransferSpan) else 1
+            if want < size:
+                if not isinstance(it, TransferSpan):
+                    return it
+                k = want if index >= 0 else size - 1 - want
+                return self._expand(it, k)
+            want -= size
+        raise IndexError("tick index out of range")
+
+    def __eq__(self, other):
+        if not isinstance(other, (TickSeq, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TickSeq({len(self)} ticks in {len(self.items)} runs)"
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """A constant- or variable-bitrate video stream.
@@ -53,6 +161,8 @@ class StreamSpec:
     keyframe_interval_bytes: Optional[float] = None
 
     def __post_init__(self):
+        check_finite("duration_s", self.duration_s)
+        check_finite("encoding_rate_bps", self.encoding_rate_bps)
         if self.duration_s <= 0 or self.encoding_rate_bps <= 0:
             raise ValueError("duration_s and encoding_rate_bps must be > 0")
         if self.size_bytes is None:
@@ -108,6 +218,12 @@ class StreamSpec:
     def bytes_per_second(self) -> float:
         return self.encoding_rate_bps / 8.0
 
+    def rate_range_bps(self) -> tuple[float, float]:
+        """Lowest and highest encoding rate anywhere in the content."""
+        if self.vbr_trace is None:
+            return self.encoding_rate_bps, self.encoding_rate_bps
+        return min(self._vbr_rates), max(self._vbr_rates)
+
     def _vbr_bytes_between(self, a: float, b: float) -> float:
         a = max(a, 0.0)
         if b <= a:
@@ -129,7 +245,7 @@ class StreamSpec:
     def bytes_for_content(self, a_s: float, b_s: float) -> float:
         """Bytes of content between playback positions a_s and b_s."""
         if self.vbr_trace is None:
-            return (b_s - a_s) * self.bytes_per_second
+            return max(b_s - a_s, 0.0) * self.bytes_per_second
         return self._vbr_bytes_between(a_s, b_s)
 
     def seconds_for_bytes(self, from_pos_s: float, nbytes: float) -> float:
@@ -170,8 +286,9 @@ class LinkModel:
         for t0, bw in segs:
             if t0 <= prev:
                 raise ValueError("link segments must be strictly ordered")
-            if bw < 0:
-                raise ValueError("bandwidth must be >= 0")
+            if not bw >= 0:
+                raise ValueError(
+                    f"bandwidth must be a number >= 0, not {bw!r}")
             prev = t0
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", tuple(t0 for t0, _ in segs))

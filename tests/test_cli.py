@@ -171,3 +171,33 @@ def test_scenario_overstay_invariant(tmp_path):
                  radio_tech="lte", radio_cfg=LteDrxConfig(drx_on_ms=60.0,
                                                           drx_cycle_ms=80.0),
                  profile=get_profile("gs3-lte"))
+
+
+def _scenario_with(tmp_path, line):
+    """A valid scenario file with one key = value line replaced."""
+    table = {"stream.duration_s": "600",
+             "stream.encoding_rate_bps": "2000000",
+             "link.bandwidth_bps": "8000000",
+             "technique.kind": "fast_caching",
+             "radio.technology": "hspa",
+             "profile.name": "gs3-lte"}
+    key, _, value = line.partition(" = ")
+    table[key] = value
+    scn = tmp_path / "bad.scn"
+    scn.write_text("".join(f"{k} = {v}\n" for k, v in table.items()))
+    return str(scn)
+
+
+@pytest.mark.parametrize("line,field", [
+    ("stream.duration_s = inf", "duration_s"),
+    ("stream.duration_s = nan", "duration_s"),
+    ("stream.encoding_rate_bps = inf", "encoding_rate_bps"),
+    ("link.bandwidth_bps = nan", "link.bandwidth_bps"),
+    ("link.bandwidth_bps = fast", "link.bandwidth_bps"),
+])
+def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
+    rc = main(["simulate", "--scenario", _scenario_with(tmp_path, line),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -183,3 +183,34 @@ def test_abandoned_session_watch_end(hd_stream, link4):
     assert tl.completed
     assert tl.playback_end_s == pytest.approx(join + 120.0, abs=0.2)
     assert detect_stalls(tl).stall_events == []
+
+
+def _value_at_by_scan(tl, t):
+    """Linear-scan reference: interpolate between the samples around t."""
+    prev = nxt = None
+    for s in tl.samples:
+        if s.t_s > t + 1e-9:
+            nxt = s
+            break
+        prev = s
+    if prev is None:
+        return 0.0
+    if nxt is None or t <= prev.t_s:
+        return prev.buffered_seconds
+    w = (t - prev.t_s) / (nxt.t_s - prev.t_s)
+    return prev.buffered_seconds + w * (nxt.buffered_seconds
+                                        - prev.buffered_seconds)
+
+
+def test_value_at_bisects_like_a_linear_scan(hd_stream, link4):
+    events, _ = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
+    join = joining_time(preset("youtube_onoffm"), hd_stream, link4, "hspa")
+    # a plain event list is replayed event by event: one sample per arrival
+    tl = compute_buffer(list(events), hd_stream, join)
+    assert len(tl.samples) > 5000
+    rng = random.Random(11)
+    times = [rng.uniform(-1.0, tl.playback_end_s + 5.0) for _ in range(300)]
+    times += [s.t_s for s in tl.samples[::50]]
+    for t in times:
+        assert tl.value_at(t) == pytest.approx(_value_at_by_scan(tl, t),
+                                               abs=1e-12), t

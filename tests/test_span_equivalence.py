@@ -1,0 +1,264 @@
+"""The event-driven delivery path against the frozen per-tick engine.
+
+tick_reference holds the delivery engine and buffer model as they were
+when every 50 ms tick was stepped.  Each scenario runs through both, and
+the outputs must agree tick for tick: events, decision records, log
+totals, stalls, radio states and the session summary.
+
+The event-driven engine meets a driver's buffer threshold within
+THRESHOLD_TOL_S, where the per-tick engine compared exactly.  So the two
+may part by one tick where the per-tick buffer fell short of a threshold
+by float noise alone; each such case is checked to be exactly that.
+"""
+
+import importlib.resources as ir
+import math
+import random
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+import tick_reference as ref
+from test_acceptance import _random_scenario
+from streamsim import (FastCaching, LinkModel, StreamSpec, analysis,
+                       delivery, detect_stalls, get_profile, joining_time,
+                       playback, simulate_radio)
+from streamsim.delivery import THRESHOLD_TOL_S
+from streamsim.scenario import load_scenario, parse_scenario_text
+from streamsim.techniques import FASTSTART_TARGET_S
+from streamsim.session import run_session
+
+SCENARIOS = ir.files("streamsim") / "scenarios"
+BASE = "youtube_onoffm_hspa"
+
+# the default grids of `streamsim sweep-buffer` and `sweep-abandon`
+SWEEP_BUFFER_GRID = [10.0, 20.0, 30.0, 40.0, 50.0, 100.0, 150.0, 200.0]
+SWEEP_RATIOS = [2.0, 4.0, 8.0]
+SWEEP_ABANDON_GRID = [0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def _thresholds_s(tech, stream) -> list[float]:
+    """The technique's buffer thresholds, in content seconds."""
+    out = []
+    for name in ("faststart_target_s", "upper_s"):
+        v = getattr(tech, name, None)
+        if v is not None:
+            out += [v, v - 0.5]      # stop and receive-window thresholds
+    if getattr(tech, "upper_bytes", None) is not None:
+        out.append(tech.upper_bytes / stream.bytes_per_second)
+    return out
+
+
+def _close(a, b, tol):
+    return abs(a - b) <= tol
+
+
+def _same_records(ra, rb, tech, stream, t_tol=1e-9) -> bool:
+    """Assert the logs agree record for record; False when they part at a
+    buffer threshold that the per-tick engine missed by float noise."""
+    for i, (x, y) in enumerate(zip(ra, rb)):
+        if not ((x.event, x.connection_id) == (y.event, y.connection_id)
+                and _close(x.t_s, y.t_s, t_tol)
+                and _close(x.bytes, y.bytes, 1e-6 * max(x.bytes, 1.0))):
+            # the per-tick engine moved one more tick than the new one,
+            # whose next record is a decision or a tick of the next phase
+            last = ra[i - 1]
+            assert x.event == "data" and last.event == "data", (i, x, y)
+            assert any(th - THRESHOLD_TOL_S <= last.buffer_s_after < th
+                       for th in _thresholds_s(tech, stream)), (i, last, y)
+            return False
+        assert _close(x.buffer_s_after, y.buffer_s_after, 1e-6), (i, x, y)
+    assert len(ra) == len(rb)
+    return True
+
+
+def _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream,
+                   t_tol=1e-9) -> bool:
+    """Assert the events, records and log totals agree, times within
+    t_tol; False for a threshold tick shift."""
+    if not _same_records(list(log_a.records), list(log_b.records), tech,
+                         stream, t_tol):
+        return False
+    ev_b = list(ev_b)
+    assert len(ev_a) == len(ev_b)
+    for i, (x, y) in enumerate(zip(ev_a, ev_b)):
+        assert (x.kind, x.connection_id, x.bytes) == \
+            (y.kind, y.connection_id, y.bytes), (i, x, y)
+        assert _close(x.t_s, y.t_s, t_tol), (i, x, y)
+    # totals within 1e-6 of the bytes delivered, or of a content second
+    byte_tol = 1e-6 * max(log_a.bytes_delivered, 1.0)
+    for name in ("bytes_delivered", "bytes_consumed", "bytes_buffered_end",
+                 "bytes_wasted", "overhead_bytes"):
+        assert _close(getattr(log_a, name), getattr(log_b, name),
+                      byte_tol), name
+    for name in ("content_delivered_s", "content_consumed_s",
+                 "stall_total_s"):
+        assert _close(getattr(log_a, name), getattr(log_b, name),
+                      1e-6), name
+    assert log_a.connections_opened == log_b.connections_opened
+    assert log_a.notes == log_b.notes
+    for name in ("on_spans", "off_spans", "quality_switches"):
+        assert len(getattr(log_a, name)) == len(getattr(log_b, name)), name
+        for x, y in zip(getattr(log_a, name), getattr(log_b, name)):
+            assert _close(x[0], y[0], t_tol), (name, x, y)
+            if name == "quality_switches":
+                assert x[1:] == y[1:], (name, x, y)
+            else:
+                assert _close(x[1], y[1], t_tol), (name, x, y)
+    return True
+
+
+def _compare(a, b, tech, stream) -> bool:
+    """a, b: (events, dlog, buffer, qoe, radio) of the per-tick and the
+    event-driven run.  Returns False for a threshold tick shift."""
+    ev_a, log_a, _, qoe_a, radio_a = a
+    ev_b, log_b, _, qoe_b, radio_b = b
+    if not _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream):
+        return False
+    assert len(qoe_a.stall_events) == len(qoe_b.stall_events)
+    for (s1, d1), (s2, d2) in zip(qoe_a.stall_events, qoe_b.stall_events):
+        assert _close(s1, s2, 1e-9) and _close(d1, d2, 1e-9)
+    assert [iv.state for iv in radio_a.intervals] == \
+        [iv.state for iv in radio_b.intervals]
+    for x, y in zip(radio_a.intervals, radio_b.intervals):
+        assert _close(x.t_start_s, y.t_start_s, 1e-9), (x, y)
+        assert _close(x.t_end_s, y.t_end_s, 1e-9), (x, y)
+    return True
+
+
+def _pipeline(simulate, compute_buffer, stream, link, tech, radio_tech, cfg):
+    """Criterion 10's pipeline: 1 s start and resume thresholds."""
+    events, dlog = simulate(stream, link, tech, start_threshold_s=1.0,
+                            resume_threshold_s=1.0)
+    join = joining_time(tech, stream, link, radio_tech, start_threshold_s=1.0)
+    tl = compute_buffer(events, stream, join, resume_threshold_s=1.0)
+    qoe = detect_stalls(tl, resume_threshold_s=1.0)
+    wall = max(tl.playback_end_s, events[-1].t_s if events else 0.0)
+    if math.isinf(wall):
+        wall = events[-1].t_s if events else stream.duration_s
+    radio = simulate_radio(radio_tech, events, cfg, get_profile("gs3-lte"),
+                           wall)
+    return events, dlog, tl, qoe, radio
+
+
+def test_criterion10_generator_matches_tick_engine():
+    rng = random.Random(2026)
+    shifted = 0
+    for i in range(300):
+        stream, link, tech, radio_tech, cfg = _random_scenario(rng)
+        a = _pipeline(ref.simulate_session, ref.compute_buffer,
+                      stream, link, tech, radio_tech, cfg)
+        b = _pipeline(delivery.simulate_session, playback.compute_buffer,
+                      stream, link, tech, radio_tech, cfg)
+        shifted += not _compare(a, b, tech, stream)
+    assert shifted == 3
+
+
+def test_keyframe_waste_matches_tick_engine():
+    size = 76 * 1024 * 1024
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=size * 8 / 600.0,
+                        size_bytes=size, keyframe_interval_bytes=2.4e6)
+    link = LinkModel.constant(4 * stream.encoding_rate_bps, rtt_ms=70)
+    kw = dict(buffer_bytes=25 * 1024 * 1024, reopen_free_bytes=0.10e6,
+              throttle_factor=3.0)
+    thresholds = SimpleNamespace(faststart_target_s=FASTSTART_TARGET_S,
+                                 upper_bytes=kw["buffer_bytes"])
+    # each of the ~66 drain waits ends at a level read from the buffered
+    # bytes, so both engines' round-off compounds to about 1e-9 s
+    assert _same_delivery(
+        *ref.simulate_multi_connection_waste(stream, link, **kw),
+        *delivery.simulate_multi_connection_waste(stream, link, **kw),
+        thresholds, stream, t_tol=1e-8)
+
+
+def _run_both(sc, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(delivery, "simulate_session", ref.simulate_session)
+        m.setattr(playback, "compute_buffer", ref.compute_buffer)
+        a = run_session(sc)
+    return a, run_session(sc)
+
+
+def _sessions_match(a, b) -> bool:
+    """Assert two SessionResults agree; False for a threshold tick shift,
+    after which the summaries need only agree to 1e-3."""
+    parts = ("events", "dlog", "buffer", "qoe", "radio")
+    exact = _compare([getattr(a, p) for p in parts],
+                     [getattr(b, p) for p in parts],
+                     a.scenario.technique, a.scenario.stream)
+    want, got = a.summary.to_json_dict(), b.summary.to_json_dict()
+    assert set(want) == set(got)
+    rel = 1e-9 if exact else 1e-3
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=rel), key
+    return exact
+
+
+def _session_variants():
+    def text(name):
+        return (SCENARIOS / f"{name}.scn").read_text(encoding="utf-8")
+    out = [load_scenario(str(SCENARIOS / f"{name}.scn"))
+           for name in (BASE, "encoding_rate_lte", "fast_caching_wifi")]
+    base = text(BASE).replace("technique.preset = youtube_onoffm\n", "")
+    for kind in ("hls", "mss", "throttling"):
+        out.append(parse_scenario_text(base + f"technique.kind = {kind}\n",
+                                       f"{BASE}_{kind}"))
+    out.append(parse_scenario_text(base + "technique.preset = vimeo_onoffs\n",
+                                   f"{BASE}_vimeo_onoffs"))
+    return out
+
+
+def test_session_variants_match_tick_engine(monkeypatch):
+    scenarios = _session_variants()
+    assert len(scenarios) == 7
+    shifted = [sc.name for sc in scenarios
+               if not _sessions_match(*_run_both(sc, monkeypatch))]
+    assert shifted == []
+
+
+def _sweep_points():
+    base = load_scenario(str(SCENARIOS / f"{BASE}.scn"))
+    upper = base.technique.upper_s
+    out = []
+    for ratio in SWEEP_RATIOS:
+        link = LinkModel.constant(ratio * base.stream.encoding_rate_bps,
+                                  base.link.rtt_ms)
+        for size in SWEEP_BUFFER_GRID:
+            if size <= upper:
+                tech = replace(base.technique, lower_s=upper - size,
+                               off_fixed_s=None)
+                out.append(replace(base, technique=tech, link=link,
+                                   name=f"buffer_c{ratio:g}_{size:g}"))
+    for tech in (base.technique, FastCaching()):
+        for w in SWEEP_ABANDON_GRID:
+            out.append(replace(base, technique=tech,
+                               abandon_at_s=w * base.stream.duration_s,
+                               name=f"abandon_{type(tech).__name__}_{w:g}"))
+    return out
+
+
+def test_sweep_points_are_the_cli_defaults(monkeypatch):
+    seen = []
+
+    def record(sc):
+        seen.append(sc)
+        return run_session(sc)
+
+    monkeypatch.setattr(analysis, "run_session", record)
+    base = load_scenario(str(SCENARIOS / f"{BASE}.scn"))
+    analysis.buffer_size_sweep(base, SWEEP_BUFFER_GRID, SWEEP_RATIOS)
+    analysis.abandonment_sweep(base, SWEEP_ABANDON_GRID)
+    points = _sweep_points()
+    assert len(seen) == len(points) == 28
+    assert [s.fingerprint() for s in seen] == \
+        [p.fingerprint() for p in points]
+
+
+def test_sweep_points_match_tick_engine(monkeypatch):
+    shifted = [sc.name for sc in _sweep_points()
+               if not _sessions_match(*_run_both(sc, monkeypatch))]
+    # refills that the per-tick engine ends a few ulps short of upper_s
+    assert shifted == ["buffer_c2_10", "buffer_c2_20", "buffer_c2_30",
+                       "buffer_c2_40", "buffer_c2_50", "buffer_c2_100",
+                       "buffer_c8_100"]

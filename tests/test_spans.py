@@ -1,0 +1,158 @@
+"""Transfer spans: the cost model and the per-tick views built on them."""
+
+import importlib.resources as ir
+import random
+
+import pytest
+
+import tick_reference as ref
+from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
+                       LinkModel, LteDrxConfig, OnOffM, PacketEvent,
+                       StreamSpec, WifiPsmConfig, compute_buffer,
+                       detect_stalls, joining_time, preset, simulate_radio,
+                       simulate_session)
+from streamsim.scenario import load_scenario
+from streamsim.session import run_session
+from streamsim.streams import TickSeq, TransferSpan
+
+SCENARIOS = ir.files("streamsim") / "scenarios"
+
+
+def test_encoding_rate_lte_cost_follows_state_changes():
+    """11,221 per-tick events come from a handful of spans, and the
+    buffer keeps samples only at span ends and state changes."""
+    res = run_session(load_scenario(str(SCENARIOS / "encoding_rate_lte.scn")))
+    spans = [it for it in res.events.items if isinstance(it, TransferSpan)]
+    assert len(res.events) == 11_221
+    assert len(spans) <= 20
+    assert len(res.buffer.samples) <= 50
+
+
+def _seq():
+    span = TransferSpan(1.0, 0.5, 3, 0, 1000.4)
+    items = [PacketEvent(0.0, 500, 0, "request"), span,
+             PacketEvent(2.5, 60, 0, "persist_probe")]
+    ticks = [PacketEvent(0.0, 500, 0, "request"), PacketEvent(1.0, 1000, 0),
+             PacketEvent(1.5, 1000, 0), PacketEvent(2.0, 1000, 0),
+             PacketEvent(2.5, 60, 0, "persist_probe")]
+    return TickSeq(items, TransferSpan.event), ticks
+
+
+def test_tick_seq_reads_like_the_expanded_list():
+    seq, ticks = _seq()
+    assert len(seq) == 5
+    assert list(seq) == ticks
+    assert seq == ticks and ticks == seq
+    assert seq != ticks[:-1]
+    assert [seq[i] for i in range(-5, 5)] == ticks + ticks
+    assert seq[1:4] == ticks[1:4]
+    with pytest.raises(IndexError):
+        seq[5]
+    with pytest.raises(IndexError):
+        seq[-6]
+    assert sorted(seq, key=PacketEvent.sort_key) == ticks
+    assert TickSeq([], TransferSpan.event) == []
+
+
+def test_delivery_log_rows_expand_from_spans(hd_stream, link4):
+    _, dlog = simulate_session(hd_stream, link4, EncodingRate())
+    rows = dlog.to_csv_lines()
+    assert len(rows) == len(dlog.records) + 1 == 11_225
+    assert sum(r.event == "data" for r in dlog.records) == 11_220
+    assert len(dlog.records.items) < 20
+
+
+def _vbr_stream():
+    rng = random.Random(5)
+    rates = [rng.uniform(0.5, 1.5) for _ in range(120)]
+    norm = len(rates) / sum(rates)
+    return StreamSpec(duration_s=120.0, encoding_rate_bps=2e6, vbr_trace=[
+        (float(i), 2e6 * w * norm) for i, w in enumerate(rates)])
+
+
+HD = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+BUFFER_CASES = [
+    ("encoding_rate", HD, LinkModel.constant(8e6), EncodingRate()),
+    # the link dies for good: the session ends in an unresolved stall
+    ("link_dies", HD, LinkModel(((0.0, 8e6), (100.0, 0.0)), 70),
+     EncodingRate()),
+    ("long_off_stalls", HD, LinkModel.constant(8e6),
+     OnOffM(upper_s=50.0, lower_s=10.0, off_fixed_s=80.0)),
+    ("slow_link_stalls", HD, LinkModel.constant(1.9e6), FastCaching()),
+    ("hls", HD, LinkModel.constant(20e6, 30), Hls()),
+    ("vbr_onoffm", _vbr_stream(), LinkModel.constant(8e6),
+     preset("youtube_onoffm")),
+    ("vbr_slow", _vbr_stream(), LinkModel.constant(2.2e6), EncodingRate()),
+    # dense second half: the buffer built on the sparse first half runs out
+    ("vbr_stalls", StreamSpec(duration_s=120.0, encoding_rate_bps=2e6,
+                              vbr_trace=[(0.0, 1e6), (60.0, 3e6)]),
+     LinkModel.constant(1.8e6), FastCaching()),
+]
+
+
+@pytest.mark.parametrize("stream,link,tech",
+                         [c[1:] for c in BUFFER_CASES],
+                         ids=[c[0] for c in BUFFER_CASES])
+def test_span_buffer_samples_are_breakpoints_of_the_tick_model(stream, link,
+                                                               tech):
+    """compute_buffer on the spans keeps a subset of the per-event model's
+    samples, with the same end, completion and stalls."""
+    events, _ = simulate_session(stream, link, tech)
+    join = joining_time(tech, stream, link, "hspa")
+    want = ref.compute_buffer(list(events), stream, join)
+    got = compute_buffer(events, stream, join)
+    assert got.completed == want.completed
+    assert got.playback_end_s == pytest.approx(want.playback_end_s, abs=1e-9)
+    q_want, q_got = detect_stalls(want), detect_stalls(got)
+    assert len(q_got.stall_events) == len(q_want.stall_events)
+    for (s1, d1), (s2, d2) in zip(q_want.stall_events, q_got.stall_events):
+        assert s2 == pytest.approx(s1, abs=1e-9)
+        assert d2 == pytest.approx(d1, abs=1e-9)
+    by_time = iter(want.samples)
+    for s in got.samples:
+        match = next(w for w in by_time if abs(w.t_s - s.t_s) <= 1e-9
+                     and abs(w.buffered_seconds - s.buffered_seconds) <= 1e-6)
+        assert s.buffered_bytes == pytest.approx(match.buffered_bytes,
+                                                 rel=1e-6, abs=1e-3)
+
+
+RADIO_CONFIGS = [
+    ("wifi", WifiPsmConfig()),
+    ("wifi", WifiPsmConfig(tail_ms=30.0)),          # tail below the tick
+    ("hspa", HspaRrcConfig()),
+    ("hspa", HspaRrcConfig(t1_s=0.04, t2_s=0.02, fd_timer_s=None)),
+    ("lte", LteDrxConfig()),
+    ("lte", LteDrxConfig(drx_inactivity_ms=20.0)),  # DRX between ticks
+    ("lte", LteDrxConfig(drx_enabled=False)),
+]
+
+
+@pytest.mark.parametrize("tech", [preset("youtube_onoffm"), EncodingRate(),
+                                  preset("vimeo_onoffs")],
+                         ids=["onoffm", "encoding_rate", "onoffs"])
+@pytest.mark.parametrize("radio_tech,cfg", RADIO_CONFIGS)
+def test_radio_on_spans_equals_radio_on_ticks(radio_tech, cfg, tech, gs3):
+    """A span is one burst only when its tick spacing is within the
+    machine's shortest inactivity timer; otherwise its ticks are walked."""
+    stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
+    events, _ = simulate_session(stream, LinkModel.constant(8e6), tech)
+    end = events[-1].t_s + 30.0
+    got = simulate_radio(radio_tech, events, cfg, gs3, end).intervals
+    want = simulate_radio(radio_tech, list(events), cfg, gs3, end).intervals
+    assert [iv.state for iv in got] == [iv.state for iv in want]
+    for a, b in zip(got, want):
+        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
+        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+
+
+def test_link_boundaries_on_the_tick_grid_leave_no_slivers():
+    """Ticks that meet a boundary up to round-off meet it exactly: no
+    1 us hop ticks carrying a byte or two."""
+    rng = random.Random(3)
+    link = LinkModel(tuple((round(0.2 * i, 6), rng.uniform(2e6, 12e6))
+                           for i in range(300)), rtt_ms=70.0)
+    stream = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
+    events, dlog = simulate_session(stream, link, FastCaching())
+    data = [e for e in events if e.kind == "data"][:-1]   # not the last
+    assert min(e.bytes for e in data) >= 0.2 * 2e6 * 0.05 / 8
+    assert dlog.bytes_delivered == pytest.approx(stream.size_bytes, abs=2.0)

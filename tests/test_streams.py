@@ -203,3 +203,27 @@ def test_vbr_lookups_equal_linear_reference(seed, n, first):
     for a, b in zip(mids, mids[2:]):
         ref = _ref_vbr_bytes_between(tr, a, b)
         assert s.bytes_for_content(a, b) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("duration_s", math.inf), ("duration_s", math.nan),
+    ("encoding_rate_bps", math.inf), ("encoding_rate_bps", math.nan),
+])
+def test_stream_rejects_non_finite_fields(field, value):
+    kwargs = {"duration_s": 600.0, "encoding_rate_bps": 2e6, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        StreamSpec(**kwargs)
+
+
+def test_link_rejects_nan_bandwidth():
+    with pytest.raises(ValueError, match="bandwidth"):
+        LinkModel.constant(math.nan)
+    with pytest.raises(ValueError, match="bandwidth"):
+        LinkModel(((0.0, 1e6), (5.0, math.nan)))
+
+
+def test_cbr_bytes_for_a_reversed_span_are_zero():
+    s = StreamSpec(duration_s=600, encoding_rate_bps=2_000_000)
+    assert s.bytes_for_content(10.0, 5.0) == 0.0
+    assert s.bytes_for_content(5.0, 5.0) == 0.0
+    assert s.bytes_for_content(5.0, 10.0) == pytest.approx(1_250_000)
