@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .radio import promotion_latency
-from .streams import (LinkModel, PacketEvent, StreamSpec, TransferSpan,
-                      as_runs)
+from .streams import (ChunkTrain, LinkModel, PacketEvent, StreamSpec,
+                      TransferSpan, as_runs)
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
 
 _EPS = 1e-9
@@ -160,12 +160,15 @@ class _Playout:
             self.stalled = False
 
     def whole_ticks(self, dt: float, nbytes: float,
-                    rates: tuple[float, float]) -> int:
+                    rates: tuple[float, float],
+                    dip: Optional[float] = None) -> int:
         """Arrivals of nbytes every dt that can be applied in closed form.
 
         The run stops a tick short of the earliest predicted join, stall,
         resume or end, so that tick is replayed singly.  A VBR stream's
-        content per tick is bounded by its lowest and highest rates.
+        content per tick is bounded by its lowest and highest rates.  dip
+        is how far the buffer may fall below its level at one arrival
+        before the next (dt when an arrival is a single tick).
         """
         full = self.fill >= self.stream.duration_s
         gain_lo = 0.0 if full else nbytes * 8.0 / rates[1]
@@ -183,7 +186,7 @@ class _Playout:
             x = (self.watched - self.play) / dt
             if gain_hi > 0:
                 x = min(x, (self.stream.duration_s - self.fill) / gain_hi)
-            margin = buffered - dt - 1e-6
+            margin = buffered - (dt if dip is None else dip) - 1e-6
             if margin <= 0:
                 return 0
             if gain_lo < dt:
@@ -197,6 +200,64 @@ class _Playout:
         self.fill = min(self.fill + self.stream.seconds_for_bytes(
             self.fill, m * nbytes), self.stream.duration_s)
         self.t = t
+
+    def replay(self, runs, rates: tuple[float, float]) -> None:
+        """Replay runs in time order until playback is done.  Samples are
+        kept at the first and last tick of each span and at every arrival
+        stepped while stalled."""
+        for r in runs:
+            if isinstance(r, ChunkTrain):
+                self.replay_train(r, rates)
+                continue
+            n = r.n if isinstance(r, TransferSpan) else 1
+            nbytes = r.bytes
+            k = 0
+            while k < n and self.done_at is None:
+                if 0 < k < n - 1:
+                    m = min(self.whole_ticks(r.dt_s, nbytes, rates),
+                            n - 1 - k)
+                    if m > 0:
+                        k += m
+                        self.jump(r.tick_t(k - 1), m, r.dt_s, nbytes)
+                        continue
+                self.drain_to(r.tick_t(k) if n > 1 else r.t_s)
+                if self.done_at is not None:
+                    break
+                was_stalled = self.stalled
+                self.add(nbytes)
+                if k == 0 or k == n - 1 or was_stalled:
+                    self.emit()
+                k += 1
+            if self.done_at is not None:
+                return
+
+    def replay_train(self, tr: ChunkTrain,
+                     rates: tuple[float, float]) -> None:
+        """Replay a ChunkTrain a whole cycle at a time where no state
+        changes, and the cycles next to a change span by span, so the
+        first and last cycle keep their samples."""
+        nbytes = sum(s.n * s.bytes for s in tr.cycle)
+        # a cycle's arrivals measured from the last tick of the one before
+        # it, against the least content its earlier arrivals can bring
+        before = tr.cycle[-1].t_end_s - tr.period_s
+        dip, got = 0.0, 0.0
+        for s in tr.cycle:
+            secs = s.bytes * 8.0 / rates[1]
+            dip = max(dip, s.t_s - before - got,
+                      s.t_end_s - before - got - (s.n - 1) * secs)
+            got += s.n * secs
+        j = 0
+        while j < tr.m and self.done_at is None:
+            if 0 < j < tr.m - 1:
+                m = min(self.whole_ticks(tr.period_s, nbytes, rates, dip),
+                        tr.m - 1 - j)
+                if m > 0:
+                    j += m
+                    self.jump(tr.cycle[-1].t_end_s + (j - 1) * tr.period_s,
+                              m, tr.period_s, nbytes)
+                    continue
+            self.replay(tr.repeats(j, j + 1), rates)
+            j += 1
 
 
 def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
@@ -212,10 +273,11 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
 
     The transfer spans of a TickSeq are replayed with the delivery
     engine's rule: runs of ticks in closed form, the ticks next to a state
-    change one at a time.  Samples are kept at the first and last tick of
-    each span and at every state change: join, stall, the arrivals stepped
-    singly while stalled (the first one after the stall and those at the
-    resume crossing) and end.
+    change one at a time; a chunk train likewise runs of whole cycles.
+    Samples are kept at the first and last tick of each span replayed and
+    at every state change: join, stall, the arrivals stepped singly while
+    stalled (the first one after the stall and those at the resume
+    crossing) and end.
     """
     runs = sorted((r for r in as_runs(arrivals) if r.kind == "data"),
                   key=lambda r: r.t_s)
@@ -226,27 +288,7 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
 
     p = _Playout(stream, join, resume_threshold_s, watched)
     p.emit()
-    for r in runs:
-        n = r.n if isinstance(r, TransferSpan) else 1
-        nbytes = r.bytes
-        k = 0
-        while k < n and p.done_at is None:
-            if 0 < k < n - 1:
-                m = min(p.whole_ticks(r.dt_s, nbytes, rates), n - 1 - k)
-                if m > 0:
-                    k += m
-                    p.jump(r.tick_t(k - 1), m, r.dt_s, nbytes)
-                    continue
-            p.drain_to(r.tick_t(k) if n > 1 else r.t_s)
-            if p.done_at is not None:
-                break
-            was_stalled = p.stalled
-            p.add(nbytes)
-            if k == 0 or k == n - 1 or was_stalled:
-                p.emit()
-            k += 1
-        if p.done_at is not None:
-            break
+    p.replay(runs, rates)
 
     if p.done_at is None and not math.isinf(join):
         p.drain_to(max(p.t, join) + _EPS)

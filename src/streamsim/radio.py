@@ -20,11 +20,12 @@ concurrently.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import PacketEvent, TransferSpan, as_runs
+from .streams import (ChunkTrain, PacketEvent, TransferSpan, as_runs,
+                      check_finite)
 
 log = logging.getLogger(__name__)
 
@@ -48,6 +49,14 @@ def promotion_latency(technology: str) -> float:
         raise ValueError(f"unknown radio technology: {technology!r}") from None
 
 
+def _check_finite_fields(cfg) -> None:
+    """Reject a NaN or infinite timer in a radio config, naming it."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float):
+            check_finite(f.name, value)
+
+
 @dataclass(frozen=True)
 class WifiPsmConfig:
     """Adaptive power-save parameters for an 802.11 interface."""
@@ -56,6 +65,7 @@ class WifiPsmConfig:
     sleep_current_applies: bool = True  # False: interface never sleeps
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if self.listen_interval_ms <= 0:
             raise ValueError("listen_interval_ms must be > 0")
         if self.tail_ms < 0:
@@ -74,6 +84,7 @@ class HspaRrcConfig:
     fach_max_bytes: int = FACH_MAX_BYTES
 
     def __post_init__(self):
+        _check_finite_fields(self)
         for name in ("t1_s", "t2_s", "t3_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -96,6 +107,7 @@ class LteDrxConfig:
     drx_enabled: bool = True
 
     def __post_init__(self):
+        _check_finite_fields(self)
         if self.rrc_idle_s <= 0:
             raise ValueError("rrc_idle_s must be > 0")
         if not 20.0 <= self.drx_cycle_ms <= 5000.0:
@@ -159,7 +171,10 @@ def _bursts(events: Iterable[PacketEvent],
     A transfer span whose tick spacing passes joins_burst is one run: every
     tick after its first finds the radio in the state the first left it
     in.  Any other span is walked tick by tick, and a single event is a
-    run of its own.
+    run of its own.  A chunk train is one run when every spacing between
+    its ticks passes joins_burst and no tick is larger than its first
+    (so none can promote the radio further); otherwise it is walked cycle
+    by cycle, span by span.
     """
     out = []
     prev = 0.0
@@ -169,7 +184,14 @@ def _bursts(events: Iterable[PacketEvent],
         if ev.t_s < prev - _EPS:
             raise ValueError(
                 f"events not sorted: event {i} at t={ev.t_s} after t={prev}")
-        if not isinstance(ev, TransferSpan):
+        if isinstance(ev, ChunkTrain):
+            first = ev.cycle[0].bytes
+            if (all(s.bytes <= first for s in ev.cycle)
+                    and all(map(joins_burst, ev.gaps()))):
+                out.append((ev.t_s, ev.t_end_s, first))
+            else:
+                out += _bursts(ev.repeats(), joins_burst)
+        elif not isinstance(ev, TransferSpan):
             out.append((ev.t_s, ev.t_s, ev.bytes))
         elif ev.n == 1 or joins_burst(ev.dt_s):
             out.append((ev.t_s, ev.t_end_s, ev.bytes))

@@ -129,7 +129,10 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
         if "=" not in body:
             raise ConfigError(f"line {lineno}", f"expected 'key = value': {line!r}")
         key, _, raw = body.partition("=")
-        table[key.strip()] = _coerce(raw)
+        key = key.strip()
+        if key in table:
+            raise ConfigError(key, f"given twice (again on line {lineno})")
+        table[key] = _coerce(raw)
     return scenario_from_table(table, name)
 
 
@@ -156,6 +159,16 @@ def _pop(section: dict, key: str, prefix: str, required: bool = False,
     return default
 
 
+def _field_error(exc: Exception, cls, prefix: str) -> ConfigError:
+    """A dataclass's validation error, naming the field it starts with
+    ("rtt_ms must be ..." in link.segments is link.rtt_ms), else prefix."""
+    words = str(exc).split(" ", 2)
+    if (len(words) > 1 and words[1] == "must"
+            and words[0] in {f.name for f in dataclasses.fields(cls)}):
+        return ConfigError(f"{prefix.split('.', 1)[0]}.{words[0]}", str(exc))
+    return ConfigError(prefix, str(exc))
+
+
 def _build(cls, fields: dict, prefix: str):
     valid = {f.name for f in dataclasses.fields(cls)}
     for k in fields:
@@ -165,7 +178,14 @@ def _build(cls, fields: dict, prefix: str):
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(prefix, str(exc)) from exc
+        raise _field_error(exc, cls, prefix) from exc
+
+
+def _number(raw, field: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(field, f"not a number: {raw!r}") from None
 
 
 def _parse_ladder(raw: str, prefix: str) -> tuple[tuple[str, float], ...]:
@@ -190,25 +210,22 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
     stream = _build(StreamSpec, s, "stream")
 
     li = _section(table, "link")
-    rtt = li.pop("rtt_ms", 70.0)
+    rtt = _number(li.pop("rtt_ms", 70.0), "link.rtt_ms")
     if "segments" in li:
         segs = []
         for part in str(li.pop("segments")).split(","):
-            if ":" not in part:
-                raise ConfigError("link.segments",
-                                  f"bad segment {part!r}, want t:bps")
             t0, _, bw = part.partition(":")
-            segs.append((float(t0), float(bw)))
-        link = _build(LinkModel, {"segments": tuple(segs), "rtt_ms": rtt}, "link")
+            try:
+                segs.append((float(t0), float(bw)))
+            except ValueError:
+                raise ConfigError("link.segments",
+                                  f"bad segment {part!r}, want t:bps") from None
+        link = _build(LinkModel, {"segments": tuple(segs), "rtt_ms": rtt},
+                      "link.segments")
     elif "bandwidth_bps" in li:
-        raw = li.pop("bandwidth_bps")
-        try:
-            bw = float(raw)
-        except (TypeError, ValueError):
-            raise ConfigError("link.bandwidth_bps",
-                              f"not a number: {raw!r}") from None
-        link = _build(LinkModel, {"segments": ((0.0, bw),),
-                                  "rtt_ms": float(rtt)}, "link.bandwidth_bps")
+        bw = _number(li.pop("bandwidth_bps"), "link.bandwidth_bps")
+        link = _build(LinkModel, {"segments": ((0.0, bw),), "rtt_ms": rtt},
+                      "link.bandwidth_bps")
     else:
         raise ConfigError("link.bandwidth_bps",
                           "need link.bandwidth_bps or link.segments")
@@ -251,14 +268,14 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
         try:
             profile = replace(profile, **prof_section)
         except (TypeError, ValueError) as exc:
-            raise ConfigError("profile", str(exc)) from exc
+            raise _field_error(exc, PowerProfile, "profile") from exc
 
     base_cfg = default_radio_config(radio_tech, prof_name)
     if ra:
         try:
             cfg = replace(base_cfg, **ra)
         except (TypeError, ValueError) as exc:
-            raise ConfigError("radio", str(exc)) from exc
+            raise _field_error(exc, type(base_cfg), "radio") from exc
     else:
         cfg = base_cfg
 
@@ -284,4 +301,4 @@ def _apply_overrides(tech: T.Technique, overrides: dict, prefix: str
     try:
         return replace(tech, **overrides)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(prefix, str(exc)) from exc
+        raise _field_error(exc, type(tech), prefix) from exc

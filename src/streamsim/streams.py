@@ -83,8 +83,69 @@ class TransferSpan:
         return (self.t_s, self.connection_id, _KIND_ORDER["data"])
 
 
+@dataclass
+class ChunkTrain:
+    """m repeats of one chunk cycle, period_s apart.
+
+    cycle holds the TransferSpans of the first repeat.  In repeat j each
+    span's ticks come j * period_s later and leave j * dbuffer_s more
+    content buffered; repeats() builds those spans.
+    """
+    cycle: tuple[TransferSpan, ...]
+    m: int
+    period_s: float
+    dbuffer_s: float
+
+    kind: ClassVar[str] = "data"
+
+    @property
+    def t_s(self) -> float:
+        return self.cycle[0].t_s
+
+    @property
+    def t_end_s(self) -> float:
+        return self.cycle[-1].t_end_s + (self.m - 1) * self.period_s
+
+    @property
+    def n(self) -> int:
+        """Ticks in the whole train."""
+        return self.m * sum(s.n for s in self.cycle)
+
+    def repeats(self, j0: int = 0, j1: Optional[int] = None):
+        """The spans of repeats j0 .. j1 - 1, in time order."""
+        for j in range(j0, self.m if j1 is None else j1):
+            shift, db = j * self.period_s, j * self.dbuffer_s
+            for s in self.cycle:
+                yield TransferSpan(s.t_s + shift, s.dt_s, s.n, s.connection_id,
+                                   s.nbytes, s.buffer_s + db, s.dbuffer_s)
+
+    def tick(self, k: int) -> tuple[TransferSpan, int]:
+        """The span holding tick k of the train, and k's index in it."""
+        j, k = divmod(k, self.n // self.m)
+        for s in self.repeats(j, j + 1):
+            if k < s.n:
+                return s, k
+            k -= s.n
+        raise IndexError("tick index out of range")
+
+    def gaps(self) -> set[float]:
+        """Every spacing between consecutive ticks of the train."""
+        out = {s.dt_s for s in self.cycle if s.n > 1}
+        out.update(b.t_s - a.t_end_s for a, b in zip(self.cycle, self.cycle[1:]))
+        if self.m > 1:
+            out.add(self.cycle[0].t_s + self.period_s - self.cycle[-1].t_end_s)
+        return out
+
+    def sort_key(self):
+        return self.cycle[0].sort_key()
+
+
+_RUNS = (TransferSpan, ChunkTrain)   # stored entries that stand for ticks
+
+
 def as_runs(events) -> list:
-    """Events as stored runs: TransferSpans and single PacketEvents.
+    """Events as stored runs: ChunkTrains, TransferSpans and single
+    PacketEvents.
 
     A TickSeq gives its runs as they are; any other iterable of
     PacketEvents is taken event by event.
@@ -95,10 +156,11 @@ def as_runs(events) -> list:
 class TickSeq(Sequence):
     """Read-only per-tick view of a list of runs.
 
-    items holds single entries and TransferSpans.  A span stands for its n
-    ticks, each built by expand(span, k) only when it is read; expansion is
-    streamed and never cached.  The view compares equal to a list (or
-    another view) holding the same entries in the same order.
+    items holds single entries, TransferSpans and ChunkTrains.  A span
+    stands for its n ticks, each built by expand(span, k) only when it is
+    read, and a train for the spans of its repeats; expansion is streamed
+    and never cached.  The view compares equal to a list (or another view)
+    holding the same entries in the same order.
     """
 
     def __init__(self, items: list,
@@ -112,12 +174,15 @@ class TickSeq(Sequence):
             if isinstance(it, TransferSpan):
                 for k in range(it.n):
                     yield expand(it, k)
+            elif isinstance(it, ChunkTrain):
+                for s in it.repeats():
+                    for k in range(s.n):
+                        yield expand(s, k)
             else:
                 yield it
 
     def __len__(self) -> int:
-        return sum(it.n if isinstance(it, TransferSpan) else 1
-                   for it in self.items)
+        return sum(it.n if isinstance(it, _RUNS) else 1 for it in self.items)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -125,11 +190,13 @@ class TickSeq(Sequence):
         items = self.items if index >= 0 else reversed(self.items)
         want = index if index >= 0 else -index - 1   # ticks to skip
         for it in items:
-            size = it.n if isinstance(it, TransferSpan) else 1
+            size = it.n if isinstance(it, _RUNS) else 1
             if want < size:
-                if not isinstance(it, TransferSpan):
+                if not isinstance(it, _RUNS):
                     return it
                 k = want if index >= 0 else size - 1 - want
+                if isinstance(it, ChunkTrain):
+                    it, k = it.tick(k)
                 return self._expand(it, k)
             want -= size
         raise IndexError("tick index out of range")
@@ -168,6 +235,7 @@ class StreamSpec:
         if self.size_bytes is None:
             object.__setattr__(self, "size_bytes",
                                self.duration_s * self.encoding_rate_bps / 8.0)
+        check_finite("size_bytes", self.size_bytes)
         if self.size_bytes <= 0:
             raise ValueError("size_bytes must be > 0")
         if self.vbr_trace is not None:
@@ -277,6 +345,9 @@ class LinkModel:
     rtt_ms: float = 70.0
 
     def __post_init__(self):
+        check_finite("rtt_ms", self.rtt_ms)
+        if self.rtt_ms < 0:
+            raise ValueError(f"rtt_ms must be >= 0, not {self.rtt_ms!r}")
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("link needs at least one segment")

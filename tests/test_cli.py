@@ -194,10 +194,30 @@ def _scenario_with(tmp_path, line):
     ("stream.encoding_rate_bps = inf", "encoding_rate_bps"),
     ("link.bandwidth_bps = nan", "link.bandwidth_bps"),
     ("link.bandwidth_bps = fast", "link.bandwidth_bps"),
+    ("link.rtt_ms = nan", "link.rtt_ms"),
+    ("link.rtt_ms = -5", "link.rtt_ms"),
+    ("link.rtt_ms = slow", "link.rtt_ms"),
+    ("link.segments = 0:abc", "link.segments"),
+    ("stream.size_bytes = nan", "stream.size_bytes"),
+    ("radio.t1_s = nan", "radio.t1_s"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario", _scenario_with(tmp_path, line),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_scenario_key_given_twice_exits_2_naming_it(tmp_path, capsys):
+    from streamsim.scenario import ConfigError, parse_scenario_text
+    text = Path(_scenario_with(tmp_path, "stream.duration_s = 60")).read_text()
+    with pytest.raises(ConfigError, match="given twice") as err:
+        parse_scenario_text(text + "stream.duration_s = 30\n")
+    assert err.value.field == "stream.duration_s"
+    scn = tmp_path / "twice.scn"
+    scn.write_text(text + "stream.duration_s = 30\n")
+    rc = main(["simulate", "--scenario", str(scn), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "stream.duration_s" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from streamsim import (HspaRrcConfig, LteDrxConfig, PacketEvent,
@@ -37,3 +39,16 @@ def test_timeline_validate_catches_gap(gs3):
     del tl.intervals[1]
     with pytest.raises(AssertionError):
         tl.validate(10.0)
+
+
+@pytest.mark.parametrize("cls,field", [
+    (HspaRrcConfig, "t1_s"), (HspaRrcConfig, "t3_s"),
+    (HspaRrcConfig, "fd_timer_s"), (HspaRrcConfig, "promotion_latency_s"),
+    (LteDrxConfig, "rrc_idle_s"), (LteDrxConfig, "drx_inactivity_ms"),
+    (LteDrxConfig, "drx_on_ms"), (LteDrxConfig, "promotion_latency_ms"),
+    (WifiPsmConfig, "tail_ms"), (WifiPsmConfig, "listen_interval_ms"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_radio_configs_reject_non_finite_timers(cls, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        cls(**{field: value})

@@ -21,13 +21,14 @@ import pytest
 
 import tick_reference as ref
 from test_acceptance import _random_scenario
-from streamsim import (FastCaching, LinkModel, StreamSpec, analysis,
-                       delivery, detect_stalls, get_profile, joining_time,
-                       playback, simulate_radio)
+from streamsim import (FastCaching, HspaRrcConfig, LinkModel, StreamSpec,
+                       Throttling, analysis, delivery, detect_stalls,
+                       get_profile, joining_time, playback, simulate_radio)
 from streamsim.delivery import THRESHOLD_TOL_S
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.techniques import FASTSTART_TARGET_S
 from streamsim.session import run_session
+from streamsim.streams import ChunkTrain
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
 BASE = "youtube_onoffm_hspa"
@@ -127,13 +128,15 @@ def _compare(a, b, tech, stream) -> bool:
     return True
 
 
-def _pipeline(simulate, compute_buffer, stream, link, tech, radio_tech, cfg):
+def _pipeline(simulate, compute_buffer, stream, link, tech, radio_tech, cfg,
+              threshold_s=1.0):
     """Criterion 10's pipeline: 1 s start and resume thresholds."""
-    events, dlog = simulate(stream, link, tech, start_threshold_s=1.0,
-                            resume_threshold_s=1.0)
-    join = joining_time(tech, stream, link, radio_tech, start_threshold_s=1.0)
-    tl = compute_buffer(events, stream, join, resume_threshold_s=1.0)
-    qoe = detect_stalls(tl, resume_threshold_s=1.0)
+    events, dlog = simulate(stream, link, tech, start_threshold_s=threshold_s,
+                            resume_threshold_s=threshold_s)
+    join = joining_time(tech, stream, link, radio_tech,
+                        start_threshold_s=threshold_s)
+    tl = compute_buffer(events, stream, join, resume_threshold_s=threshold_s)
+    qoe = detect_stalls(tl, resume_threshold_s=threshold_s)
     wall = max(tl.playback_end_s, events[-1].t_s if events else 0.0)
     if math.isinf(wall):
         wall = events[-1].t_s if events else stream.duration_s
@@ -195,12 +198,14 @@ def _sessions_match(a, b) -> bool:
     return exact
 
 
+def _text(name):
+    return (SCENARIOS / f"{name}.scn").read_text(encoding="utf-8")
+
+
 def _session_variants():
-    def text(name):
-        return (SCENARIOS / f"{name}.scn").read_text(encoding="utf-8")
     out = [load_scenario(str(SCENARIOS / f"{name}.scn"))
            for name in (BASE, "encoding_rate_lte", "fast_caching_wifi")]
-    base = text(BASE).replace("technique.preset = youtube_onoffm\n", "")
+    base = _text(BASE).replace("technique.preset = youtube_onoffm\n", "")
     for kind in ("hls", "mss", "throttling"):
         out.append(parse_scenario_text(base + f"technique.kind = {kind}\n",
                                        f"{BASE}_{kind}"))
@@ -262,3 +267,100 @@ def test_sweep_points_match_tick_engine(monkeypatch):
     assert shifted == ["buffer_c2_10", "buffer_c2_20", "buffer_c2_30",
                        "buffer_c2_40", "buffer_c2_50", "buffer_c2_100",
                        "buffer_c8_100"]
+
+
+# The base scenario with throttling, and variants that put each decision
+# point of a chunk train inside one: keys to set (None drops a key).
+THROTTLING_CASES = {
+    "base": {},
+    "jitter": {"technique.chunk_jitter": "true"},
+    "link_steps": {"link.bandwidth_bps": None,
+                   "link.segments": "0:8000000,200.123:5000000,400:8000000"},
+    "abandon": {"abandon_at_s": 300},
+    # a 52 ms period, below the 70 ms rtt
+    "coalesce": {"technique.chunk_bytes": 16384},
+    # below 1.25 x 2 Mbps: each chunk starts when the last one ends
+    "back_to_back": {"link.bandwidth_bps": 2400000},
+    "back_to_back_stalls": {"link.bandwidth_bps": 1900000,
+                            "technique.faststart_target_s": 4},
+    "lte": {"radio.technology": "lte"},
+    "wifi": {"radio.technology": "wifi"},
+}
+
+
+def _throttling(name):
+    changes = {"name": f"throttling_{name}", "technique.preset": None,
+               "technique.kind": "throttling", **THROTTLING_CASES[name]}
+    lines = [line for line in _text(BASE).splitlines()
+             if line.partition("=")[0].strip() not in changes]
+    lines += [f"{k} = {v}" for k, v in changes.items() if v is not None]
+    return parse_scenario_text("\n".join(lines) + "\n")
+
+
+def _throttled_below_rate(factor, **fields):
+    """Throttling below the encoding rate.  The technique's validator
+    rejects a factor <= 1; the engine runs any factor, and below 1 the
+    buffer drains into stalls between chunks."""
+    tech = Throttling(**fields)
+    object.__setattr__(tech, "factor", factor)
+    return tech
+
+
+def _trains(events):
+    return [it for it in events.items if isinstance(it, ChunkTrain)]
+
+
+@pytest.mark.parametrize("name", list(THROTTLING_CASES) + ["factor_0.8"])
+def test_throttling_matches_tick_engine(name, monkeypatch):
+    if name == "factor_0.8":
+        sc = replace(_throttling("base"), technique=_throttled_below_rate(0.8))
+    else:
+        sc = _throttling(name)
+    a, b = _run_both(sc, monkeypatch)
+    assert _sessions_match(a, b)
+    trains = _trains(b.events)
+    # a jittered chunk never repeats; coalesced chunks are one transfer
+    assert bool(trains) == (name not in ("jitter", "coalesce"))
+    for tr in trains:
+        assert tr.m >= 2
+        assert not any(tr.t_s < t0 <= tr.t_end_s
+                       for t0, _ in sc.link.segments)
+    if name in ("factor_0.8", "back_to_back_stalls"):
+        # stalls cut the trains: some run while playing, some while stalled
+        assert len(b.qoe.stall_events) >= 5
+        assert len(trains) > 2 * len(b.qoe.stall_events)
+
+
+def test_throttling_whole_tick_chunks_match_tick_engine():
+    """A 64 KiB chunk is eight whole ticks on a 1.31 Mbps link, sent back
+    to back: each cycle would continue the last one's span tick for tick,
+    and is still a cycle of its own.  The link is below the encoding rate,
+    so trains alternate between playing and stalled."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    link = LinkModel.constant(1310720.0)
+    tech = Throttling(faststart_target_s=4.0)
+    args = (stream, link, tech, "hspa", HspaRrcConfig())
+    a = _pipeline(ref.simulate_session, ref.compute_buffer, *args,
+                  threshold_s=4.0)
+    b = _pipeline(delivery.simulate_session, playback.compute_buffer, *args,
+                  threshold_s=4.0)
+    assert _compare(a, b, tech, stream)
+    trains = _trains(b[0])
+    assert len(trains) > 20 and len(b[3].stall_events) > 20
+    assert all([s.n for s in tr.cycle] == [8] for tr in trains)
+
+
+def test_throttling_train_before_playback_matches_tick_engine():
+    """With a 45 s start threshold, chunks keep coming after the 40 s fast
+    start and before playback starts."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    link = LinkModel.constant(8e6)
+    tech = Throttling()
+    args = (stream, link, tech, "hspa", HspaRrcConfig())
+    a = _pipeline(ref.simulate_session, ref.compute_buffer, *args,
+                  threshold_s=45.0)
+    b = _pipeline(delivery.simulate_session, playback.compute_buffer, *args,
+                  threshold_s=45.0)
+    assert _compare(a, b, tech, stream)
+    start = b[1].playback_start_s
+    assert any(tr.t_s < tr.t_end_s < start for tr in _trains(b[0]))

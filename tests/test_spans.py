@@ -8,12 +8,14 @@ import pytest
 import tick_reference as ref
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, OnOffM, PacketEvent,
-                       StreamSpec, WifiPsmConfig, compute_buffer,
+                       StreamSpec, Throttling, WifiPsmConfig, compute_buffer,
                        detect_stalls, joining_time, preset, simulate_radio,
                        simulate_session)
-from streamsim.scenario import load_scenario
+from streamsim.delivery import LogRecord, _data_record
+from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
-from streamsim.streams import TickSeq, TransferSpan
+from streamsim.streams import ChunkTrain, TickSeq, TransferSpan
+from test_span_equivalence import _throttled_below_rate
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
 
@@ -26,6 +28,24 @@ def test_encoding_rate_lte_cost_follows_state_changes():
     assert len(res.events) == 11_221
     assert len(spans) <= 20
     assert len(res.buffer.samples) <= 50
+
+
+def test_throttling_cost_follows_state_changes():
+    """The bundled base scenario re-run with throttling: about 2,090 chunk
+    cycles, each a repeat of the one before, are one ChunkTrain."""
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text(encoding="utf-8")
+    text = text.replace("technique.preset = youtube_onoffm",
+                        "technique.kind = throttling")
+    res = run_session(parse_scenario_text(text))
+    assert len(res.events) == 4_442
+    assert len(res.events.items) <= 20
+    assert len(res.buffer.samples) <= 50
+    # the buffer keeps the ticks of the train's first and last cycle
+    (train,) = [it for it in res.events.items if isinstance(it, ChunkTrain)]
+    for j in (0, train.m - 1):
+        for sp in train.repeats(j, j + 1):
+            for t in (sp.t_s, sp.t_end_s):
+                assert any(abs(s.t_s - t) <= 1e-9 for s in res.buffer.samples)
 
 
 def _seq():
@@ -52,6 +72,33 @@ def test_tick_seq_reads_like_the_expanded_list():
         seq[-6]
     assert sorted(seq, key=PacketEvent.sort_key) == ticks
     assert TickSeq([], TransferSpan.event) == []
+
+
+def test_tick_seq_expands_chunk_trains():
+    cycle = (TransferSpan(1.0, 0.5, 2, 0, 1000.0, 3.0, 0.25),
+             TransferSpan(1.75, 0.25, 1, 0, 400.0, 3.5))
+    train = ChunkTrain(cycle, 3, 2.0, 0.1)
+    seq = TickSeq([PacketEvent(0.0, 500, 0, "request"), train],
+                  _data_record)
+    want = [PacketEvent(0.0, 500, 0, "request")]
+    for j in range(3):
+        want += [LogRecord(1.0 + 2 * j, "data", 0, 1000.0, 3.0 + 0.1 * j),
+                 LogRecord(1.5 + 2 * j, "data", 0, 1000.0, 3.25 + 0.1 * j),
+                 LogRecord(1.75 + 2 * j, "data", 0, 400.0, 3.5 + 0.1 * j)]
+    assert train.n == len(seq) - 1 == 9
+    assert train.t_end_s == 5.75
+    assert train.gaps() == {0.5, 0.25, 1.25}
+    assert len(list(seq)) == len(want)
+    for i in range(-len(want), len(want)):
+        got = seq[i]
+        assert type(got) is type(want[i])
+        assert got.t_s == pytest.approx(want[i].t_s, abs=1e-12)
+        if isinstance(got, LogRecord):
+            assert (got.bytes, got.buffer_s_after) == pytest.approx(
+                (want[i].bytes, want[i].buffer_s_after), abs=1e-12)
+    assert [r.t_s for r in seq] == [seq[i].t_s for i in range(len(want))]
+    with pytest.raises(IndexError):
+        seq[len(want)]
 
 
 def test_delivery_log_rows_expand_from_spans(hd_stream, link4):
@@ -87,6 +134,16 @@ BUFFER_CASES = [
     ("vbr_stalls", StreamSpec(duration_s=120.0, encoding_rate_bps=2e6,
                               vbr_trace=[(0.0, 1e6), (60.0, 3e6)]),
      LinkModel.constant(1.8e6), FastCaching()),
+    ("throttling", HD, LinkModel.constant(8e6), Throttling()),
+    # At a factor p / q the buffer empties exactly on an arrival after p
+    # cycles of playback, a tie that round-off decides differently for
+    # the two replays; these factors have p far beyond the session.
+    ("throttling_stalls", HD, LinkModel.constant(8e6),
+     _throttled_below_rate(0.8731)),
+    ("throttling_vbr", _vbr_stream(), LinkModel.constant(8e6),
+     Throttling(faststart_target_s=10.0)),
+    ("throttling_vbr_stalls", _vbr_stream(), LinkModel.constant(8e6),
+     _throttled_below_rate(0.8731, faststart_target_s=5.0)),
 ]
 
 
@@ -128,17 +185,41 @@ RADIO_CONFIGS = [
 
 
 @pytest.mark.parametrize("tech", [preset("youtube_onoffm"), EncodingRate(),
-                                  preset("vimeo_onoffs")],
-                         ids=["onoffm", "encoding_rate", "onoffs"])
+                                  preset("vimeo_onoffs"), Throttling(),
+                                  Throttling(chunk_bytes=40_000)],
+                         ids=["onoffm", "encoding_rate", "onoffs",
+                              "throttling", "throttling_small_tail"])
 @pytest.mark.parametrize("radio_tech,cfg", RADIO_CONFIGS)
 def test_radio_on_spans_equals_radio_on_ticks(radio_tech, cfg, tech, gs3):
     """A span is one burst only when its tick spacing is within the
-    machine's shortest inactivity timer; otherwise its ticks are walked."""
+    machine's shortest inactivity timer; otherwise its ticks are walked.
+    So is a chunk train, by every spacing between its ticks."""
     stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
     events, _ = simulate_session(stream, LinkModel.constant(8e6), tech)
     end = events[-1].t_s + 30.0
     got = simulate_radio(radio_tech, events, cfg, gs3, end).intervals
     want = simulate_radio(radio_tech, list(events), cfg, gs3, end).intervals
+    assert [iv.state for iv in got] == [iv.state for iv in want]
+    for a, b in zip(got, want):
+        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
+        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+
+
+@pytest.mark.parametrize("first_bytes", [50_000.0, 500.0])
+@pytest.mark.parametrize("radio_tech,cfg", RADIO_CONFIGS + [
+    ("hspa", HspaRrcConfig(fd_timer_s=None))])
+def test_radio_on_a_train_equals_radio_on_its_ticks(radio_tech, cfg,
+                                                     first_bytes, gs3):
+    """A train whose first tick is small finds an HSPA radio left in FACH
+    and stays there until its large tick, so it cannot be one burst."""
+    cycle = (TransferSpan(9.0, 0.01, 1, 0, first_bytes),
+             TransferSpan(9.05, 0.05, 3, 0, 20_000.0))
+    events = TickSeq([PacketEvent(0.0, 50_000, 0),
+                      ChunkTrain(cycle, 40, 0.3, 0.0),
+                      PacketEvent(40.0, 500, 0, "request")],
+                     TransferSpan.event)
+    got = simulate_radio(radio_tech, events, cfg, gs3, 60.0).intervals
+    want = simulate_radio(radio_tech, list(events), cfg, gs3, 60.0).intervals
     assert [iv.state for iv in got] == [iv.state for iv in want]
     for a, b in zip(got, want):
         assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)

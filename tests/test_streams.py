@@ -208,6 +208,7 @@ def test_vbr_lookups_equal_linear_reference(seed, n, first):
 @pytest.mark.parametrize("field,value", [
     ("duration_s", math.inf), ("duration_s", math.nan),
     ("encoding_rate_bps", math.inf), ("encoding_rate_bps", math.nan),
+    ("size_bytes", math.nan), ("size_bytes", math.inf),
 ])
 def test_stream_rejects_non_finite_fields(field, value):
     kwargs = {"duration_s": 600.0, "encoding_rate_bps": 2e6, field: value}
@@ -220,6 +221,16 @@ def test_link_rejects_nan_bandwidth():
         LinkModel.constant(math.nan)
     with pytest.raises(ValueError, match="bandwidth"):
         LinkModel(((0.0, 1e6), (5.0, math.nan)))
+
+
+@pytest.mark.parametrize("rtt_ms,match", [
+    (math.nan, "rtt_ms must be finite"), (math.inf, "rtt_ms must be finite"),
+    (-1.0, "rtt_ms must be >= 0"),
+])
+def test_link_rejects_bad_rtt(rtt_ms, match):
+    with pytest.raises(ValueError, match=match):
+        LinkModel.constant(8e6, rtt_ms=rtt_ms)
+    assert LinkModel.constant(8e6, rtt_ms=0.0).rtt_s == 0.0
 
 
 def test_cbr_bytes_for_a_reversed_span_are_zero():
