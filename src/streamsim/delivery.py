@@ -223,12 +223,14 @@ class _Engine:
                  abandon_at_s: Optional[float],
                  start_threshold_s: float = START_THRESHOLD_S,
                  resume_threshold_s: float = RESUME_THRESHOLD_S,
-                 tick_s: float = EVENT_TICK_S, seed: int = 0):
+                 tick_s: float = EVENT_TICK_S, seed: int = 0,
+                 start_delay_s: float = 0.0):
         self.stream = stream
         self.link = link
         self.tick_s = tick_s
         self.start_threshold_s = start_threshold_s
         self.resume_threshold_s = resume_threshold_s
+        self.start_delay_s = start_delay_s
         self.watch_end_s = stream.duration_s
         if abandon_at_s is not None:
             if abandon_at_s > stream.duration_s + _EPS:
@@ -241,6 +243,9 @@ class _Engine:
         self.log = DeliveryLog()
         self.buf = _Buffer()
         self.delivered_content_s = 0.0
+        # playback starts start_delay_s after the buffer first holds the
+        # start threshold, at start_at
+        self.start_at: Optional[float] = None
         self.playback_start: Optional[float] = None
         self.stalled = False
         self.stall_since = 0.0
@@ -265,7 +270,12 @@ class _Engine:
         return self.playback_start is not None and not self.stalled
 
     def advance(self, to_t: float) -> None:
-        """Move the wall clock forward, consuming buffer while playing."""
+        """Move the wall clock forward: start playback once its start is
+        due, and consume buffer while playing."""
+        if (self.playback_start is None and self.start_at is not None
+                and self.start_at <= to_t):
+            self.t = max(self.t, self.start_at)
+            self.playback_start = self.log.playback_start_s = self.t
         while to_t > self.t + _EPS:
             if self.playback_start is None or self.stalled or self.finished:
                 self.t = to_t
@@ -286,9 +296,10 @@ class _Engine:
 
     def _post_arrival(self) -> None:
         if self.playback_start is None:
-            if self.buf.seconds >= self.start_threshold_s - _EPS:
-                self.playback_start = self.t
-                self.log.playback_start_s = self.t
+            if (self.start_at is None
+                    and self.buf.seconds >= self.start_threshold_s - _EPS):
+                self.start_at = self.t + self.start_delay_s
+                self.advance(self.t)
         elif self.stalled and self.buf.seconds >= self.resume_threshold_s - _EPS:
             self.stalled = False
             self.log.stall_total_s += self.t - self.stall_since
@@ -465,7 +476,8 @@ class _Engine:
             x = min(x, _ticks_to(window_s - b, db) if window_open
                     else _ticks_to(b - window_s, -db))
         if self.playback_start is None:
-            x = min(x, _ticks_to(self.start_threshold_s - b, db))
+            x = min(x, _ticks_to(self.start_threshold_s - b, db)
+                    if self.start_at is None else (self.start_at - self.t) / dt)
         elif self.stalled:
             x = min(x, _ticks_to(self.resume_threshold_s - b, db))
         else:
@@ -576,7 +588,8 @@ class _Engine:
         x = min(x, self.content_remaining_s / secs)
         lo, hi = c.levels(crate)
         if self.playback_start is None:
-            x = min(x, _ticks_to(self.start_threshold_s - b - hi, c.dbuffer_s))
+            x = min(x, _ticks_to(self.start_threshold_s - b - hi, c.dbuffer_s)
+                    if self.start_at is None else (self.start_at - self.t) / p)
         elif self.stalled:
             x = min(x, _ticks_to(self.resume_threshold_s - b - hi,
                                  c.dbuffer_s))
@@ -608,8 +621,11 @@ class _Engine:
             self.advance(t_target)
 
     def wait_drain_to_seconds(self, lower_s: float) -> None:
-        """Wait until the buffer drains to lower_s of content (no arrivals)."""
+        """Wait until the buffer drains to lower_s of content (no arrivals),
+        from the start of playback if it is still to come."""
         while not self.finished:
+            if self.start_at is not None:
+                self.advance(self.start_at)
             if self.playback_start is None or self.stalled:
                 return
             gap = self.buf.seconds - lower_s
@@ -626,6 +642,8 @@ class _Engine:
         if self._off_since is not None:
             self.log.off_spans.append((self._off_since, self.t))
             self._off_since = None
+        if self.start_at is not None:
+            self.advance(self.start_at)
         if self.playback_start is not None:
             while not self.finished:
                 if self.stalled:
@@ -721,9 +739,11 @@ def _off_with_probes(eng: _Engine, conn: int, tech: OnOffS) -> None:
         if tech.off_fixed_s is not None:
             t_end = fixed_end
         else:
-            if eng.playback_start is None or eng.stalled:
+            if eng.start_at is None or eng.stalled:
                 return
-            t_end = eng.t + max(eng.buf.seconds - tech.lower_s, 0.0)
+            # the buffer drains from the start of playback on
+            t_end = (max(eng.t, eng.start_at)
+                     + max(eng.buf.seconds - tech.lower_s, 0.0))
         t_next = min(next_probe, next_ka)
         if t_end <= t_next + _EPS:
             eng.wait_until(t_end)
@@ -967,7 +987,8 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
                      abandon_at_s: Optional[float] = None,
                      start_threshold_s: float = START_THRESHOLD_S,
                      resume_threshold_s: float = RESUME_THRESHOLD_S,
-                     seed: int = 0) -> tuple[TickSeq, DeliveryLog]:
+                     seed: int = 0, start_delay_s: float = 0.0
+                     ) -> tuple[TickSeq, DeliveryLog]:
     """Simulate one streaming session and return its wire events and log.
 
     The events are a sorted sequence of per-tick PacketEvents, stored as
@@ -976,10 +997,13 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
     Events end when the content is fully delivered or the viewer walks away
     after abandon_at_s seconds of watched content; a link slower than the
     encoding rate still simulates (stalls are the playback layer's concern).
+    Playback starts start_delay_s (the radio's promotion latency) after
+    the buffer first holds start_threshold_s.
     """
     eng = _Engine(stream, link, abandon_at_s,
                   start_threshold_s=start_threshold_s,
-                  resume_threshold_s=resume_threshold_s, seed=seed)
+                  resume_threshold_s=resume_threshold_s, seed=seed,
+                  start_delay_s=start_delay_s)
     if eng.finished:
         return eng.finalize()
     _DRIVERS[type(tech)](eng, tech)

@@ -29,9 +29,6 @@ from .streams import (ChunkTrain, PacketEvent, TransferSpan, as_runs,
 
 log = logging.getLogger(__name__)
 
-# Default promotion latencies in seconds per access technology.
-PROMOTION_LATENCY_S = {"wifi": 0.0, "hspa": 2.0, "lte": 0.12}
-
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
 FACH_MAX_BYTES = 1024
 
@@ -39,14 +36,6 @@ FACH_MAX_BYTES = 1024
 BEACON_WAKE_MS = 2.0
 
 _EPS = 1e-9
-
-
-def promotion_latency(technology: str) -> float:
-    """Promotion latency in seconds for 'wifi', 'hspa' or 'lte'."""
-    try:
-        return PROMOTION_LATENCY_S[technology]
-    except KeyError:
-        raise ValueError(f"unknown radio technology: {technology!r}") from None
 
 
 def _check_finite_fields(cfg) -> None:
@@ -116,6 +105,25 @@ class LteDrxConfig:
             raise ValueError("drx_on_ms must be < drx_cycle_ms")
         if self.drx_inactivity_ms < 0 or self.promotion_latency_ms < 0:
             raise ValueError("DRX timers must be >= 0")
+
+
+# Default promotion latencies in seconds per access technology: the config
+# defaults (Wi-Fi has no promotion).
+PROMOTION_LATENCY_S = {"wifi": 0.0,
+                       "hspa": HspaRrcConfig.promotion_latency_s,
+                       "lte": LteDrxConfig.promotion_latency_ms / 1000.0}
+
+
+def promotion_latency(technology: str, cfg=None) -> float:
+    """Promotion latency in seconds for 'wifi', 'hspa' or 'lte': cfg's,
+    or the default without one."""
+    if technology not in PROMOTION_LATENCY_S:
+        raise ValueError(f"unknown radio technology: {technology!r}")
+    if isinstance(cfg, HspaRrcConfig):
+        return cfg.promotion_latency_s
+    if isinstance(cfg, LteDrxConfig):
+        return cfg.promotion_latency_ms / 1000.0
+    return PROMOTION_LATENCY_S[technology]
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from . import delivery, playback
 from .energy import SessionSummary, summarize
 from .playback import BufferTimeline, QoeReport
-from .radio import RadioTimeline, simulate_radio
+from .radio import RadioTimeline, promotion_latency, simulate_radio
 from .scenario import Scenario
 from .streams import TickSeq
 
@@ -30,7 +30,8 @@ def run_session(sc: Scenario) -> SessionResult:
                                  sc.radio_tech)
     events, dlog = delivery.simulate_session(
         sc.stream, sc.link, sc.technique, abandon_at_s=sc.abandon_at_s,
-        seed=sc.seed)
+        seed=sc.seed,
+        start_delay_s=promotion_latency(sc.radio_tech, sc.radio_cfg))
     buffer = playback.compute_buffer(events, sc.stream, join,
                                      watch_end_s=sc.abandon_at_s)
     qoe = playback.detect_stalls(buffer)

@@ -37,7 +37,7 @@ def test_throttling_cost_follows_state_changes():
     text = text.replace("technique.preset = youtube_onoffm",
                         "technique.kind = throttling")
     res = run_session(parse_scenario_text(text))
-    assert len(res.events) == 4_442
+    assert len(res.events) == 4_449
     assert len(res.events.items) <= 20
     assert len(res.buffer.samples) <= 50
     # the buffer keeps the ticks of the train's first and last cycle

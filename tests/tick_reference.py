@@ -130,12 +130,14 @@ class _Engine:
                  abandon_at_s: Optional[float],
                  start_threshold_s: float = START_THRESHOLD_S,
                  resume_threshold_s: float = RESUME_THRESHOLD_S,
-                 tick_s: float = EVENT_TICK_S, seed: int = 0):
+                 tick_s: float = EVENT_TICK_S, seed: int = 0,
+                 start_delay_s: float = 0.0):
         self.stream = stream
         self.link = link
         self.tick_s = tick_s
         self.start_threshold_s = start_threshold_s
         self.resume_threshold_s = resume_threshold_s
+        self.start_delay_s = start_delay_s
         self.watch_end_s = stream.duration_s
         if abandon_at_s is not None:
             if abandon_at_s > stream.duration_s + _EPS:
@@ -147,6 +149,7 @@ class _Engine:
         self.log = DeliveryLog()
         self.buf = _Buffer()
         self.delivered_content_s = 0.0
+        self.start_at: Optional[float] = None
         self.playback_start: Optional[float] = None
         self.stalled = False
         self.stall_since = 0.0
@@ -164,7 +167,12 @@ class _Engine:
         return self.stream.duration_s - self.delivered_content_s
 
     def advance(self, to_t: float) -> None:
-        """Move the wall clock forward, consuming buffer while playing."""
+        """Move the wall clock forward: start playback once its start is
+        due, and consume buffer while playing."""
+        if (self.playback_start is None and self.start_at is not None
+                and self.start_at <= to_t):
+            self.t = max(self.t, self.start_at)
+            self.playback_start = self.log.playback_start_s = self.t
         while to_t > self.t + _EPS:
             if self.playback_start is None or self.stalled or self.finished:
                 self.t = to_t
@@ -185,9 +193,10 @@ class _Engine:
 
     def _post_arrival(self) -> None:
         if self.playback_start is None:
-            if self.buf.seconds >= self.start_threshold_s - _EPS:
-                self.playback_start = self.t
-                self.log.playback_start_s = self.t
+            if (self.start_at is None
+                    and self.buf.seconds >= self.start_threshold_s - _EPS):
+                self.start_at = self.t + self.start_delay_s
+                self.advance(self.t)
         elif self.stalled and self.buf.seconds >= self.resume_threshold_s - _EPS:
             self.stalled = False
             self.log.stall_total_s += self.t - self.stall_since
@@ -298,8 +307,11 @@ class _Engine:
             self.advance(t_target)
 
     def wait_drain_to_seconds(self, lower_s: float) -> None:
-        """Wait until the buffer drains to lower_s of content (no arrivals)."""
+        """Wait until the buffer drains to lower_s of content (no arrivals),
+        from the start of playback if it is still to come."""
         while not self.finished:
+            if self.start_at is not None:
+                self.advance(self.start_at)
             if self.playback_start is None or self.stalled:
                 return
             gap = self.buf.seconds - lower_s
@@ -316,6 +328,8 @@ class _Engine:
         if self._off_since is not None:
             self.log.off_spans.append((self._off_since, self.t))
             self._off_since = None
+        if self.start_at is not None:
+            self.advance(self.start_at)
         if self.playback_start is not None:
             while not self.finished:
                 if self.stalled:
@@ -422,9 +436,10 @@ def _off_with_probes(eng: _Engine, conn: int, tech: OnOffS) -> None:
         if tech.off_fixed_s is not None:
             t_end = fixed_end
         else:
-            if eng.playback_start is None or eng.stalled:
+            if eng.start_at is None or eng.stalled:
                 return
-            t_end = eng.t + max(eng.buf.seconds - tech.lower_s, 0.0)
+            t_end = (max(eng.t, eng.start_at)
+                     + max(eng.buf.seconds - tech.lower_s, 0.0))
         t_next = min(next_probe, next_ka)
         if t_end <= t_next + _EPS:
             eng.wait_until(t_end)
@@ -674,16 +689,20 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
                      abandon_at_s: Optional[float] = None,
                      start_threshold_s: float = START_THRESHOLD_S,
                      resume_threshold_s: float = RESUME_THRESHOLD_S,
-                     seed: int = 0) -> tuple[list[PacketEvent], DeliveryLog]:
+                     seed: int = 0, start_delay_s: float = 0.0
+                     ) -> tuple[list[PacketEvent], DeliveryLog]:
     """Simulate one streaming session and return its wire events and log.
 
     Events end when the content is fully delivered or the viewer walks away
     after abandon_at_s seconds of watched content; a link slower than the
     encoding rate still simulates (stalls are the playback layer's concern).
+    Playback starts start_delay_s after the buffer first holds
+    start_threshold_s.
     """
     eng = _Engine(stream, link, abandon_at_s,
                   start_threshold_s=start_threshold_s,
-                  resume_threshold_s=resume_threshold_s, seed=seed)
+                  resume_threshold_s=resume_threshold_s, seed=seed,
+                  start_delay_s=start_delay_s)
     if eng.finished:
         return eng.finalize()
     _DRIVERS[type(tech)](eng, tech)
