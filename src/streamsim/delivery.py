@@ -29,7 +29,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, PacketEvent, StreamSpec,
@@ -44,7 +44,17 @@ EVENT_TICK_S = 0.05   # transfer emission quantum (wall seconds)
 # seconds, so round-off in the buffer level cannot move a decision a tick.
 THRESHOLD_TOL_S = 1e-9
 
-_EPS = 1e-9
+# Ties: clock readings, and a buffer level and empty or the start or
+# resume threshold, within TIE_S of each other are equal.
+TIE_S = 1e-9
+# Playback is finished within DONE_TOL_S content seconds of the watch end.
+DONE_TOL_S = 1e-6
+
+
+class BufferSample(NamedTuple):
+    t_s: float
+    buffered_seconds: float
+    buffered_bytes: float
 
 
 @dataclass
@@ -67,18 +77,26 @@ def _log_records() -> TickSeq:
 
 @dataclass
 class DeliveryLog:
-    """Session-level record of what the delivery layer did.
+    """Session-level record of what the delivery layer did, and of the
+    playback it drove.
 
     records holds one LogRecord per decision and per data tick; the data
     ticks are stored as TransferSpans and ChunkTrains and expanded when
-    read.
+    read.  buffer_samples are the buffer's breakpoints: the first and last
+    tick of each span, and each start, stall and end of playback; between
+    two of them the buffer moves linearly.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
     off_spans: list[tuple[float, float]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     connections_opened: int = 0
-    playback_start_s: Optional[float] = None
+    playback_start_s: Optional[float] = None   # None: it never started
+    # when playback finished, or the horizon of a stall it never left
+    playback_end_s: float = 0.0
+    completed: bool = False           # playback reached the watch end
+    stall_events: list[tuple[float, float]] = field(default_factory=list)
+    buffer_samples: list[BufferSample] = field(default_factory=list)
     bytes_delivered: float = 0.0      # data bytes on the wire (incl. re-requests)
     bytes_consumed: float = 0.0
     bytes_buffered_end: float = 0.0
@@ -86,10 +104,13 @@ class DeliveryLog:
     overhead_bytes: float = 0.0       # requests, probes, window updates
     content_delivered_s: float = 0.0
     content_consumed_s: float = 0.0
-    stall_total_s: float = 0.0
     quality_switches: list[tuple[float, str, str]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,event,connection_id,bytes,buffer_s_after"
+
+    @property
+    def stall_total_s(self) -> float:
+        return sum(d for _, d in self.stall_events)
 
     def to_csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
@@ -107,15 +128,20 @@ class _Buffer:
 
     Per-segment byte rates keep byte conservation exact for rate-adaptive
     sessions where buffered seconds were fetched at different rung rates.
-    Content pushed at the newest segment's rate joins that segment.
+    Content pushed at the newest segment's rate joins that segment.  A VBR
+    stream's own content has rate None: its bytes are the stream's own, so
+    they are exact too.
     """
 
-    def __init__(self):
-        self.segments: deque[list[float]] = deque()
+    def __init__(self, stream: StreamSpec):
+        self.stream = stream
+        self.rates_bps = stream.rate_range_bps()
+        self.segments: deque[list] = deque()
         self.seconds = 0.0
         self.bytes = 0.0
 
-    def push(self, seconds: float, nbytes: float, rate_bps: float) -> None:
+    def push(self, seconds: float, nbytes: float,
+             rate_bps: Optional[float]) -> None:
         if seconds <= 0:
             return
         if self.segments and self.segments[-1][2] == rate_bps:
@@ -128,23 +154,29 @@ class _Buffer:
 
     def min_byte_rate(self) -> float:
         """Lowest bytes per content second among the buffered segments."""
-        return min((seg[2] for seg in self.segments), default=0.0) / 8.0
+        return min((seg[2] or self.rates_bps[0] for seg in self.segments),
+                   default=0.0) / 8.0
 
-    def consume(self, seconds: float) -> float:
-        """Remove seconds of content, returning the bytes they held."""
+    def consume(self, seconds: float, pos_s: float) -> float:
+        """Remove seconds of content, the first at content position pos_s,
+        returning the bytes they held."""
         taken = 0.0
         left = seconds
-        while left > _EPS and self.segments:
+        while left > TIE_S and self.segments:
             seg = self.segments[0]
-            if seg[0] <= left + _EPS:
+            if seg[0] <= left + TIE_S:
                 left -= seg[0]
+                pos_s += seg[0]
                 taken += seg[1]
                 self.seconds -= seg[0]
                 self.bytes -= seg[1]
                 self.segments.popleft()
             else:
-                frac = left / seg[0]
-                b = seg[1] * frac
+                if seg[2] is None:
+                    b = min(self.stream.bytes_for_content(pos_s, pos_s + left),
+                            seg[1])
+                else:
+                    b = seg[1] * (left / seg[0])
                 seg[0] -= left
                 seg[1] -= b
                 self.seconds -= left
@@ -193,16 +225,16 @@ class _Cycle:
         # draws stay one per chunk
         if not (self.chunk == prev.chunk and self.phase == prev.phase == phase
                 and self.spans and len(self.spans) == len(prev.spans)
-                and abs(self.period_s - prev.period_s) <= _EPS
-                and abs(self.dbuffer_s - prev.dbuffer_s) <= _EPS):
+                and abs(self.period_s - prev.period_s) <= TIE_S
+                and abs(self.dbuffer_s - prev.dbuffer_s) <= TIE_S):
             return False
         return all(
             (a.n, a.connection_id, a.nbytes, a.dt_s)
             == (b.n, b.connection_id, b.nbytes, b.dt_s)
-            and abs((b.t_s - self.due) - (a.t_s - prev.due)) <= _EPS
+            and abs((b.t_s - self.due) - (a.t_s - prev.due)) <= TIE_S
             and abs((b.buffer_s - self.buffer_s)
-                    - (a.buffer_s - prev.buffer_s)) <= _EPS
-            and abs(b.dbuffer_s - a.dbuffer_s) <= _EPS
+                    - (a.buffer_s - prev.buffer_s)) <= TIE_S
+            and abs(b.dbuffer_s - a.dbuffer_s) <= TIE_S
             for a, b in zip(prev.spans, self.spans))
 
     def levels(self, crate: float) -> tuple[float, float]:
@@ -233,7 +265,7 @@ class _Engine:
         self.start_delay_s = start_delay_s
         self.watch_end_s = stream.duration_s
         if abandon_at_s is not None:
-            if abandon_at_s > stream.duration_s + _EPS:
+            if abandon_at_s > stream.duration_s + TIE_S:
                 raise ValueError("abandon_at_s exceeds the stream duration")
             self.watch_end_s = min(abandon_at_s, stream.duration_s)
 
@@ -241,7 +273,11 @@ class _Engine:
         # PacketEvents and TransferSpans, in emission order
         self.events: list = []
         self.log = DeliveryLog()
-        self.buf = _Buffer()
+        self.buf = _Buffer(stream)
+        # the content rate of the stream's own bytes; None for VBR, whose
+        # bytes enter the buffer through the stream's own trace
+        self.own_rate = (None if stream.vbr_trace is not None
+                         else stream.encoding_rate_bps)
         self.delivered_content_s = 0.0
         # playback starts start_delay_s after the buffer first holds the
         # start threshold, at start_at
@@ -250,6 +286,8 @@ class _Engine:
         self.stalled = False
         self.stall_since = 0.0
         self.finished = self.watch_end_s <= 0
+        if self.finished:         # nothing to watch: done at once
+            self.playback_start = self.log.playback_start_s = 0.0
         self.starved = False      # link died with no recovery ahead
         self.rng = random.Random(seed)
         self._conn_seq = -1
@@ -258,6 +296,9 @@ class _Engine:
         # the span that is the last entry of both the events and the log,
         # which the next tick may still extend
         self._open_span: Optional[TransferSpan] = None
+        # whether the last buffer sample is the open span's last tick
+        self._tail = False
+        self._sample()
 
     # -- playback clock ----------------------------------------------------
 
@@ -276,7 +317,10 @@ class _Engine:
                 and self.start_at <= to_t):
             self.t = max(self.t, self.start_at)
             self.playback_start = self.log.playback_start_s = self.t
-        while to_t > self.t + _EPS:
+            # a start at an arrival's time shares that arrival's sample
+            if self.t > self.log.buffer_samples[-1].t_s:
+                self._sample()
+        while to_t > self.t + TIE_S:
             if self.playback_start is None or self.stalled or self.finished:
                 self.t = to_t
                 return
@@ -284,25 +328,57 @@ class _Engine:
                            self.watch_end_s - self.log.content_consumed_s)
             dt = min(to_t - self.t, playable)
             if dt > 0:
-                got = self.buf.consume(dt)
-                self.log.content_consumed_s += dt
-                self.log.bytes_consumed += got
+                self._play(dt)
                 self.t += dt
-            if self.log.content_consumed_s >= self.watch_end_s - 1e-6:
+            if self.log.content_consumed_s >= self.watch_end_s - DONE_TOL_S:
                 self.finished = True
-            elif self.buf.seconds <= _EPS and self.t < to_t - _EPS:
-                self.stalled = True
-                self.stall_since = self.t
+                self.log.playback_end_s = self.t
+                self._sample()
+            elif self.buf.seconds <= TIE_S and self.t < to_t - TIE_S:
+                self._stall()
+
+    def _play(self, seconds: float) -> None:
+        self.log.bytes_consumed += self.buf.consume(
+            seconds, self.log.content_consumed_s)
+        self.log.content_consumed_s += seconds
+
+    def _stall(self) -> None:
+        self.stalled = True
+        self.stall_since = self.t
+        self._sample()
 
     def _post_arrival(self) -> None:
         if self.playback_start is None:
-            if (self.start_at is None
-                    and self.buf.seconds >= self.start_threshold_s - _EPS):
+            # the whole content counts as holding the start threshold
+            if self.start_at is None and (
+                    self.buf.seconds >= self.start_threshold_s - TIE_S
+                    or self.content_remaining_s <= 1e-3):
                 self.start_at = self.t + self.start_delay_s
                 self.advance(self.t)
-        elif self.stalled and self.buf.seconds >= self.resume_threshold_s - _EPS:
+        elif self.stalled and self.buf.seconds >= self.resume_threshold_s - TIE_S:
             self.stalled = False
-            self.log.stall_total_s += self.t - self.stall_since
+            self.log.stall_events.append(
+                (self.stall_since, self.t - self.stall_since))
+
+    def _sample(self, tail: bool = False) -> None:
+        """Keep the buffer now as a timeline sample."""
+        self.log.buffer_samples.append(
+            BufferSample(self.t, self.buf.seconds, self.buf.bytes))
+        self._tail = tail
+
+    def _fill(self, nbytes: float, crate: Optional[float],
+              played: float) -> None:
+        """Buffer nbytes at content rate crate (None: the stream's own, by
+        its VBR trace) and play `played` seconds."""
+        if nbytes > 0:
+            secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
+                                                  nbytes)
+                    if crate is None else nbytes * 8.0 / crate)
+            self.buf.push(secs, nbytes, crate)
+            self.delivered_content_s += secs
+            self.log.content_delivered_s += secs
+        if played:
+            self._play(played)
 
     # -- wire --------------------------------------------------------------
 
@@ -343,31 +419,43 @@ class _Engine:
         self._record(kind, conn, nbytes)
 
     def _add_ticks(self, conn: int, nbytes: float, dt: float, n: int,
-                   t_first: float, buffer_s: float, dbuffer_s: float) -> None:
-        """Log n data ticks, the first at t_first leaving buffer_s buffered.
+                   first: BufferSample) -> None:
+        """Log n data ticks: the first leaves the buffer as in first, and
+        the last as it is now.
 
         A run that continues the open span tick for tick joins it.  The
         clock is set to the span's last tick time, so tick times do not
-        depend on how a transfer was cut into runs.
+        depend on how a transfer was cut into runs.  The buffer timeline
+        keeps the first and the last tick of each span.
         """
+        t_first, buffer_s = first.t_s, first.buffered_seconds
+        dbuffer_s = (self.buf.seconds - buffer_s) / (n - 1) if n > 1 else 0.0
         self.log.bytes_delivered += n * nbytes
         sp = self._open_span
         if (sp is not None and sp.connection_id == conn
                 and sp.nbytes == nbytes and sp.dt_s == dt
-                and abs(sp.t_s + sp.n * dt - t_first) <= _EPS):
+                and abs(sp.t_s + sp.n * dt - t_first) <= TIE_S):
             d = sp.dbuffer_s if sp.n > 1 else buffer_s - sp.buffer_s
             last = buffer_s + (n - 1) * dbuffer_s
-            if (abs(sp.buffer_s + sp.n * d - buffer_s) <= _EPS
-                    and abs(sp.buffer_s + (sp.n + n - 1) * d - last) <= _EPS):
+            if (abs(sp.buffer_s + sp.n * d - buffer_s) <= TIE_S
+                    and abs(sp.buffer_s + (sp.n + n - 1) * d - last) <= TIE_S):
                 sp.n += n
                 sp.dbuffer_s = d
                 self.t = sp.t_end_s
+                if self._tail:
+                    self.log.buffer_samples.pop()
+                self._sample(tail=True)
                 return
         sp = TransferSpan(t_first, dt, n, conn, nbytes, buffer_s, dbuffer_s)
         self.events.append(sp)
         self.log.records.items.append(sp)
         self._open_span = sp
+        self.log.buffer_samples.append(first)
         self.t = sp.t_end_s
+        if n > 1:
+            self._sample(tail=True)
+        else:
+            self._tail = False
 
     def emit_probe(self, conn: int) -> None:
         self._emit(conn, PROBE_BYTES, "persist_probe")
@@ -388,7 +476,7 @@ class _Engine:
         least window_s seconds, a receive window closed at the target;
         below it the sender is unthrottled.  Returns the bytes moved.
         """
-        crate = content_rate_bps or self.stream.encoding_rate_bps
+        crate = content_rate_bps or self.own_rate
         moved = 0.0
         budget = math.inf if nbytes is None else nbytes
         if stop_s is not None:
@@ -407,8 +495,8 @@ class _Engine:
                 break
             if enter_buffer and self.content_remaining_s <= 1e-3:
                 break
-            while self.t >= boundary - _EPS:
-                # a boundary within _EPS of the clock counts as reached
+            while self.t >= boundary - TIE_S:
+                # a boundary within TIE_S of the clock counts as reached
                 at = max(self.t, boundary)
                 link_bps = self.link.bandwidth_at(at)
                 boundary = self.link.next_change_after(at)
@@ -421,88 +509,86 @@ class _Engine:
                     break
                 self.advance(boundary)
                 continue
+            buffered = 1.0 if enter_buffer else 0.0   # share of step buffered
             dt = min(self.tick_s, boundary - self.t)
             if dt == self.tick_s:
                 step = rate * dt / 8.0
                 dt = step * 8.0 / rate
-                secs = step * 8.0 / crate if enter_buffer else 0.0
-                n = self._whole_ticks(step, dt, secs, boundary, budget - moved,
-                                      stop_s, stop_bytes, window_s,
-                                      window_open, enter_buffer)
+                n = self._whole_ticks(step, dt, buffered * step, crate,
+                                      boundary, budget - moved, stop_s,
+                                      stop_bytes, window_s, window_open)
                 if n > 0:
-                    self._jump(conn, n, step, dt, secs, crate)
+                    self._jump(conn, n, step, dt, buffered * step, crate)
                     moved += n * step
                     continue
             dt = min(self.tick_s, boundary - self.t)
             step = rate * dt / 8.0
             if enter_buffer:
-                step = min(step, self.content_remaining_s * crate / 8.0)
+                step = min(step, self.stream.bytes_for_content(
+                    self.delivered_content_s, self.stream.duration_s)
+                    if crate is None else self.content_remaining_s * crate / 8.0)
             step = min(step, budget - moved)
             dt = step * 8.0 / rate
             self.advance(self.t + dt)
-            if enter_buffer:
-                secs = step * 8.0 / crate
-                self.buf.push(secs, step, crate)
-                self.delivered_content_s += secs
-                self.log.content_delivered_s += secs
-            self._add_ticks(conn, step, dt, 1, self.t, self.buf.seconds, 0.0)
+            self._fill(buffered * step, crate, 0.0)
+            self._add_ticks(conn, step, dt, 1, BufferSample(
+                self.t, self.buf.seconds, self.buf.bytes))
             self._post_arrival()
             moved += step
         return moved
 
-    def _whole_ticks(self, step: float, dt: float, secs: float,
-                     boundary: float, budget_left: float,
-                     stop_s: Optional[float], stop_bytes: Optional[float],
-                     window_s: Optional[float], window_open: bool,
-                     enter_buffer: bool) -> int:
-        """Whole ticks of step bytes that can be applied in closed form.
+    def _whole_ticks(self, step: float, dt: float, nbytes: float,
+                     crate: Optional[float], boundary: float,
+                     budget_left: float, stop_s: Optional[float],
+                     stop_bytes: Optional[float], window_s: Optional[float],
+                     window_open: bool) -> int:
+        """Whole ticks of step bytes, nbytes of them buffered at content
+        rate crate, that can be applied in closed form.
 
         Each decision point is a linear function of the tick count until
         it is crossed; the run stops short of the earliest predicted
-        crossing by a tick, so the crossing itself is stepped singly.
+        crossing by a tick, so the crossing itself is stepped singly.  A
+        VBR stream's content per tick lies between what its highest and
+        its lowest rate bring, so its crossings are bounded with those.
         """
         b = self.buf.seconds
         played = dt if self.playing else 0.0   # content seconds per tick
-        db = secs - played
+        if crate is None:
+            lo, hi = (nbytes * 8.0 / r for r in reversed(self.buf.rates_bps))
+        else:
+            lo = hi = nbytes * 8.0 / crate
+        up, down = hi - played, lo - played    # most and least buffer gain
         x = min((boundary - self.t) / dt, budget_left / step)
-        if enter_buffer:
-            x = min(x, self.content_remaining_s / secs)
+        if nbytes > 0:
+            x = min(x, self.content_remaining_s / hi)
         if stop_s is not None:
-            x = min(x, _ticks_to(stop_s - b, db))
+            x = min(x, _ticks_to(stop_s - b, up))
         if stop_bytes is not None:
             x = min(x, _ticks_to(stop_bytes - self.buf.bytes,
                                  step - played * self.buf.min_byte_rate()))
         if window_s is not None:
-            x = min(x, _ticks_to(window_s - b, db) if window_open
-                    else _ticks_to(b - window_s, -db))
+            x = min(x, _ticks_to(window_s - b, up) if window_open
+                    else _ticks_to(b - window_s, -down))
         if self.playback_start is None:
-            x = min(x, _ticks_to(self.start_threshold_s - b, db)
+            x = min(x, _ticks_to(self.start_threshold_s - b, up)
                     if self.start_at is None else (self.start_at - self.t) / dt)
         elif self.stalled:
-            x = min(x, _ticks_to(self.resume_threshold_s - b, db))
+            x = min(x, _ticks_to(self.resume_threshold_s - b, up))
         else:
             watch_left = self.watch_end_s - self.log.content_consumed_s
-            x = min(x, _ticks_to(b - dt - 1e-6, -db),
+            x = min(x, _ticks_to(b - dt - 1e-6, -down),
                     (watch_left - 1e-6) / dt)
         return int(x) - 1
 
-    def _jump(self, conn: int, n: int, step: float, dt: float, secs: float,
-              crate: float) -> None:
-        """Apply n whole ticks that cross no decision point."""
-        t_first = self.t + dt
-        buffer_first = self.buf.seconds + secs
-        played = 0.0
-        if secs > 0:
-            self.buf.push(n * secs, n * step, crate)
-            self.delivered_content_s += n * secs
-            self.log.content_delivered_s += n * secs
-        if self.playing:
-            played = dt
-            buffer_first -= dt
-            self.log.bytes_consumed += self.buf.consume(n * dt)
-            self.log.content_consumed_s += n * dt
-        self._add_ticks(conn, step, dt, n, t_first, buffer_first,
-                        secs - played)
+    def _jump(self, conn: int, n: int, step: float, dt: float,
+              nbytes: float, crate: Optional[float]) -> None:
+        """Apply n whole ticks that cross no decision point: the first on
+        its own, so the span starts at its exact level, then the rest."""
+        played = dt if self.playing else 0.0
+        self._fill(nbytes, crate, played)
+        first = BufferSample(self.t + dt, self.buf.seconds, self.buf.bytes)
+        self._fill((n - 1) * nbytes, crate, (n - 1) * played)
+        self._add_ticks(conn, step, dt, n, first)
 
     def deliver_aux(self, conn: int, nbytes: float) -> float:
         """Move bytes that never enter the playback buffer (re-downloaded
@@ -537,7 +623,9 @@ class _Engine:
             if cur is not None:
                 cur.spans = tuple(self.events[cur.first:])
                 cur.dbuffer_s = self.buf.seconds - cur.buffer_s
-                if prev is not None and cur.repeats(prev, self._phase()):
+                # only a CBR stream brings the same content every repeat
+                if (prev is not None and self.own_rate is not None
+                        and cur.repeats(prev, self._phase())):
                     train = self._extend_train(train, prev, cur)
                     m = self._whole_cycles(cur, crate)
                     if m > 0:
@@ -603,14 +691,8 @@ class _Engine:
                      crate: float) -> None:
         """Apply m whole repeats of cycle c that cross no decision point."""
         nbytes = m * sum(s.n * s.nbytes for s in c.spans)
-        secs = m * sum(s.n * (s.nbytes * 8.0 / crate) for s in c.spans)
         self.log.bytes_delivered += nbytes
-        self.buf.push(secs, nbytes, crate)
-        self.delivered_content_s += secs
-        self.log.content_delivered_s += secs
-        if self.playing:
-            self.log.bytes_consumed += self.buf.consume(m * train.period_s)
-            self.log.content_consumed_s += m * train.period_s
+        self._fill(nbytes, crate, m * train.period_s if self.playing else 0.0)
         self.t += m * train.period_s
         train.m += m
 
@@ -645,24 +727,20 @@ class _Engine:
         if self.start_at is not None:
             self.advance(self.start_at)
         if self.playback_start is not None:
-            while not self.finished:
-                if self.stalled:
-                    # below the resume threshold with no arrivals coming
-                    self.log.notes.append(
-                        "session ends stalled: content underrun")
-                    break
-                playable = min(self.buf.seconds,
-                               self.watch_end_s - self.log.content_consumed_s)
-                if playable <= _EPS:
-                    self.stalled = True
-                    self.stall_since = self.t
-                    self.log.notes.append(
-                        "session ends stalled: content underrun")
-                    break
-                self.advance(self.t + playable)
-        if self.stalled:
-            self.log.stall_total_s += self.t - self.stall_since
-            self.stalled = False
+            # play out the buffer, with no arrivals to come
+            self.advance(self.t + self.watch_end_s
+                         - self.log.content_consumed_s)
+            if self.stalled:
+                self.log.notes.append("session ends stalled: content underrun")
+                # a stall playback never leaves lasts as long as the rest
+                # of the watch would have
+                self._end_stalled(self.stall_since, self.stall_since
+                                  + self.watch_end_s
+                                  - self.log.content_consumed_s)
+        else:
+            # a join failure: one stall over the whole watch
+            self._end_stalled(0.0, self.watch_end_s)
+        self.log.completed = self.finished
         self.log.bytes_buffered_end = self.buf.bytes
         delivered = self.log.bytes_delivered
         accounted = (self.log.bytes_consumed + self.log.bytes_buffered_end
@@ -678,6 +756,14 @@ class _Engine:
         # share a time and swap).
         self.events.sort(key=lambda it: it.sort_key())
         return TickSeq(self.events, TransferSpan.event), self.log
+
+    def _end_stalled(self, since: float, end: float) -> None:
+        """Close the timeline with a stall from since to end."""
+        self.log.stall_events.append((since, end - since))
+        self.log.playback_end_s = end
+        if end > self.log.buffer_samples[-1].t_s + TIE_S:
+            self.log.buffer_samples.append(
+                BufferSample(end, self.buf.seconds, self.buf.bytes))
 
 
 # --------------------------------------------------------------------------
@@ -745,7 +831,7 @@ def _off_with_probes(eng: _Engine, conn: int, tech: OnOffS) -> None:
             t_end = (max(eng.t, eng.start_at)
                      + max(eng.buf.seconds - tech.lower_s, 0.0))
         t_next = min(next_probe, next_ka)
-        if t_end <= t_next + _EPS:
+        if t_end <= t_next + TIE_S:
             eng.wait_until(t_end)
             return
         eng.wait_until(t_next)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .delivery import DeliveryLog
@@ -45,8 +46,11 @@ class SessionSummary:
     state_residency: dict[str, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
+        """The JSON object; a join failure's infinite joining time is
+        null, so the object holds no NaN or infinity."""
         return {
-            "joining_time_s": self.joining_time_s,
+            "joining_time_s": (None if math.isinf(self.joining_time_s)
+                               else self.joining_time_s),
             "stall_total_s": self.stall_total_s,
             "stall_count": self.stall_count,
             "bytes_downloaded": self.bytes_downloaded,
@@ -61,23 +65,17 @@ class SessionSummary:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True,
+                          allow_nan=False)
 
 
 def summarize(dlog: DeliveryLog, qoe: QoeReport, radio: RadioTimeline,
               profile: PowerProfile, wall_time_s: float) -> SessionSummary:
     """Fuse the per-module artifacts of one scenario into a SessionSummary.
 
-    Cross-module byte conservation is re-checked here and a mismatch is a
-    hard failure: it means two modules disagree about the same session.
+    Byte conservation is the delivery engine's to check: its log's figures
+    are the ones reported here.
     """
-    delivered = dlog.bytes_delivered
-    accounted = dlog.bytes_consumed + dlog.bytes_buffered_end + dlog.bytes_wasted
-    if delivered > 0 and abs(delivered - accounted) > max(2.0, 1e-6 * delivered):
-        raise AssertionError(
-            f"byte conservation breach: delivered={delivered:.1f}, "
-            f"accounted={accounted:.1f}")
-
     avg_stream_ma, _ = integrate_energy(radio, profile, wall_time_s)
     # The display is lit from the request on, so the playback constant
     # applies to the whole wall time, not just the post-join span.
@@ -95,7 +93,7 @@ def summarize(dlog: DeliveryLog, qoe: QoeReport, radio: RadioTimeline,
         joining_time_s=qoe.joining_time_s,
         stall_total_s=qoe.stall_total_s,
         stall_count=len(qoe.stall_events),
-        bytes_downloaded=delivered,
+        bytes_downloaded=dlog.bytes_delivered,
         bytes_consumed=dlog.bytes_consumed,
         bytes_wasted=dlog.bytes_wasted,
         avg_streaming_current_ma=avg_stream_ma,

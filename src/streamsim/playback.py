@@ -1,5 +1,11 @@
 """Client-side playback modelling: joining time, buffer occupancy, stalls.
 
+A simulated session's playback is the delivery engine's: the buffer that
+drove its feedback loop, with its start, stalls and samples, is the one
+reported.  This module holds the report's types and the models that work
+from data arrivals alone, for a flow trace: the closed-form joining time
+and a per-event replay of the buffer.
+
 The buffer timeline is the difference of the cumulative arrival and
 consumption series.  Consumption starts at the joining time, runs at one
 content-second per wall second, halts whenever the buffer empties (a stall)
@@ -15,21 +21,12 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .delivery import DONE_TOL_S, TIE_S, BufferSample
 from .radio import promotion_latency
-from .streams import (ChunkTrain, LinkModel, PacketEvent, StreamSpec,
-                      TransferSpan, as_runs)
+from .streams import LinkModel, PacketEvent, StreamSpec
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
 
-_EPS = 1e-9
-
 JOIN_FAILURE_S = math.inf   # sentinel: the session can never start
-
-
-@dataclass(frozen=True)
-class BufferSample:
-    t_s: float
-    buffered_seconds: float
-    buffered_bytes: float
 
 
 @dataclass
@@ -53,7 +50,7 @@ class BufferTimeline:
     def value_at(self, t_s: float) -> float:
         """Buffered seconds at wall time t_s, interpolated linearly
         between the samples around it."""
-        i = bisect_right(self.samples, t_s + _EPS, key=lambda s: s.t_s)
+        i = bisect_right(self.samples, t_s + TIE_S, key=lambda s: s.t_s)
         if i == 0:
             return 0.0
         a = self.samples[i - 1]
@@ -74,6 +71,19 @@ class QoeReport:
     @property
     def stall_total_s(self) -> float:
         return sum(d for _, d in self.stall_events)
+
+
+def playback_report(dlog, watched_s: float
+                    ) -> tuple[BufferTimeline, QoeReport]:
+    """The buffer timeline and QoE of the playback a delivery log records;
+    watched_s is the content the viewer meant to watch."""
+    join = dlog.playback_start_s
+    if join is None:
+        join = JOIN_FAILURE_S
+    tl = BufferTimeline(join, dlog.playback_end_s, watched_s,
+                        dlog.buffer_samples, completed=dlog.completed)
+    ratio = dlog.stall_total_s / watched_s if watched_s > 0 else 0.0
+    return tl, QoeReport(join, dlog.stall_events, ratio)
 
 
 def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
@@ -108,29 +118,32 @@ class _Playout:
         self.play = 0.0          # content position played up to
         self.started = False
         self.stalled = False
+        self.stalled_at = 0.0    # when the last stall began
         self.done_at: Optional[float] = None
         self.samples: list[BufferSample] = []
-
-    @property
-    def playing(self) -> bool:
-        return self.started and not self.stalled and self.done_at is None
 
     def emit(self) -> None:
         self.samples.append(BufferSample(
             self.t, max(self.fill - self.play, 0.0),
             self.stream.bytes_for_content(self.play, self.fill)))
 
+    def stall(self) -> None:
+        self.stalled = True
+        self.stalled_at = self.t
+        self.emit()
+
     def drain_to(self, to_t: float) -> None:
-        while self.t < to_t - 1e-12:
+        while self.t < to_t - TIE_S:
             if not self.started:
                 if math.isinf(self.join) or to_t < self.join:
                     self.t = to_t
                     return
                 self.t = self.join
                 self.started = True
-                if self.fill - self.play <= _EPS:
-                    self.stalled = True
-                self.emit()
+                if self.fill - self.play <= TIE_S:
+                    self.stall()
+                else:
+                    self.emit()
                 continue
             if self.done_at is not None or self.stalled:
                 self.t = to_t
@@ -140,15 +153,14 @@ class _Playout:
             if span > 0:
                 self.play += span
                 self.t += span
-            if self.play >= self.watched - 1e-9:
+            if self.play >= self.watched - DONE_TOL_S:
                 self.done_at = self.t
                 self.emit()
                 self.t = to_t
                 return
-            if self.fill - self.play <= _EPS:
-                if self.t < to_t - 1e-12:
-                    self.stalled = True
-                    self.emit()
+            if self.fill - self.play <= TIE_S:
+                if self.t < to_t - TIE_S:
+                    self.stall()
                 else:
                     return
 
@@ -156,171 +168,52 @@ class _Playout:
         self.fill = min(self.fill + self.stream.seconds_for_bytes(
             self.fill, nbytes), self.stream.duration_s)
         if (self.stalled
-                and self.fill - self.play >= self.resume_s - 1e-9):
+                and self.fill - self.play >= self.resume_s - TIE_S):
             self.stalled = False
-
-    def whole_ticks(self, dt: float, nbytes: float,
-                    rates: tuple[float, float],
-                    dip: Optional[float] = None) -> int:
-        """Arrivals of nbytes every dt that can be applied in closed form.
-
-        The run stops a tick short of the earliest predicted join, stall,
-        resume or end, so that tick is replayed singly.  A VBR stream's
-        content per tick is bounded by its lowest and highest rates.  dip
-        is how far the buffer may fall below its level at one arrival
-        before the next (dt when an arrival is a single tick).
-        """
-        full = self.fill >= self.stream.duration_s
-        gain_lo = 0.0 if full else nbytes * 8.0 / rates[1]
-        gain_hi = 0.0 if full else nbytes * 8.0 / rates[0]
-        buffered = self.fill - self.play
-        x = math.inf
-        if not self.started:
-            x = (self.join - self.t) / dt
-        elif self.stalled:
-            if gain_hi > 0:
-                x = (self.resume_s - 1e-6 - buffered) / gain_hi
-        else:
-            # the buffer must cover every tick's drain; a VBR tick's content
-            # is bounded only until the fill reaches the end of the content
-            x = (self.watched - self.play) / dt
-            if gain_hi > 0:
-                x = min(x, (self.stream.duration_s - self.fill) / gain_hi)
-            margin = buffered - (dt if dip is None else dip) - 1e-6
-            if margin <= 0:
-                return 0
-            if gain_lo < dt:
-                x = min(x, margin / (dt - gain_lo))
-        return int(min(x, 1e9)) - 1
-
-    def jump(self, t: float, m: int, dt: float, nbytes: float) -> None:
-        """Apply m arrivals of nbytes every dt, the last one at t."""
-        if self.playing:
-            self.play += m * dt
-        self.fill = min(self.fill + self.stream.seconds_for_bytes(
-            self.fill, m * nbytes), self.stream.duration_s)
-        self.t = t
-
-    def replay(self, runs, rates: tuple[float, float]) -> None:
-        """Replay runs in time order until playback is done.  Samples are
-        kept at the first and last tick of each span and at every arrival
-        stepped while stalled."""
-        for r in runs:
-            if isinstance(r, ChunkTrain):
-                self.replay_train(r, rates)
-                continue
-            n = r.n if isinstance(r, TransferSpan) else 1
-            nbytes = r.bytes
-            k = 0
-            while k < n and self.done_at is None:
-                if 0 < k < n - 1:
-                    m = min(self.whole_ticks(r.dt_s, nbytes, rates),
-                            n - 1 - k)
-                    if m > 0:
-                        k += m
-                        self.jump(r.tick_t(k - 1), m, r.dt_s, nbytes)
-                        continue
-                self.drain_to(r.tick_t(k) if n > 1 else r.t_s)
-                if self.done_at is not None:
-                    break
-                was_stalled = self.stalled
-                self.add(nbytes)
-                if k == 0 or k == n - 1 or was_stalled:
-                    self.emit()
-                k += 1
-            if self.done_at is not None:
-                return
-
-    def replay_train(self, tr: ChunkTrain,
-                     rates: tuple[float, float]) -> None:
-        """Replay a ChunkTrain a whole cycle at a time where no state
-        changes, and the cycles next to a change span by span, so the
-        first and last cycle keep their samples."""
-        nbytes = sum(s.n * s.bytes for s in tr.cycle)
-        # a cycle's arrivals measured from the last tick of the one before
-        # it, against the least content its earlier arrivals can bring
-        before = tr.cycle[-1].t_end_s - tr.period_s
-        dip, got = 0.0, 0.0
-        for s in tr.cycle:
-            secs = s.bytes * 8.0 / rates[1]
-            dip = max(dip, s.t_s - before - got,
-                      s.t_end_s - before - got - (s.n - 1) * secs)
-            got += s.n * secs
-        j = 0
-        while j < tr.m and self.done_at is None:
-            if 0 < j < tr.m - 1:
-                m = min(self.whole_ticks(tr.period_s, nbytes, rates, dip),
-                        tr.m - 1 - j)
-                if m > 0:
-                    j += m
-                    self.jump(tr.cycle[-1].t_end_s + (j - 1) * tr.period_s,
-                              m, tr.period_s, nbytes)
-                    continue
-            self.replay(tr.repeats(j, j + 1), rates)
-            j += 1
 
 
 def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
                    joining_time_s: float,
                    resume_threshold_s: float = RESUME_THRESHOLD_S,
                    watch_end_s: Optional[float] = None) -> BufferTimeline:
-    """Build the playback-buffer timeline from data arrivals.
+    """Build the playback-buffer timeline from data arrivals, such as a
+    flow trace's (a simulated session reports its delivery engine's).
 
-    Only data events feed the buffer.  The buffer is clipped at zero: when
-    it empties during playback, consumption halts until the resume
-    threshold is met again, and the zero span shows up in the samples.
-    watch_end_s bounds consumption for abandoned sessions.
-
-    The transfer spans of a TickSeq are replayed with the delivery
-    engine's rule: runs of ticks in closed form, the ticks next to a state
-    change one at a time; a chunk train likewise runs of whole cycles.
-    Samples are kept at the first and last tick of each span replayed and
-    at every state change: join, stall, the arrivals stepped singly while
-    stalled (the first one after the stall and those at the resume
-    crossing) and end.
+    Only data events feed the buffer, event by event, as content of the
+    stream.  The buffer is clipped at zero: when it empties during
+    playback, consumption halts until the resume threshold is met again,
+    and the zero span shows up in the samples.  Ties are decided with the
+    delivery engine's tolerances.  A stall playback never leaves lasts as
+    long as the rest of the watch would have.  watch_end_s bounds
+    consumption for abandoned sessions.
     """
-    runs = sorted((r for r in as_runs(arrivals) if r.kind == "data"),
-                  key=lambda r: r.t_s)
+    data = sorted((e for e in arrivals if e.kind == "data"),
+                  key=lambda e: e.t_s)
     join = joining_time_s
     watched = stream.duration_s if watch_end_s is None else min(
         watch_end_s, stream.duration_s)
-    rates = stream.rate_range_bps()
 
     p = _Playout(stream, join, resume_threshold_s, watched)
     p.emit()
-    p.replay(runs, rates)
+    for e in data:
+        p.drain_to(e.t_s)
+        if p.done_at is not None:
+            break
+        p.add(e.bytes)
+        p.emit()
+    if p.done_at is None:
+        p.drain_to(math.inf)      # play out what is buffered
 
-    if p.done_at is None and not math.isinf(join):
-        p.drain_to(max(p.t, join) + _EPS)
-        if not p.stalled:
-            p.drain_to(p.t + max(p.fill - p.play, 0.0) + _EPS)
-
-    samples = p.samples
-    tl = BufferTimeline(join, 0.0, watched, samples,
-                        resume_threshold_s=resume_threshold_s)
-    completed = p.done_at is not None
-    if completed:
+    if p.done_at is not None:
         end = p.done_at
     elif math.isinf(join):
         end = watched
     else:
-        # unresolved stall: close the timeline at the nominal horizon
-        end = join + watched + _zero_span_total(samples, after=join)
-    tl.playback_end_s = end
-    tl.completed = completed
-    if not samples or samples[-1].t_s < end - _EPS:
-        buffered = 0.0 if not completed else max(p.fill - p.play, 0.0)
-        samples.append(BufferSample(end, buffered, buffered
-                                    * stream.bytes_per_second))
-    return tl
-
-
-def _zero_span_total(samples: list[BufferSample], after: float = 0.0) -> float:
-    total = 0.0
-    for a, b in zip(samples, samples[1:]):
-        if a.buffered_seconds <= _EPS and a.t_s >= after - _EPS:
-            total += b.t_s - a.t_s
-    return total
+        end = p.stalled_at + watched - p.play
+    if p.samples[-1].t_s < end - TIE_S:
+        p.samples.append(BufferSample(end, 0.0, 0.0))
+    return BufferTimeline(join, end, watched, p.samples, resume_threshold_s,
+                          completed=p.done_at is not None)
 
 
 def detect_stalls(buffer: BufferTimeline,
@@ -339,10 +232,10 @@ def detect_stalls(buffer: BufferTimeline,
     join = buffer.joining_time_s
     open_at: Optional[float] = None
     for s in buffer.samples:
-        if s.t_s < join - _EPS:
+        if s.t_s < join - TIE_S:
             continue
         if open_at is None:
-            if (s.buffered_seconds <= _EPS
+            if (s.buffered_seconds <= TIE_S
                     and s.t_s < buffer.playback_end_s - 1e-9):
                 open_at = s.t_s
         elif s.buffered_seconds >= resume_threshold_s - 1e-6:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import (ChunkTrain, PacketEvent, TransferSpan, as_runs,
+from .streams import (ChunkTrain, PacketEvent, TickSeq, TransferSpan,
                       check_finite)
 
 log = logging.getLogger(__name__)
@@ -119,11 +119,9 @@ def promotion_latency(technology: str, cfg=None) -> float:
     or the default without one."""
     if technology not in PROMOTION_LATENCY_S:
         raise ValueError(f"unknown radio technology: {technology!r}")
-    if isinstance(cfg, HspaRrcConfig):
-        return cfg.promotion_latency_s
     if isinstance(cfg, LteDrxConfig):
         return cfg.promotion_latency_ms / 1000.0
-    return PROMOTION_LATENCY_S[technology]
+    return getattr(cfg, "promotion_latency_s", PROMOTION_LATENCY_S[technology])
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,9 @@ def _bursts(events: Iterable[PacketEvent],
     """
     out = []
     prev = 0.0
-    for i, ev in enumerate(as_runs(events)):
+    # a TickSeq's runs as they are, any other events one by one
+    runs = events.items if isinstance(events, TickSeq) else events
+    for i, ev in enumerate(runs):
         if ev.t_s < 0:
             raise ValueError(f"event {i} has negative time {ev.t_s}")
         if ev.t_s < prev - _EPS:

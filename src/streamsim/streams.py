@@ -51,8 +51,9 @@ class TransferSpan:
 
     Tick k (0-based) completes at t_s + k * dt_s carrying nbytes, and the
     sender's playback buffer holds buffer_s + k * dbuffer_s seconds of
-    content after it.  dt_s is the tick's transfer time, so it is also the
-    spacing of the ticks.
+    content after it (a VBR stream's, exactly at the first and last tick).
+    dt_s is the tick's transfer time, so it is also the spacing of the
+    ticks.
     """
     t_s: float
     dt_s: float
@@ -141,16 +142,6 @@ class ChunkTrain:
 
 
 _RUNS = (TransferSpan, ChunkTrain)   # stored entries that stand for ticks
-
-
-def as_runs(events) -> list:
-    """Events as stored runs: ChunkTrains, TransferSpans and single
-    PacketEvents.
-
-    A TickSeq gives its runs as they are; any other iterable of
-    PacketEvents is taken event by event.
-    """
-    return events.items if isinstance(events, TickSeq) else list(events)
 
 
 class TickSeq(Sequence):

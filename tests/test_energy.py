@@ -156,15 +156,12 @@ def test_playback_constant_enters_total(hd_stream, link4, gs3):
     assert s.avg_playback_current_ma == pytest.approx(gs3.playback_ma)
 
 
-def test_summarize_rejects_cross_module_byte_mismatch(hd_stream, link4, gs3):
-    from streamsim import summarize
-    from streamsim.playback import QoeReport
-    from streamsim.radio import simulate_hspa, HspaRrcConfig
-    events, dlog = __import__("streamsim").simulate_session(
-        hd_stream, link4, FastCaching())
-    dlog.bytes_consumed -= 1e6   # corrupt one module's accounting
-    radio = simulate_hspa(events, HspaRrcConfig(), gs3,
-                          session_end_s=events[-1].t_s)
-    qoe = QoeReport(1.0, [], 0.0)
+def test_engine_rejects_byte_mismatch(hd_stream, link4):
+    """Byte conservation is checked once, by the delivery engine, on the
+    log the summary reports."""
+    from streamsim import delivery
+    eng = delivery._Engine(hd_stream, link4, None)
+    delivery._run_fast_caching(eng, FastCaching())
+    eng.log.bytes_consumed -= 1e6   # corrupt the accounting
     with pytest.raises(AssertionError, match="conservation"):
-        summarize(dlog, qoe, radio, gs3, events[-1].t_s)
+        eng.finalize()
