@@ -2,6 +2,7 @@
 
 Subcommands:
   simulate       run one scenario, write summary and per-layer CSVs
+                 (--stats: also a run report, run_stats.json)
   sweep-abandon  abandonment-penalty curves (per technique)
   sweep-buffer   buffer-size/power curves (per bandwidth ratio)
   analyze        classify a flow-record CSV, JSON on stdout
@@ -17,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+import time
 
 from . import analysis, traces
 from .profiles import BUILTIN_PROFILES
@@ -43,6 +45,7 @@ def cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
     res = run_session(sc)
     out = args.out
+    write_t0 = time.perf_counter()
     _write_atomic(os.path.join(out, "session_summary.json"),
                   res.summary.to_json() + "\n")
     _write_atomic(os.path.join(out, "buffer.csv"),
@@ -54,6 +57,14 @@ def cmd_simulate(args) -> int:
                   "\n".join(rt_lines) + "\n")
     _write_atomic(os.path.join(out, "delivery_log.csv"),
                   "\n".join(res.dlog.to_csv_lines()) + "\n")
+    if args.stats:
+        # timings vary run to run, so they go here and never into the four
+        # deterministic artifacts
+        stats = res.stats
+        stats["compute_ms"]["write_artifacts"] = (time.perf_counter()
+                                                  - write_t0) * 1e3
+        _write_atomic(os.path.join(out, "run_stats.json"),
+                      json.dumps(stats, indent=2, sort_keys=True) + "\n")
     print(f"wrote session artifacts to {out}")
     return 0
 
@@ -135,6 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run one scenario")
     sim.add_argument("--scenario", required=True, help="scenario file path")
     sim.add_argument("--out", default="out", help="output directory")
+    sim.add_argument("--stats", action="store_true",
+                     help="also write run_stats.json: per-layer compute "
+                          "times and counts")
     sim.set_defaults(func=cmd_simulate)
 
     swa = sub.add_parser("sweep-abandon", help="abandonment-penalty sweep")

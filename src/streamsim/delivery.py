@@ -17,7 +17,7 @@ if every tick were stepped.  A throttled sender's chunk cycles get the
 same treatment one level up: a cycle that repeats the one before it makes
 the two a ChunkTrain, and whole runs of repeats are applied in closed form.
 The event list and the delivery log expand spans and trains into per-tick
-entries when read.
+entries when read; delivery_log.csv writes one row per stored run instead.
 
 The engine is deterministic: equal inputs always produce identical event
 streams (ties broken by connection id, then event kind).
@@ -29,7 +29,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, PacketEvent, StreamSpec,
@@ -49,6 +49,10 @@ THRESHOLD_TOL_S = 1e-9
 TIE_S = 1e-9
 # Playback is finished within DONE_TOL_S content seconds of the watch end.
 DONE_TOL_S = 1e-6
+# Content within CONTENT_DONE_S seconds of its end counts as delivered: it
+# ends delivery, holds the start and resume thresholds, and an empty buffer
+# then has played it all.
+CONTENT_DONE_S = 1e-3
 
 
 class BufferSample(NamedTuple):
@@ -71,6 +75,13 @@ def _data_record(span: TransferSpan, k: int) -> LogRecord:
                      span.buffer_s + k * span.dbuffer_s)
 
 
+def _run_row(span: TransferSpan, event: str, nbytes: float) -> LogRecord:
+    """A row at span's last tick, with that tick's time and buffer."""
+    r = _data_record(span, span.n - 1)
+    r.event, r.bytes = event, nbytes
+    return r
+
+
 def _log_records() -> TickSeq:
     return TickSeq([], _data_record)
 
@@ -82,9 +93,10 @@ class DeliveryLog:
 
     records holds one LogRecord per decision and per data tick; the data
     ticks are stored as TransferSpans and ChunkTrains and expanded when
-    read.  buffer_samples are the buffer's breakpoints: the first and last
-    tick of each span, and each start, stall and end of playback; between
-    two of them the buffer moves linearly.
+    read, and rows() writes them one row per run.  buffer_samples are the
+    buffer's breakpoints: the first and last tick of each span, and each
+    start, stall and end of playback; between two of them the buffer moves
+    linearly.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
@@ -112,9 +124,31 @@ class DeliveryLog:
     def stall_total_s(self) -> float:
         return sum(d for _, d in self.stall_events)
 
+    def rows(self) -> Iterator[LogRecord]:
+        """The rows of delivery_log.csv, one per stored entry.
+
+        A decision record is its own row.  A TransferSpan is one data row
+        at its last tick, carrying the span's bytes and the buffer after
+        that tick.  A ChunkTrain is its first cycle's data rows, then one
+        repeat row at the train's last tick carrying the bytes of the other
+        cycles and the buffer after that tick.
+        """
+        for it in self.records.items:
+            if isinstance(it, TransferSpan):
+                yield _run_row(it, "data", it.n * it.nbytes)
+            elif isinstance(it, ChunkTrain):
+                for s in it.cycle:
+                    yield _run_row(s, "data", s.n * s.nbytes)
+                if it.m > 1:
+                    *_, last = it.repeats(it.m - 1)
+                    yield _run_row(last, "repeat", (it.m - 1) * sum(
+                        s.n * s.nbytes for s in it.cycle))
+            else:
+                yield it
+
     def to_csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
-        for r in self.records:
+        for r in self.rows():
             lines.append(f"{r.t_s:.6f},{r.event},{r.connection_id},"
                          f"{r.bytes:.1f},{r.buffer_s_after:.6f}")
         return lines
@@ -307,6 +341,11 @@ class _Engine:
         return self.stream.duration_s - self.delivered_content_s
 
     @property
+    def content_done(self) -> bool:
+        return (self.stream.duration_s - self.delivered_content_s
+                <= CONTENT_DONE_S)
+
+    @property
     def playing(self) -> bool:
         return self.playback_start is not None and not self.stalled
 
@@ -330,7 +369,8 @@ class _Engine:
             if dt > 0:
                 self._play(dt)
                 self.t += dt
-            if self.log.content_consumed_s >= self.watch_end_s - DONE_TOL_S:
+            if (self.log.content_consumed_s >= self.watch_end_s - DONE_TOL_S
+                    or (self.buf.seconds <= TIE_S and self.content_done)):
                 self.finished = True
                 self.log.playback_end_s = self.t
                 self._sample()
@@ -349,13 +389,14 @@ class _Engine:
 
     def _post_arrival(self) -> None:
         if self.playback_start is None:
-            # the whole content counts as holding the start threshold
             if self.start_at is None and (
                     self.buf.seconds >= self.start_threshold_s - TIE_S
-                    or self.content_remaining_s <= 1e-3):
+                    or self.content_done):
                 self.start_at = self.t + self.start_delay_s
                 self.advance(self.t)
-        elif self.stalled and self.buf.seconds >= self.resume_threshold_s - TIE_S:
+        elif self.stalled and (
+                self.buf.seconds >= self.resume_threshold_s - TIE_S
+                or self.content_done):
             self.stalled = False
             self.log.stall_events.append(
                 (self.stall_since, self.t - self.stall_since))
@@ -493,7 +534,7 @@ class _Engine:
                 break
             if stop_bytes is not None and self.buf.bytes >= stop_bytes:
                 break
-            if enter_buffer and self.content_remaining_s <= 1e-3:
+            if enter_buffer and self.content_done:
                 break
             while self.t >= boundary - TIE_S:
                 # a boundary within TIE_S of the clock counts as reached
@@ -560,7 +601,10 @@ class _Engine:
         up, down = hi - played, lo - played    # most and least buffer gain
         x = min((boundary - self.t) / dt, budget_left / step)
         if nbytes > 0:
-            x = min(x, self.content_remaining_s / hi)
+            # ticks of less than CONTENT_DONE_S of content stop short of
+            # it, so the start and resume rules see it on a stepped tick
+            done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
+            x = min(x, (self.content_remaining_s - done_s) / hi)
         if stop_s is not None:
             x = min(x, _ticks_to(stop_s - b, up))
         if stop_bytes is not None:
@@ -615,7 +659,7 @@ class _Engine:
         crate = self.stream.encoding_rate_bps
         due = self.t
         cur = prev = train = None   # cycle in flight, last one, prev's train
-        while (not self.finished and self.content_remaining_s > 1e-3
+        while (not self.finished and not self.content_done
                and not self.starved):
             self.wait_until(due)
             if self.finished:
@@ -856,9 +900,9 @@ def _run_onoff_s(eng: _Engine, tech: OnOffS) -> None:
     # can never overshoot it
     eng.deliver(conn, math.inf, stop_s=tech.faststart_target_s,
                 stop_bytes=tech.upper_bytes)
-    while not eng.finished and eng.content_remaining_s > 1e-3 and not eng.starved:
+    while not eng.finished and not eng.content_done and not eng.starved:
         eng.deliver(conn, math.inf, stop_bytes=tech.upper_bytes)
-        if eng.finished or eng.content_remaining_s <= 1e-3:
+        if eng.finished or eng.content_done:
             break
         eng.mark_off()
         _off_with_probes(eng, conn, tech)
@@ -887,7 +931,7 @@ def _run_onoff_m(eng: _Engine, tech: OnOffM) -> None:
         eng.close_connection(conn)
         return
     eng.close_connection(conn)
-    while not eng.finished and eng.content_remaining_s > 1e-3 and not eng.starved:
+    while not eng.finished and not eng.content_done and not eng.starved:
         eng.mark_off()
         if tech.off_fixed_s is not None:
             eng.wait_until(eng.t + tech.off_fixed_s)
@@ -911,7 +955,7 @@ def _run_onoff_m_chunked(eng: _Engine, tech: OnOffM) -> None:
     fs = tech.faststart_bytes or tech.chunk_bytes
     eng.deliver(conn, math.inf, nbytes=fs)
     eng.close_connection(conn)
-    while not eng.finished and eng.content_remaining_s > 1e-3 and not eng.starved:
+    while not eng.finished and not eng.content_done and not eng.starved:
         eng.mark_off()
         target = max(eng.buf.seconds - tech.chunk_bytes / bps, 0.0)
         eng.wait_drain_to_seconds(target)
@@ -988,7 +1032,7 @@ def _run_hls(eng: _Engine, tech: Hls) -> None:
         eng.log.bytes_consumed += moved
 
     for _ in range(tech.initial_chunks):
-        if eng.finished or eng.content_remaining_s <= 1e-3:
+        if eng.finished or eng.content_done:
             break
         fetch_chunk()
         if tech.audio_video_split:
@@ -996,7 +1040,7 @@ def _run_hls(eng: _Engine, tech: Hls) -> None:
     # steady state: the buffer target gates each request, which spaces the
     # chunks one chunk duration apart while content drains at unit rate
     target = tech.initial_chunks * tech.chunk_s
-    while not eng.finished and eng.content_remaining_s > 1e-3 and not eng.starved:
+    while not eng.finished and not eng.content_done and not eng.starved:
         if eng.buf.seconds > target - tech.chunk_s:
             eng.wait_drain_to_seconds(target - tech.chunk_s)
         if eng.finished:
@@ -1045,10 +1089,10 @@ def _run_mss(eng: _Engine, tech: Mss) -> None:
             moved = eng.deliver_aux(conn, audio)
             eng.log.bytes_consumed += moved
 
-    while (not eng.finished and eng.content_remaining_s > 1e-3
+    while (not eng.finished and not eng.content_done
            and eng.buf.seconds < tech.startup_buffer_s):
         fetch_video()
-    while not eng.finished and eng.content_remaining_s > 1e-3 and not eng.starved:
+    while not eng.finished and not eng.content_done and not eng.starved:
         if eng.buf.seconds > tech.startup_buffer_s - tech.video_chunk_s:
             eng.wait_drain_to_seconds(tech.startup_buffer_s
                                       - tech.video_chunk_s)

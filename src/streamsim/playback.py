@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .delivery import DONE_TOL_S, TIE_S, BufferSample
+from .delivery import CONTENT_DONE_S, DONE_TOL_S, TIE_S, BufferSample
 from .radio import promotion_latency
 from .streams import LinkModel, PacketEvent, StreamSpec
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
@@ -122,6 +122,10 @@ class _Playout:
         self.done_at: Optional[float] = None
         self.samples: list[BufferSample] = []
 
+    @property
+    def content_done(self) -> bool:
+        return self.stream.duration_s - self.fill <= CONTENT_DONE_S
+
     def emit(self) -> None:
         self.samples.append(BufferSample(
             self.t, max(self.fill - self.play, 0.0),
@@ -153,7 +157,8 @@ class _Playout:
             if span > 0:
                 self.play += span
                 self.t += span
-            if self.play >= self.watched - DONE_TOL_S:
+            if (self.play >= self.watched - DONE_TOL_S
+                    or (self.fill - self.play <= TIE_S and self.content_done)):
                 self.done_at = self.t
                 self.emit()
                 self.t = to_t
@@ -167,8 +172,8 @@ class _Playout:
     def add(self, nbytes: float) -> None:
         self.fill = min(self.fill + self.stream.seconds_for_bytes(
             self.fill, nbytes), self.stream.duration_s)
-        if (self.stalled
-                and self.fill - self.play >= self.resume_s - TIE_S):
+        if self.stalled and (self.fill - self.play >= self.resume_s - TIE_S
+                             or self.content_done):
             self.stalled = False
 
 
@@ -221,8 +226,9 @@ def detect_stalls(buffer: BufferTimeline,
     """Extract stall events from a buffer timeline.
 
     A stall opens when the buffer hits zero during playback and closes when
-    buffered content reaches the resume threshold (or never, in which case
-    it runs to the end of the timeline).
+    buffered content reaches the resume threshold or holds the rest of a
+    completed watch (or never, in which case it runs to the end of the
+    timeline).
     """
     if math.isinf(buffer.joining_time_s):
         return QoeReport(JOIN_FAILURE_S,
@@ -238,7 +244,9 @@ def detect_stalls(buffer: BufferTimeline,
             if (s.buffered_seconds <= TIE_S
                     and s.t_s < buffer.playback_end_s - 1e-9):
                 open_at = s.t_s
-        elif s.buffered_seconds >= resume_threshold_s - 1e-6:
+        elif (s.buffered_seconds >= resume_threshold_s - 1e-6
+              or (buffer.completed and s.t_s + s.buffered_seconds
+                  >= buffer.playback_end_s - 1e-6)):
             events.append((open_at, s.t_s - open_at))
             open_at = None
     if open_at is not None and buffer.playback_end_s - open_at > 1e-6:

@@ -8,6 +8,8 @@ from streamsim.cli import main
 
 BUNDLED = str(ir.files("streamsim") / "scenarios" / "youtube_onoffm_hspa.scn")
 GOLDEN = Path(__file__).parent / "golden" / "youtube_onoffm_hspa_summary.json"
+ARTIFACTS = ("session_summary.json", "buffer.csv", "radio_timeline.csv",
+             "delivery_log.csv")
 
 
 def test_simulate_bundled_scenario_end_to_end(tmp_path, capsys):
@@ -34,6 +36,50 @@ def test_simulate_outputs_are_deterministic(tmp_path):
     for name in ("session_summary.json", "buffer.csv", "radio_timeline.csv",
                  "delivery_log.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_stats_leave_the_artifacts_unchanged(tmp_path):
+    """--stats adds run_stats.json beside the four artifacts; the
+    artifacts stay byte-identical, so no timing reaches them."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(a)]) == 0
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(b),
+                 "--stats"]) == 0
+    for name in ARTIFACTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert not (a / "run_stats.json").exists()
+    stats = json.loads((b / "run_stats.json").read_text())
+    assert set(stats["compute_ms"]) == {"delivery", "playback_report",
+                                        "radio", "energy", "write_artifacts"}
+    assert all(ms >= 0 for ms in stats["compute_ms"].values())
+
+    def rows(name):
+        return len((b / name).read_text().splitlines()) - 1
+    assert stats["counts"] == {
+        "stored_runs": 7, "ticks": 5_353,
+        "log_rows": rows("delivery_log.csv"),
+        "buffer_samples": rows("buffer.csv"),
+        "radio_intervals": rows("radio_timeline.csv"),
+        "connections": 5, "quality_switches": 0, "notes": 0}
+
+
+def test_simulate_on_a_1_bps_link_writes_a_log_bounded_by_its_runs(tmp_path):
+    """A 1 bps link stretches the base session to 1.2e9 s of 2.4e10 ticks
+    in a few hundred runs; the log has a row per run, not per tick.  A
+    tick carries far less than a millisecond of content, so the content
+    is done on a stepped tick, where the last stall ends."""
+    scn = tmp_path / "slow.scn"
+    scn.write_text(Path(BUNDLED).read_text(encoding="utf-8").replace(
+        "link.bandwidth_bps = 8000000", "link.segments = 0:1"))
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out),
+                 "--stats"]) == 0
+    summary = json.loads((out / "session_summary.json").read_text())
+    assert summary["wall_time_s"] > 1e9
+    assert len((out / "delivery_log.csv").read_text().splitlines()) < 2_001
+    counts = json.loads((out / "run_stats.json").read_text())["counts"]
+    assert counts["ticks"] > 2e10 and counts["log_rows"] < 2_000
+    assert counts["notes"] == 0     # no "session ends stalled"
 
 
 def test_csv_headers_fixed(tmp_path):

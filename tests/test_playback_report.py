@@ -18,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import tick_reference as ref
-from streamsim import (FastCaching, Hls, Mss, PacketEvent, compute_buffer,
-                       detect_stalls, simulate_session)
+from streamsim import (FastCaching, Hls, LinkModel, Mss, PacketEvent,
+                       StreamSpec, Throttling, compute_buffer, detect_stalls,
+                       simulate_session)
 from streamsim.cli import main
 from streamsim.playback import playback_report
 from streamsim.scenario import default_radio_config, parse_scenario_text
@@ -231,3 +232,47 @@ def test_short_stream_starts_once_delivered(hd_stream, link4):
                                     start_delay_s=2.0)
     assert dlog.playback_start_s == pytest.approx(events[-1].t_s + 2.0)
     assert dlog.completed and dlog.stall_events == []
+
+
+def test_stall_at_the_end_of_the_content_resumes_once_it_is_delivered():
+    """On a 1.9 Mbps link a 2 Mbps stream stalls for the last time at
+    628.47 s.  The rest of the content, 3.07 s of it, arrives 3.18 s later,
+    below the 4 s resume threshold.  All of the content counts as holding
+    the threshold, so playback resumes at the last arrival and completes;
+    the stall used to last to the horizon, with the content left buffered."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    events, dlog = simulate_session(stream, LinkModel.constant(1.9e6),
+                                    FastCaching(), start_delay_s=2.0)
+    assert dlog.completed and dlog.notes == []
+    assert len(dlog.stall_events) == 7
+    since, duration = dlog.stall_events[-1]
+    assert since == pytest.approx(628.4675, abs=1e-9)
+    assert since + duration == pytest.approx(events[-1].t_s, abs=1e-9)
+    assert duration == pytest.approx(3.1814, abs=1e-4)
+    assert dlog.playback_end_s == pytest.approx(since + duration + 3.0675,
+                                                abs=1e-6)
+    assert dlog.bytes_buffered_end == 0.0
+    # the per-event model and the stall detector resume by the same rule
+    replay = compute_buffer(exact_ticks(events), stream,
+                            dlog.playback_start_s)
+    assert replay.completed
+    stalls = detect_stalls(replay).stall_events
+    assert len(stalls) == len(dlog.stall_events)
+    for got, want in zip(stalls, dlog.stall_events):
+        assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_content_within_a_millisecond_of_its_end_plays_out():
+    """Delivery ends with 8e-5 s of this stream's content unsent, which
+    counts as delivered.  Playback used to stall on that sliver at the end
+    and never leave the stall; now an empty buffer has played it all."""
+    stream = StreamSpec(duration_s=16.100081500129118,
+                        encoding_rate_bps=2e6)
+    tech = Throttling(factor=2.0, chunk_bytes=16384, faststart_target_s=4.0)
+    _, dlog = simulate_session(stream, LinkModel.constant(16e6), tech,
+                               start_threshold_s=1.0, resume_threshold_s=1.0)
+    assert 0 < stream.duration_s - dlog.content_delivered_s <= 1e-3
+    assert dlog.completed and dlog.stall_events == []
+    assert "session ends stalled: content underrun" not in dlog.notes
+    assert dlog.playback_end_s == pytest.approx(
+        dlog.playback_start_s + dlog.content_consumed_s, abs=1e-9)

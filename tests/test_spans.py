@@ -14,7 +14,7 @@ from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
 from streamsim.streams import ChunkTrain, TickSeq, TransferSpan
 from test_playback_report import assert_engine_playback
-from test_span_equivalence import _throttled_below_rate
+from test_span_equivalence import _session_variants, _throttled_below_rate
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
 
@@ -100,12 +100,70 @@ def test_tick_seq_expands_chunk_trains():
         seq[len(want)]
 
 
-def test_delivery_log_rows_expand_from_spans(hd_stream, link4):
+def test_delivery_log_rows_are_runs_and_decisions(hd_stream, link4):
+    """Four decision records and three spans are seven rows; the in-memory
+    log still reads per tick."""
     _, dlog = simulate_session(hd_stream, link4, EncodingRate())
     rows = dlog.to_csv_lines()
-    assert len(rows) == len(dlog.records) + 1 == 11_225
+    assert len(rows) == len(dlog.records.items) + 1 == 8
     assert sum(r.event == "data" for r in dlog.records) == 11_220
-    assert len(dlog.records.items) < 20
+
+
+def assert_log_rows_are_its_runs(dlog):
+    """Each row of the written log stands for one stored entry: a data row
+    is its span's last tick and a repeat row its train's, with the buffer
+    the per-tick log holds there and the bytes of the ticks it covers."""
+    ticks = list(dlog.records)
+    want = []      # (the tick a row is written at, event, ticks it covers)
+    i = 0          # index of the entry's first tick in the per-tick log
+    for it in dlog.records.items:
+        if isinstance(it, TransferSpan):
+            want.append((ticks[i + it.n - 1], "data", ticks[i:i + it.n]))
+            i += it.n
+        elif isinstance(it, ChunkTrain):
+            k = i
+            for s in it.cycle:
+                want.append((ticks[k + s.n - 1], "data", ticks[k:k + s.n]))
+                k += s.n
+            if it.m > 1:
+                want.append((ticks[i + it.n - 1], "repeat",
+                             ticks[k:i + it.n]))
+            i += it.n
+        else:
+            want.append((it, it.event, []))
+            i += 1
+    assert i == len(ticks)
+    rows = list(dlog.rows())
+    assert len(rows) == len(want)
+    for row, (tick, event, covered) in zip(rows, want):
+        assert (row.t_s, row.event, row.connection_id, row.buffer_s_after) \
+            == (tick.t_s, event, tick.connection_id, tick.buffer_s_after)
+        if covered:
+            assert all(r.event == "data" and r.connection_id
+                       == row.connection_id for r in covered)
+            assert row.bytes == pytest.approx(
+                sum(r.bytes for r in covered), rel=1e-12)
+    data = [r.bytes for r in rows if r.event in ("data", "repeat")]
+    assert sum(data) == pytest.approx(dlog.bytes_delivered,
+                                      abs=1e-6 * len(rows))
+    assert all(a.t_s <= b.t_s for a, b in zip(rows, rows[1:]))
+    # at most one row per entry, plus a train's other cycle spans and its
+    # repeat row
+    trains = [it for it in dlog.records.items if isinstance(it, ChunkTrain)]
+    assert len(rows) <= len(dlog.records.items) + sum(
+        len(t.cycle) for t in trains)
+    lines = dlog.to_csv_lines()
+    assert len(lines) == len(rows) + 1
+    assert lines[0] == "t_s,event,connection_id,bytes,buffer_s_after"
+    return rows
+
+
+@pytest.mark.parametrize("variant", range(7))
+def test_session_logs_write_one_row_per_run(variant):
+    sc = _session_variants()[variant]
+    rows = assert_log_rows_are_its_runs(run_session(sc).dlog)
+    repeats = [r for r in rows if r.event == "repeat"]
+    assert len(repeats) == (1 if isinstance(sc.technique, Throttling) else 0)
 
 
 def _vbr_stream():
@@ -159,6 +217,16 @@ def test_span_buffer_samples_are_breakpoints_of_the_tick_model(stream, link,
     events, dlog = simulate_session(stream, link, tech, start_delay_s=2.0)
     assert_engine_playback(tech, stream, events, dlog, stream.duration_s,
                            model=compute_buffer)
+
+
+@pytest.mark.parametrize("stream,link,tech",
+                         [c[1:] for c in BUFFER_CASES],
+                         ids=[c[0] for c in BUFFER_CASES])
+def test_engine_logs_write_one_row_per_run(stream, link, tech):
+    """Stalls, VBR and link deaths: trains cut by a stall each get their
+    own repeat row."""
+    _, dlog = simulate_session(stream, link, tech, start_delay_s=2.0)
+    assert_log_rows_are_its_runs(dlog)
 
 
 RADIO_CONFIGS = [

@@ -185,7 +185,9 @@ class _Engine:
                 self.log.content_consumed_s += dt
                 self.log.bytes_consumed += got
                 self.t += dt
-            if self.log.content_consumed_s >= self.watch_end_s - 1e-6:
+            if (self.log.content_consumed_s >= self.watch_end_s - 1e-6
+                    or (self.content_remaining_s <= 1e-3
+                        and self.buf.seconds <= _EPS)):
                 self.finished = True
             elif self.buf.seconds <= _EPS and self.t < to_t - _EPS:
                 self.stalled = True
@@ -197,7 +199,9 @@ class _Engine:
                     and self.buf.seconds >= self.start_threshold_s - _EPS):
                 self.start_at = self.t + self.start_delay_s
                 self.advance(self.t)
-        elif self.stalled and self.buf.seconds >= self.resume_threshold_s - _EPS:
+        elif self.stalled and (
+                self.buf.seconds >= self.resume_threshold_s - _EPS
+                or self.content_remaining_s <= 1e-3):
             self.stalled = False
             self.log.stall_total_s += self.t - self.stall_since
 
