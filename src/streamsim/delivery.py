@@ -11,9 +11,13 @@ than lone points.  The engine does not walk those ticks one at a time: it
 applies the longest run of whole ticks that crosses no decision point (a
 link boundary, the byte budget, the end of the content or of the watch
 session, playback start, stall or resume, or a driver's buffer threshold)
-in closed form, as one TransferSpan.  Only the ticks next to a crossing
-are stepped singly, so every decision lands on the tick it would land on
-if every tick were stepped.  A throttled sender's chunk cycles get the
+in closed form, as one TransferSpan.  A run reaches a link boundary, which
+it knows exactly, with its last tick; a boundary between two segments the
+rate cap holds to the same rate, on a tick edge, is no decision point.
+The other crossings are predicted, and only the ticks next to them are
+stepped singly, so every decision lands on the tick it would land on if
+every tick were stepped; a VBR run's prediction is refined from the exact
+state it reaches.  A throttled sender's chunk cycles get the
 same treatment one level up: a cycle that repeats the one before it makes
 the two a ChunkTrain, and whole runs of repeats are applied in closed form.
 The event list and the delivery log expand spans and trains into per-tick
@@ -541,6 +545,13 @@ class _Engine:
                 at = max(self.t, boundary)
                 link_bps = self.link.bandwidth_at(at)
                 boundary = self.link.next_change_after(at)
+                # one the cap hides on a tick edge changes neither the
+                # rate nor the ticks: it is no decision point
+                while (window_s is None and boundary < math.inf
+                       and min(link_bps, self.link.bandwidth_at(boundary))
+                       >= rate_cap_bps and abs(math.remainder(
+                           boundary - self.t, self.tick_s)) <= TIE_S):
+                    boundary = self.link.next_change_after(boundary)
             window_open = window_s is not None and self.buf.seconds < window_s
             rate = min(link_bps, math.inf if window_open else rate_cap_bps)
             if rate <= 0:
@@ -586,43 +597,58 @@ class _Engine:
         """Whole ticks of step bytes, nbytes of them buffered at content
         rate crate, that can be applied in closed form.
 
-        Each decision point is a linear function of the tick count until
-        it is crossed; the run stops short of the earliest predicted
-        crossing by a tick, so the crossing itself is stepped singly.  A
-        VBR stream's content per tick lies between what its highest and
-        its lowest rate bring, so its crossings are bounded with those.
+        The next link boundary is known exactly: the run takes every whole
+        tick up to it, within TIE_S.  Each other decision point is a linear
+        function of the tick count until it is crossed; the run stops short
+        of the earliest predicted crossing by a tick, so the crossing itself
+        is stepped singly.  A VBR stream's content per tick lies between
+        what its highest and its lowest rate bring, so its crossings are
+        bounded with those; the bound is then taken again from the exact
+        state at the run's end, until it gains less than a tick.
         """
-        b = self.buf.seconds
         played = dt if self.playing else 0.0   # content seconds per tick
         if crate is None:
             lo, hi = (nbytes * 8.0 / r for r in reversed(self.buf.rates_bps))
         else:
             lo = hi = nbytes * 8.0 / crate
         up, down = hi - played, lo - played    # most and least buffer gain
-        x = min((boundary - self.t) / dt, budget_left / step)
-        if nbytes > 0:
-            # ticks of less than CONTENT_DONE_S of content stop short of
-            # it, so the start and resume rules see it on a stepped tick
-            done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
-            x = min(x, (self.content_remaining_s - done_s) / hi)
-        if stop_s is not None:
-            x = min(x, _ticks_to(stop_s - b, up))
-        if stop_bytes is not None:
-            x = min(x, _ticks_to(stop_bytes - self.buf.bytes,
-                                 step - played * self.buf.min_byte_rate()))
-        if window_s is not None:
-            x = min(x, _ticks_to(window_s - b, up) if window_open
-                    else _ticks_to(b - window_s, -down))
-        if self.playback_start is None:
-            x = min(x, _ticks_to(self.start_threshold_s - b, up)
-                    if self.start_at is None else (self.start_at - self.t) / dt)
-        elif self.stalled:
-            x = min(x, _ticks_to(self.resume_threshold_s - b, up))
-        else:
-            watch_left = self.watch_end_s - self.log.content_consumed_s
-            x = min(x, _ticks_to(b - dt - 1e-6, -down),
-                    (watch_left - 1e-6) / dt)
-        return int(x) - 1
+        # ticks of less than CONTENT_DONE_S of content stop short of it, so
+        # the start and resume rules see it on a stepped tick
+        done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
+        to_link = (boundary - self.t + TIE_S) / dt
+        n, gained = 0, 0.0     # ticks taken, and the content they bring
+        while True:
+            b = self.buf.seconds + gained - n * played
+            x = budget_left / step - n
+            if nbytes > 0:
+                x = min(x, (self.content_remaining_s - gained - done_s) / hi)
+            if stop_s is not None:
+                x = min(x, _ticks_to(stop_s - b, up))
+            if stop_bytes is not None:
+                x = min(x, _ticks_to(stop_bytes - self.buf.bytes,
+                                     step - played * self.buf.min_byte_rate()))
+            if window_s is not None:
+                x = min(x, _ticks_to(window_s - b, up) if window_open
+                        else _ticks_to(b - window_s, -down))
+            if self.playback_start is None:
+                x = min(x, _ticks_to(self.start_threshold_s - b, up)
+                        if self.start_at is None
+                        else (self.start_at - self.t) / dt - n)
+            elif self.stalled:
+                x = min(x, _ticks_to(self.resume_threshold_s - b, up))
+            else:
+                watch_left = (self.watch_end_s - self.log.content_consumed_s
+                              - n * played)
+                x = min(x, _ticks_to(b - dt - 1e-6, -down),
+                        (watch_left - 1e-6) / dt)
+            more = int(min(x - 1.0, to_link - n))
+            if more < 1:
+                return n
+            n += more
+            if crate is not None or stop_bytes is not None:
+                return n
+            gained += self.stream.seconds_for_bytes(
+                self.delivered_content_s + gained, more * nbytes)
 
     def _jump(self, conn: int, n: int, step: float, dt: float,
               nbytes: float, crate: Optional[float]) -> None:

@@ -16,6 +16,7 @@ by float noise alone; each such case is checked to be exactly that.
 """
 
 import importlib.resources as ir
+import math
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -431,3 +432,70 @@ def test_throttling_train_before_playback_matches_tick_engine():
     assert _compare(a, b, tech, stream)
     start = b[1].playback_start_s
     assert any(tr.t_s < tr.t_end_s < start for tr in _trains(b[0]))
+
+
+# Link boundaries.  On a link whose boundaries fall on the 50 ms tick grid,
+# the two engines cannot be compared tick for tick: a per-tick clock that
+# reaches a boundary a few ulps short of it steps a 1 us hop tick to cross
+# it (at t = 0.400001 s, say), which the event-driven engine, meeting the
+# boundary within TIE_S, never emits.  Off the grid, a boundary cuts a tick
+# in both engines, so there they must agree.
+
+GRID_STREAM = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
+GRID_CAP_BPS = 3e6
+
+
+def _grid_link(step_s, lo_bps=2e6, n=1000):
+    rng = random.Random(13)
+    return LinkModel(tuple((round(step_s * i, 6), rng.uniform(lo_bps, 12e6))
+                           for i in range(n)), rtt_ms=70.0)
+
+
+def _capped_delivery(engine, link, cap_bps=GRID_CAP_BPS, **kw):
+    """The whole stream from t = 0 on one connection, at cap_bps."""
+    eng = engine._Engine(GRID_STREAM, link, None)
+    conn = eng.open_connection()
+    eng.deliver(conn, cap_bps, **kw)
+    eng.close_connection(conn)
+    return eng.finalize()
+
+
+def test_boundaries_the_cap_hides_on_the_tick_grid_are_no_decisions():
+    """Every segment at or above the cap, every boundary on a tick edge:
+    the same spans, ticks, records and buffer as on a constant link."""
+    link = _grid_link(0.2, lo_bps=GRID_CAP_BPS)
+    link = LinkModel(link.segments[:7] + ((1.4, GRID_CAP_BPS),)
+                     + link.segments[8:], link.rtt_ms)
+    events, dlog = _capped_delivery(delivery, link)
+    want_events, want_log = _capped_delivery(delivery,
+                                             LinkModel.constant(12e6))
+    assert events.items == want_events.items
+    assert dlog.records.items == want_log.records.items
+    assert dlog.buffer_samples == want_log.buffer_samples
+    assert len(events.items) <= 4
+    # an open receive window lifts the cap: each boundary is a decision
+    events, _ = _capped_delivery(delivery, link, window_s=1e9)
+    assert events.items == _capped_delivery(delivery, link, math.inf)[0].items
+    assert len(events.items) > 50
+
+
+def test_boundaries_off_the_tick_grid_cut_a_tick():
+    """A 0.13 s grid puts every boundary off the tick grid: each one cuts
+    a tick, tick for tick as the per-tick engine does."""
+    link = _grid_link(0.13, lo_bps=GRID_CAP_BPS)
+    ev_b, log_b = _capped_delivery(delivery, link)
+    assert _same_delivery(*_capped_delivery(ref, link), ev_b, log_b,
+                          SimpleNamespace(), GRID_STREAM)
+    ticks = [e.t_s for e in ev_b if e.kind == "data"]
+    crossed = [t0 for t0, _ in link.segments if 0.0 < t0 < ticks[-1]]
+    assert len(crossed) > 200
+    assert all(min(abs(t - t0) for t in ticks) <= 1e-9 for t0 in crossed)
+
+
+@pytest.mark.parametrize("variant", range(7))
+def test_sessions_on_an_off_grid_link_match_tick_engine(variant):
+    """Every session variant on a 0.13 s-segment link from 2 to 12 Mbps:
+    boundaries the fast start crosses, boundaries below the refill cap and
+    boundaries above it."""
+    sc = replace(_session_variants()[variant], link=_grid_link(0.13, n=5000))
+    assert _sessions_match(*_run_both(sc))

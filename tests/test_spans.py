@@ -2,13 +2,14 @@
 
 import importlib.resources as ir
 import random
+from dataclasses import replace
 
 import pytest
 
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, OnOffM, PacketEvent,
                        StreamSpec, Throttling, WifiPsmConfig, compute_buffer,
-                       preset, simulate_radio, simulate_session)
+                       delivery, preset, simulate_radio, simulate_session)
 from streamsim.delivery import LogRecord, _data_record
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
@@ -293,3 +294,63 @@ def test_link_boundaries_on_the_tick_grid_leave_no_slivers():
     data = [e for e in events if e.kind == "data"][:-1]   # not the last
     assert min(e.bytes for e in data) >= 0.2 * 2e6 * 0.05 / 8
     assert dlog.bytes_delivered == pytest.approx(stream.size_bytes, abs=2.0)
+    # a run meets a boundary on its tick grid with a whole tick: the one
+    # tick a span holds next to a boundary is the cut of one off the grid
+    starts = [t0 for t0, _ in link.segments]
+    spans = [it for it in events.items if isinstance(it, TransferSpan)]
+    for s in spans[:-1]:
+        if s.n == 1 and any(abs(t - t0) <= 1e-9 for t0 in starts
+                            for t in (s.t_s - s.dt_s, s.t_s)):
+            assert s.dt_s < 0.05 - 1e-6, s
+    assert sum(s.n == 1 for s in spans[:-1]) == 1
+
+
+def _levels(rng, n, lo, hi):
+    """n evenly spaced levels in (lo, hi), in seeded order."""
+    out = [lo + (hi - lo) * (i + 0.5) / n for i in range(n)]
+    rng.shuffle(out)
+    return out
+
+
+def _long_inputs(seed):
+    """The bundled base scenario on a 3,000-segment link, 0.2 s a segment
+    from 2 to 12 Mbps, and with a 600-breakpoint VBR stream, 0.5 to 1.5
+    times the encoding rate: both seeded."""
+    base = load_scenario(str(SCENARIOS / "youtube_onoffm_hspa.scn"))
+    rng = random.Random(seed)
+    link = LinkModel(tuple((round(0.2 * i, 6), bw) for i, bw in
+                           enumerate(_levels(rng, 3000, 2e6, 12e6))),
+                     base.link.rtt_ms)
+    rate, w = base.stream.encoding_rate_bps, _levels(rng, 600, 0.5, 1.5)
+    stream = StreamSpec(600.0, rate, vbr_trace=[
+        (float(i), rate * x * len(w) / sum(w)) for i, x in enumerate(w)])
+    return replace(base, link=link), replace(base, stream=stream)
+
+
+def _stored_runs(res):
+    return sum(isinstance(it, (TransferSpan, ChunkTrain))
+               for it in res.events.items)
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_long_link_costs_a_run_per_decision(seed, monkeypatch):
+    """A run reaches each link boundary it crosses; a boundary the refill
+    cap hides on the tick grid is no decision point at all, so it costs no
+    run of the engine either, even where the span would join up."""
+    jumps = []
+    jump = delivery._Engine._jump
+    monkeypatch.setattr(delivery._Engine, "_jump",
+                        lambda eng, *a: jumps.append(a) or jump(eng, *a))
+    res = run_session(_long_inputs(seed)[0])
+    assert len(jumps) <= 700
+    assert _stored_runs(res) <= 700
+    assert len(res.dlog.to_csv_lines()) <= 700
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_long_vbr_costs_a_run_per_threshold(seed):
+    """A VBR run is refined to the tick before its crossing, so each
+    threshold costs a run or two, not a geometric approach."""
+    res = run_session(_long_inputs(seed)[1])
+    assert _stored_runs(res) <= 24
+    assert len(res.dlog.to_csv_lines()) <= 50

@@ -1,10 +1,15 @@
+import math
+import random
+
 import pytest
 
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
                        PacketEvent, StreamSpec, Throttling, classify,
-                       estimate_buffer, preset, simulate_session)
+                       detect_stalls, estimate_buffer, preset,
+                       simulate_session)
 from streamsim.traces import (FlowRecord, ingest_text, records_from_events,
                               records_to_csv, records_to_events)
+from test_acceptance import _random_scenario
 
 
 def test_ingest_three_rows(tmp_path):
@@ -134,3 +139,29 @@ def test_ambiguous_trace_lowers_confidence():
     assert cls.technique == "on_off_s"
     assert cls.confidence < 0.8
     assert cls.evidence.get("also_matched") == "on_off_m"
+
+
+def test_replayed_records_add_no_stall_to_the_sessions_own():
+    """Every non-ladder session of the criterion-10 generator, replayed
+    from its own flow records from the engine's join, stalls where the
+    engine did and nowhere else.  Each record rounds its tick to whole
+    bytes, but estimate_buffer sizes the stream from those rounded bytes,
+    so the replay still ends with the content complete."""
+    rng = random.Random(2026)
+    replayed = 0
+    for i in range(1000):
+        stream, link, tech, _, _ = _random_scenario(rng)
+        if isinstance(tech, (Hls, Mss)):
+            continue    # a replay reads every byte at one rate
+        events, dlog = simulate_session(stream, link, tech)
+        join = dlog.playback_start_s
+        tl = estimate_buffer(records_from_events(events),
+                             stream.encoding_rate_bps,
+                             math.inf if join is None else join)
+        stalls = detect_stalls(tl).stall_events
+        assert len(stalls) == len(dlog.stall_events), i
+        for (a, _), (b, _) in zip(stalls, dlog.stall_events):
+            assert a == pytest.approx(b, abs=1e-4), i
+        assert tl.completed == dlog.completed, i
+        replayed += 1
+    assert replayed == 749
