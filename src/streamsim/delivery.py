@@ -17,11 +17,11 @@ rate cap holds to the same rate, on a tick edge, is no decision point.
 The other crossings are predicted, and only the ticks next to them are
 stepped singly, so every decision lands on the tick it would land on if
 every tick were stepped; a VBR run's prediction is refined from the exact
-state it reaches.  A throttled sender's chunk cycles get the
-same treatment one level up: a cycle that repeats the one before it makes
-the two a ChunkTrain, and whole runs of repeats are applied in closed form.
-The event list and the delivery log expand spans and trains into per-tick
-entries when read; delivery_log.csv writes one row per stored run instead.
+state it reaches.  The drivers' periodic loops get the same treatment
+one level up (_Engine.repeat_cycles): a cycle that repeats the one before
+it makes the two a ChunkTrain, and whole runs of repeats are applied in
+closed form.  The event list and the delivery log expand spans and trains
+into per-tick entries when read; delivery_log.csv writes one per run.
 
 The engine is deterministic: equal inputs always produce identical event
 streams (ties broken by connection id, then event kind).
@@ -33,7 +33,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, PacketEvent, StreamSpec,
@@ -99,8 +99,10 @@ class DeliveryLog:
     ticks are stored as TransferSpans and ChunkTrains and expanded when
     read, and rows() writes them one row per run.  buffer_samples are the
     buffer's breakpoints: the first and last tick of each span, and each
-    start, stall and end of playback; between two of them the buffer moves
-    linearly.
+    start, stall and end of playback.  A drain-gated train (HLS, MSS) keeps
+    those of every cycle; a clocked one (throttling) those of its first and
+    last cycles, between which the buffer follows the trend, without the
+    ripple of less than a chunk.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
@@ -244,24 +246,21 @@ def _ticks_to(gap: float, per_tick: float) -> float:
 
 @dataclass
 class _Cycle:
-    """One chunk cycle stepped singly: a chunk sent at due, then the wait
-    until the next chunk is due."""
-    due: float
-    chunk: float
-    buffer_s: float          # content buffered at due
-    phase: tuple[bool, bool]  # (playback started, stalled) at due
-    first: int               # index of its first run in the events
-    log_first: int           # ... and in the log records
+    """One turn of a driver's loop, stepped singly: from t0 to the start
+    of the next turn."""
+    t0: float
+    buffer_s: float            # content buffered at t0
+    phase: tuple[bool, bool]   # (playback started, stalled) at t0
+    marks: tuple               # _Engine._marks() at t0
     spans: tuple[TransferSpan, ...] = ()
-    period_s: float = 0.0    # due to the next due
-    dbuffer_s: float = 0.0   # buffer change from due to the next due
+    period_s: float = 0.0      # t0 to the next turn's start
+    dbuffer_s: float = 0.0     # buffer change over the turn
+    buffered: float = 0.0      # bytes that entered the buffer in the turn
 
     def repeats(self, prev: "_Cycle", phase: tuple[bool, bool]) -> bool:
         """Whether this cycle is prev again, period_s later, with the
         playback phase unchanged from prev's start to this one's end."""
-        # equal chunks too: a jittered one never repeats, so the random
-        # draws stay one per chunk
-        if not (self.chunk == prev.chunk and self.phase == prev.phase == phase
+        if not (self.phase == prev.phase == phase
                 and self.spans and len(self.spans) == len(prev.spans)
                 and abs(self.period_s - prev.period_s) <= TIE_S
                 and abs(self.dbuffer_s - prev.dbuffer_s) <= TIE_S):
@@ -269,7 +268,7 @@ class _Cycle:
         return all(
             (a.n, a.connection_id, a.nbytes, a.dt_s)
             == (b.n, b.connection_id, b.nbytes, b.dt_s)
-            and abs((b.t_s - self.due) - (a.t_s - prev.due)) <= TIE_S
+            and abs((b.t_s - self.t0) - (a.t_s - prev.t0)) <= TIE_S
             and abs((b.buffer_s - self.buffer_s)
                     - (a.buffer_s - prev.buffer_s)) <= TIE_S
             and abs(b.dbuffer_s - a.dbuffer_s) <= TIE_S
@@ -277,7 +276,7 @@ class _Cycle:
 
     def levels(self, crate: float) -> tuple[float, float]:
         """The lowest buffer level just before an arrival and the highest
-        just after one, relative to the level at due."""
+        just after one, relative to the level at t0."""
         lo = hi = 0.0
         for s in self.spans:
             ends = (s.buffer_s, s.buffer_s + (s.n - 1) * s.dbuffer_s)
@@ -317,6 +316,7 @@ class _Engine:
         self.own_rate = (None if stream.vbr_trace is not None
                          else stream.encoding_rate_bps)
         self.delivered_content_s = 0.0
+        self._pushed = 0.0   # bytes buffered since the loop turn began
         # playback starts start_delay_s after the buffer first holds the
         # start threshold, at start_at
         self.start_at: Optional[float] = None
@@ -348,6 +348,11 @@ class _Engine:
     def content_done(self) -> bool:
         return (self.stream.duration_s - self.delivered_content_s
                 <= CONTENT_DONE_S)
+
+    @property
+    def ended(self) -> bool:
+        """Playback finished, the content is delivered or the link died."""
+        return self.finished or self.content_done or self.starved
 
     @property
     def playing(self) -> bool:
@@ -420,6 +425,7 @@ class _Engine:
                                                   nbytes)
                     if crate is None else nbytes * 8.0 / crate)
             self.buf.push(secs, nbytes, crate)
+            self._pushed += nbytes
             self.delivered_content_s += secs
             self.log.content_delivered_s += secs
         if played:
@@ -672,48 +678,75 @@ class _Engine:
         until the content or the watch session ends; a chunk that takes
         longer than that is followed at once by the next.  Each chunk is
         chunk_bytes, or drawn uniformly from chunk_bytes * [1 - jitter,
-        1 + jitter].
-
-        A cycle (a chunk and the wait after it) that repeats the one
-        before it, shifted by a period, makes the two a ChunkTrain.  The
-        train then grows by the longest run of whole repeats that crosses
-        no decision point -- a link boundary, the end of the content or of
-        the watch, playback start, stall or resume -- in closed form, and
-        the cycles next to a crossing are stepped singly.  A cycle that
-        comes out different ends the train.
-        """
-        crate = self.stream.encoding_rate_bps
-        due = self.t
-        cur = prev = train = None   # cycle in flight, last one, prev's train
-        while (not self.finished and not self.content_done
-               and not self.starved):
-            self.wait_until(due)
-            if self.finished:
-                break
-            if cur is not None:
-                cur.spans = tuple(self.events[cur.first:])
-                cur.dbuffer_s = self.buf.seconds - cur.buffer_s
-                # only a CBR stream brings the same content every repeat
-                if (prev is not None and self.own_rate is not None
-                        and cur.repeats(prev, self._phase())):
-                    train = self._extend_train(train, prev, cur)
-                    m = self._whole_cycles(cur, crate)
-                    if m > 0:
-                        self._jump_cycles(train, cur, m, crate)
-                        due = self.t
-                else:
-                    train = None
-                prev = cur
+        1 + jitter]; a jittered chunk never repeats, so the random draws
+        stay one per chunk."""
+        def cycle() -> tuple[float, float]:
+            self._open_span = None   # own runs: back-to-back chunks repeat
             chunk = chunk_bytes
             if jitter:
                 chunk *= self.rng.uniform(1.0 - jitter, 1.0 + jitter)
-            self._open_span = None     # a cycle's runs are its own
-            cur = _Cycle(due, chunk, self.buf.seconds, self._phase(),
-                         len(self.events), len(self.log.records.items))
+            due = self.t
             self.deliver(conn, math.inf, nbytes=chunk)
-            step = chunk * 8.0 / rate_bps
-            cur.period_s = max(step, self.t - due)
-            due = max(due + step, self.t)
+            period = max(chunk * 8.0 / rate_bps, self.t - due)
+            if not self.ended:
+                self.wait_until(due + period)
+            return chunk, period
+
+        self.repeat_cycles(cycle)
+
+    def repeat_cycles(self, cycle: Callable[[], tuple[object, float]],
+                      lower_s: Optional[float] = None) -> None:
+        """Run cycle, one turn of a driver's loop, until delivery ends; it
+        returns the driver's decision state and the turn's period.  A
+        gated loop requests once the buffer holds at most lower_s.
+
+        A turn that repeats the last one (the same runs a period later,
+        one content rate buffered, no other log entry, and the decision
+        state and playback phase as it found them) makes the two a
+        ChunkTrain.  The train then grows by the longest run of whole
+        repeats that crosses no decision point -- a link boundary, the
+        end of the content or the watch, playback start, stall or resume,
+        or lower_s -- in closed form.
+        """
+        prev = train = None    # the last turn that could repeat, its train
+        state: object = None   # the decision state before the turn
+        while not self.ended:
+            self._pushed = 0.0
+            cur = _Cycle(self.t, self.buf.seconds, self._phase(),
+                         self._marks())
+            before, (state, cur.period_s) = state, cycle()
+            if self.ended:
+                break
+            crate = self._close_cycle(cur)
+            if (crate is not None and prev is not None and before == state
+                    and cur.repeats(prev, self._phase())):
+                train = self._extend_train(train, prev, cur)
+                m = self._whole_cycles(cur, crate, lower_s)
+                if m > 0:
+                    self._jump_cycles(train, cur, m, crate, lower_s)
+            else:
+                train = None
+            prev = cur if crate is not None else None
+
+    def _marks(self) -> tuple:
+        """Lengths of the lists a loop turn may append to; buffer rates."""
+        lg = self.log
+        return (len(self.events), len(lg.records.items),
+                len(lg.buffer_samples), {seg[2] for seg in self.buf.segments},
+                *map(len, (lg.quality_switches, lg.on_spans, lg.off_spans,
+                           lg.stall_events, lg.notes)))
+
+    def _close_cycle(self, c: _Cycle) -> Optional[float]:
+        """End turn c now: the one content rate its buffer held, or None
+        if it held VBR content or two rates, or logged more than runs."""
+        c.dbuffer_s, c.buffered = self.buf.seconds - c.buffer_s, self._pushed
+        c.spans = tuple(self.events[c.marks[0]:])
+        end = self._marks()
+        rates = c.marks[3] | end[3]
+        if (end[4:] != c.marks[4:] or len(rates) != 1 or not c.buffered
+                or list(c.spans) != self.log.records.items[c.marks[1]:]):
+            return None
+        return rates.pop()
 
     def _phase(self) -> tuple[bool, bool]:
         return self.playback_start is not None, self.stalled
@@ -724,27 +757,32 @@ class _Engine:
         one, prev and cur become a new train."""
         if train is None:
             train = ChunkTrain(prev.spans, 1, prev.period_s, prev.dbuffer_s)
-            cut, log_cut = prev.first, prev.log_first
+            cut, log_cut = prev.marks[:2]
         else:
-            cut, log_cut = cur.first, cur.log_first
+            cut, log_cut = cur.marks[:2]
         del self.events[cut:]
         del self.log.records.items[log_cut:]
+        self._open_span = None     # a train's ticks are not extended
         if train.m == 1:
             self.events.append(train)
             self.log.records.items.append(train)
         train.m += 1
         return train
 
-    def _whole_cycles(self, c: _Cycle, crate: float) -> int:
+    def _whole_cycles(self, c: _Cycle, crate: float,
+                      lower_s: Optional[float]) -> int:
         """Whole repeats of cycle c, from its end, that can be applied in
         closed form: the run stops a cycle short of the earliest predicted
         decision point, as _whole_ticks does for ticks."""
         p, b = c.period_s, self.buf.seconds
-        last_tick = c.spans[-1].t_end_s - c.due
-        x = (self.link.next_change_after(c.due) - self.t - last_tick) / p
-        secs = sum(s.n * s.nbytes for s in c.spans) * 8.0 / crate
-        x = min(x, self.content_remaining_s / secs)
+        last_tick = c.spans[-1].t_end_s - c.t0
+        x = (self.link.next_change_after(c.t0) - self.t - last_tick) / p
+        x = min(x, self.content_remaining_s / (c.buffered * 8.0 / crate))
         lo, hi = c.levels(crate)
+        if lower_s is not None and c.dbuffer_s > TIE_S:
+            # a drain would end the turn where it began: a gaining turn's
+            # requests, made without one, must stay at or below lower_s
+            x = min(x, _ticks_to(lower_s - b - hi, c.dbuffer_s))
         if self.playback_start is None:
             x = min(x, _ticks_to(self.start_threshold_s - b - hi, c.dbuffer_s)
                     if self.start_at is None else (self.start_at - self.t) / p)
@@ -758,12 +796,23 @@ class _Engine:
         return int(x) - 1
 
     def _jump_cycles(self, train: ChunkTrain, c: _Cycle, m: int,
-                     crate: float) -> None:
-        """Apply m whole repeats of cycle c that cross no decision point."""
-        nbytes = m * sum(s.n * s.nbytes for s in c.spans)
-        self.log.bytes_delivered += nbytes
-        self._fill(nbytes, crate, m * train.period_s if self.playing else 0.0)
-        self.t += m * train.period_s
+                     crate: float, lower_s: Optional[float]) -> None:
+        """Apply m whole repeats of cycle c that cross no decision point;
+        a gated loop's keep c's buffer samples, shifted (the sawtooth)."""
+        p, d = train.period_s, c.dbuffer_s
+        delivered = sum(s.n * s.nbytes for s in c.spans)
+        if lower_s is not None:
+            self.log.buffer_samples += [
+                BufferSample(s.t_s + j * p, s.buffered_seconds + j * d,
+                             s.buffered_bytes + j * d * crate / 8.0)
+                for j in range(1, m + 1)
+                for s in self.log.buffer_samples[c.marks[2]:]]
+        self.log.bytes_delivered += m * delivered
+        # bytes that never entered the buffer (interleaved audio) count as
+        # consumed on arrival, as the drivers book them
+        self.log.bytes_consumed += m * (delivered - c.buffered)
+        self._fill(m * c.buffered, crate, m * p if self.playing else 0.0)
+        self.t += m * p
         train.m += m
 
     # -- waits -------------------------------------------------------------
@@ -1065,24 +1114,28 @@ def _run_hls(eng: _Engine, tech: Hls) -> None:
             fetch_audio()
     # steady state: the buffer target gates each request, which spaces the
     # chunks one chunk duration apart while content drains at unit rate
-    target = tech.initial_chunks * tech.chunk_s
-    while not eng.finished and not eng.content_done and not eng.starved:
-        if eng.buf.seconds > target - tech.chunk_s:
-            eng.wait_drain_to_seconds(target - tech.chunk_s)
-        if eng.finished:
-            break
-        due = eng.t
-        fetch_chunk()
-        if tech.audio_video_split:
-            eng.wait_until(due + tech.av_offset_s)
-            fetch_audio()
+    level = tech.initial_chunks * tech.chunk_s - tech.chunk_s
+
+    def steady() -> tuple[tuple[int, int, int], float]:
+        t0 = eng.t
+        if eng.buf.seconds > level:
+            eng.wait_drain_to_seconds(level)
+        if not eng.finished:
+            due = eng.t
+            fetch_chunk()
+            if tech.audio_video_split:
+                eng.wait_until(due + tech.av_offset_s)
+                fetch_audio()
+        return (state["rung"], state["up"], state["down"]), eng.t - t0
+
+    eng.repeat_cycles(steady, level)
     eng.close_connection(conn)
 
 
 def _run_mss(eng: _Engine, tech: Mss) -> None:
     ladder = list(tech.ladder)
-    state = {"rung": 0, "chunks": 0}
-    measured: list[float] = []
+    state = {"rung": 0, "pos": 0}   # pos: video chunks since the audio
+    measured: list[float] = []    # the first three chunks' bandwidths
     conn = eng.open_connection()
     eng.wait_until(eng.link.rtt_s)
     eng.mark_on()
@@ -1096,10 +1149,10 @@ def _run_mss(eng: _Engine, tech: Mss) -> None:
         t0 = eng.t
         eng.deliver(conn, math.inf, nbytes=nbytes,
                     content_rate_bps=ladder[rung][1])
-        state["chunks"] += 1
-        if state["chunks"] <= 3:
+        state["pos"] = (state["pos"] + 1) % tech.audio_every_n_video_chunks
+        if len(measured) < 3:
             measured.append(_measured_bandwidth(eng, nbytes, t0))
-            if state["chunks"] == 3:
+            if len(measured) == 3:
                 bw = min(measured)
                 best = 0
                 for i, (_, r) in enumerate(ladder):
@@ -1109,22 +1162,29 @@ def _run_mss(eng: _Engine, tech: Mss) -> None:
                     eng.log.quality_switches.append(
                         (eng.t, ladder[rung][0], ladder[best][0]))
                     state["rung"] = best
-        if state["chunks"] % tech.audio_every_n_video_chunks == 0:
+        if state["pos"] == 0:
             audio = (tech.audio_every_n_video_chunks * tech.video_chunk_s
                      * tech.audio_rate_bps / 8.0)
             moved = eng.deliver_aux(conn, audio)
             eng.log.bytes_consumed += moved
 
-    while (not eng.finished and not eng.content_done
-           and eng.buf.seconds < tech.startup_buffer_s):
+    while not eng.ended and eng.buf.seconds < tech.startup_buffer_s:
         fetch_video()
-    while not eng.finished and not eng.content_done and not eng.starved:
-        if eng.buf.seconds > tech.startup_buffer_s - tech.video_chunk_s:
-            eng.wait_drain_to_seconds(tech.startup_buffer_s
-                                      - tech.video_chunk_s)
-        if eng.finished:
-            break
-        fetch_video()
+    level = tech.startup_buffer_s - tech.video_chunk_s
+
+    def group() -> tuple[tuple[int, int], float]:   # one audio group
+        t0 = eng.t
+        while not eng.ended:
+            if eng.buf.seconds > level:
+                eng.wait_drain_to_seconds(level)
+            if eng.finished:
+                break
+            fetch_video()
+            if state["pos"] == 0:
+                break
+        return (state["rung"], state["pos"]), eng.t - t0
+
+    eng.repeat_cycles(group, level)
     eng.close_connection(conn)
 
 

@@ -388,6 +388,16 @@ def test_mss_stays_on_lowest_rung_when_starved(hd_stream):
     assert not dlog.quality_switches
 
 
+def test_mss_ends_when_the_link_dies_before_its_startup_buffer(hd_stream):
+    """The startup loop stops once the link starves: the session ends in
+    a stall playback never leaves, where it used to request for ever."""
+    link = LinkModel(((0.0, 8e6), (5.0, 0.0)), rtt_ms=70)
+    _, dlog = simulate_session(hd_stream, link, Mss())
+    assert "link starved with no recovery" in dlog.notes
+    assert dlog.notes[-1] == "session ends stalled: content underrun"
+    assert not dlog.completed and len(dlog.stall_events) == 1
+
+
 def test_mss_switches_to_max_sustainable_within_first_chunks(hd_stream):
     link = LinkModel.constant(20_000_000, rtt_ms=30)
     _, dlog = simulate_session(hd_stream, link, Mss())

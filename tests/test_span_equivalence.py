@@ -17,6 +17,7 @@ by float noise alone; each such case is checked to be exactly that.
 
 import importlib.resources as ir
 import math
+from bisect import bisect_right
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -363,13 +364,18 @@ THROTTLING_CASES = {
 }
 
 
-def _throttling(name):
-    changes = {"name": f"throttling_{name}", "technique.preset": None,
-               "technique.kind": "throttling", **THROTTLING_CASES[name]}
+def _edited(name, kind, keys):
+    """The base scenario with technique.kind = kind and keys set."""
+    changes = {"name": name, "technique.preset": None,
+               "technique.kind": kind, **keys}
     lines = [line for line in _text(BASE).splitlines()
              if line.partition("=")[0].strip() not in changes]
     lines += [f"{k} = {v}" for k, v in changes.items() if v is not None]
     return parse_scenario_text("\n".join(lines) + "\n")
+
+
+def _throttling(name):
+    return _edited(f"throttling_{name}", "throttling", THROTTLING_CASES[name])
 
 
 def _throttled_below_rate(factor, **fields):
@@ -432,6 +438,80 @@ def test_throttling_train_before_playback_matches_tick_engine():
     assert _compare(a, b, tech, stream)
     start = b[1].playback_start_s
     assert any(tr.t_s < tr.t_end_s < start for tr in _trains(b[0]))
+
+
+# HLS and MSS variants whose drain-gated steady state forms trains, and
+# ones that cut a train: the technique and the keys to set.
+LINK_DROP = {"link.bandwidth_bps": None,
+             "link.segments": "0:8000000,300:3000000"}
+LADDER_CASES = {
+    "hls_split": ("hls", {"technique.audio_video_split": "true"}),
+    "hls_link_drop": ("hls", LINK_DROP),
+    "mss_link_drop": ("mss", LINK_DROP),
+    # down to SD for good: the HD seconds still buffered drain first
+    "hls_link_drop_below_hd": ("hls", {**LINK_DROP, "link.segments":
+                                       "0:8000000,200:1500000"}),
+    "hls_abandon": ("hls", {"abandon_at_s": 333}),
+    "mss_abandon": ("mss", {"abandon_at_s": 333}),
+    # the first up-switches come in the steady state: cycles that count
+    # towards one repeat the last one's runs, but not its decision state
+    "hls_slow_up": ("hls", {"technique.up_consecutive": 10}),
+    # below the drain level each chunk gains 1.3 s on this link: a train
+    # of requests that need no drain stops before the buffer reaches it
+    "hls_catch_up": ("hls", {"link.bandwidth_bps": 2300000}),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_CASES))
+def test_ladder_trains_match_tick_engine(name, monkeypatch):
+    sc = _edited(name, *LADDER_CASES[name])
+    a, b = _run_both(sc)
+    assert _sessions_match(a, b)
+    trains = _trains(b.events)
+    assert trains and all(tr.m >= 2 for tr in trains)
+    for tr in trains:
+        assert not any(tr.t_s < t0 <= tr.t_end_s
+                       for t0, _ in sc.link.segments)
+    # the repeats a train jumps leave the buffer timeline, bytes too, that
+    # stepping each of them leaves
+    monkeypatch.setattr(delivery._Engine, "_whole_cycles", lambda *a: 0)
+    stepped = run_session(sc).buffer.samples
+    for t in [s.t_s for s in stepped + b.buffer.samples]:
+        assert _reads(b.buffer.samples, t) == pytest.approx(
+            _reads(stepped, t), rel=1e-9, abs=1e-6), t
+
+
+def _reads(samples, t):
+    """The seconds and bytes a buffer timeline reads at time t: linear
+    between samples, the last one at a tie."""
+    i = bisect_right([s.t_s for s in samples], t + 1e-9)
+    a = samples[i - 1]
+    if i == len(samples) or t <= a.t_s:
+        return a[1:]
+    w = (t - a.t_s) / (samples[i].t_s - a.t_s)
+    return tuple(x + w * (y - x) for x, y in zip(a[1:], samples[i][1:]))
+
+
+@pytest.mark.parametrize("variant", [3, 4], ids=["hls", "mss"])
+def test_ladder_buffer_timeline_keeps_every_drain(variant):
+    """The buffer timeline of a drain-gated train keeps each cycle's
+    breakpoints, so it reads the per-tick engine's buffer at every data
+    tick: the 10 s HLS and 16 s MSS sawtooth.  The per-tick run's replay
+    reads every byte at the stream's rate, which a ladder's rungs are
+    not, so the reference is that engine's own log.  Where a discard
+    empties the buffer at a tick's time, either side of the drop counts."""
+    a, b = _run_both(_session_variants()[variant])
+    assert _trains(b.events)
+    records = list(a.dlog.records)
+    for i, r in enumerate(records):
+        if r.event != "data":
+            continue
+        j = i      # the last record at the tick's time
+        while j + 1 < len(records) and records[j + 1].t_s <= r.t_s + 1e-9:
+            j += 1
+        got = b.buffer.value_at(r.t_s)
+        assert min(abs(got - r.buffer_s_after),
+                   abs(got - records[j].buffer_s_after)) <= 1e-6, (r, got)
 
 
 # Link boundaries.  On a link whose boundaries fall on the 50 ms tick grid,

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
-                       LinkModel, LteDrxConfig, OnOffM, PacketEvent,
+                       LinkModel, LteDrxConfig, Mss, OnOffM, PacketEvent,
                        StreamSpec, Throttling, WifiPsmConfig, compute_buffer,
                        delivery, preset, simulate_radio, simulate_session)
 from streamsim.delivery import LogRecord, _data_record
@@ -46,6 +46,22 @@ def test_throttling_cost_follows_state_changes():
         for sp in train.repeats(j, j + 1):
             for t in (sp.t_s, sp.t_end_s):
                 assert any(abs(s.t_s - t) <= 1e-9 for s in res.buffer.samples)
+
+
+@pytest.mark.parametrize("kind,entries,lines,samples",
+                         [("hls", 30, 35, 121), ("mss", 80, 90, 391)])
+def test_ladder_steady_state_is_a_train(kind, entries, lines, samples):
+    """The bundled base scenario re-run with HLS or MSS: the steady state
+    requests a chunk, or an audio group, each time the buffer drains to
+    its level, and those cycles are one train (60 and 214 stored entries
+    when each was stepped).  The buffer keeps every cycle's breakpoints."""
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text(encoding="utf-8")
+    text = text.replace("technique.preset = youtube_onoffm",
+                        f"technique.kind = {kind}")
+    res = run_session(parse_scenario_text(text))
+    assert len(res.events.items) <= entries
+    assert len(res.dlog.to_csv_lines()) <= lines
+    assert len(res.buffer.samples) == samples
 
 
 def _seq():
@@ -164,7 +180,10 @@ def test_session_logs_write_one_row_per_run(variant):
     sc = _session_variants()[variant]
     rows = assert_log_rows_are_its_runs(run_session(sc).dlog)
     repeats = [r for r in rows if r.event == "repeat"]
-    assert len(repeats) == (1 if isinstance(sc.technique, Throttling) else 0)
+    # one train each: the throttled chunk cycles, and the drain-gated
+    # steady state of HLS and MSS
+    assert len(repeats) == (1 if isinstance(sc.technique, (Hls, Mss,
+                                                          Throttling)) else 0)
 
 
 def _vbr_stream():
