@@ -33,6 +33,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
@@ -73,6 +74,11 @@ class LogRecord:
     bytes: float
     buffer_s_after: float
 
+    def shifted(self, dt: float, dbuffer: float, dconn: int) -> "LogRecord":
+        conn = self.connection_id + dconn if self.connection_id >= 0 else -1
+        return LogRecord(self.t_s + dt, self.event, conn, self.bytes,
+                         self.buffer_s_after + dbuffer)
+
 
 def _data_record(span: TransferSpan, k: int) -> LogRecord:
     return LogRecord(span.tick_t(k), "data", span.connection_id, span.nbytes,
@@ -96,13 +102,14 @@ class DeliveryLog:
     playback it drove.
 
     records holds one LogRecord per decision and per data tick; the data
-    ticks are stored as TransferSpans and ChunkTrains and expanded when
-    read, and rows() writes them one row per run.  buffer_samples are the
-    buffer's breakpoints: the first and last tick of each span, and each
-    start, stall and end of playback.  A drain-gated train (HLS, MSS) keeps
-    those of every cycle; a clocked one (throttling) those of its first and
-    last cycles, between which the buffer follows the trend, without the
-    ripple of less than a chunk.
+    ticks are stored as TransferSpans, repeated cycles (with their
+    decisions) as ChunkTrains, both expanded when read, and rows() writes
+    them one row per run.  buffer_samples are the buffer's breakpoints:
+    the first and last tick of each span, each start, stall and end of
+    playback, and each discard.  A drain-gated train (HLS, MSS, on/off)
+    keeps those of every cycle; a clocked one (throttling) those of its
+    first and last cycles, between which the buffer follows the trend,
+    without the ripple of less than a chunk.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
@@ -135,22 +142,22 @@ class DeliveryLog:
 
         A decision record is its own row.  A TransferSpan is one data row
         at its last tick, carrying the span's bytes and the buffer after
-        that tick.  A ChunkTrain is its first cycle's data rows, then one
-        repeat row at the train's last tick carrying the bytes of the other
-        cycles and the buffer after that tick.
+        that tick.  A ChunkTrain is its first cycle's rows, decision
+        records included, then one repeat row at the train's last tick
+        carrying the bytes of the other cycles and the buffer after that
+        tick; it stands for those cycles' decision rows too.
         """
         for it in self.records.items:
-            if isinstance(it, TransferSpan):
-                yield _run_row(it, "data", it.n * it.nbytes)
-            elif isinstance(it, ChunkTrain):
-                for s in it.cycle:
-                    yield _run_row(s, "data", s.n * s.nbytes)
-                if it.m > 1:
-                    *_, last = it.repeats(it.m - 1)
-                    yield _run_row(last, "repeat", (it.m - 1) * sum(
-                        s.n * s.nbytes for s in it.cycle))
-            else:
-                yield it
+            train = isinstance(it, ChunkTrain)
+            for e in it.cycle if train else (it,):
+                yield (_run_row(e, "data", e.n * e.nbytes)
+                       if isinstance(e, TransferSpan) else e)
+            if train and it.m > 1:
+                *_, last = (e for e in it.repeats(it.m - 1)
+                            if isinstance(e, TransferSpan))
+                yield _run_row(last, "repeat", (it.m - 1) * sum(
+                    s.n * s.nbytes for s in it.cycle
+                    if isinstance(s, TransferSpan)))
 
     def to_csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
@@ -251,28 +258,39 @@ class _Cycle:
     t0: float
     buffer_s: float            # content buffered at t0
     phase: tuple[bool, bool]   # (playback started, stalled) at t0
-    marks: tuple               # _Engine._marks() at t0
+    marks: SimpleNamespace     # _Engine._marks() at t0
+    events: tuple = ()         # the turn's entries in the event list
+    records: tuple = ()        # and in the log
     spans: tuple[TransferSpan, ...] = ()
     period_s: float = 0.0      # t0 to the next turn's start
     dbuffer_s: float = 0.0     # buffer change over the turn
     buffered: float = 0.0      # bytes that entered the buffer in the turn
 
+    def _shape(self, e) -> tuple[tuple, tuple]:
+        """What of log entry e a repeat matches exactly, and what within
+        TIE_S; times, levels and connections relative to the turn's."""
+        conn = e.connection_id
+        conn = conn - self.marks.conn if conn >= 0 else None
+        if isinstance(e, TransferSpan):
+            return ((e.n, e.nbytes, e.dt_s, conn),
+                    (e.t_s - self.t0, e.buffer_s - self.buffer_s, e.dbuffer_s))
+        return ((e.event, e.bytes, conn),
+                (e.t_s - self.t0, e.buffer_s_after - self.buffer_s))
+
     def repeats(self, prev: "_Cycle", phase: tuple[bool, bool]) -> bool:
         """Whether this cycle is prev again, period_s later, with the
-        playback phase unchanged from prev's start to this one's end."""
-        if not (self.phase == prev.phase == phase
-                and self.spans and len(self.spans) == len(prev.spans)
+        playback phase unchanged from prev's start to this one's end.  The
+        log holds all a turn sends: each control packet has a record."""
+        if not (self.phase == prev.phase == phase and self.spans
+                and len(self.records) == len(prev.records)
                 and abs(self.period_s - prev.period_s) <= TIE_S
                 and abs(self.dbuffer_s - prev.dbuffer_s) <= TIE_S):
             return False
-        return all(
-            (a.n, a.connection_id, a.nbytes, a.dt_s)
-            == (b.n, b.connection_id, b.nbytes, b.dt_s)
-            and abs((b.t_s - self.t0) - (a.t_s - prev.t0)) <= TIE_S
-            and abs((b.buffer_s - self.buffer_s)
-                    - (a.buffer_s - prev.buffer_s)) <= TIE_S
-            and abs(b.dbuffer_s - a.dbuffer_s) <= TIE_S
-            for a, b in zip(prev.spans, self.spans))
+        shapes = zip(map(prev._shape, prev.records),
+                     map(self._shape, self.records))
+        return all(xa == xb and all(abs(u - v) <= TIE_S
+                                    for u, v in zip(ya, yb))
+                   for (xa, ya), (xb, yb) in shapes)
 
     def levels(self, crate: float) -> tuple[float, float]:
         """The lowest buffer level just before an arrival and the highest
@@ -317,6 +335,7 @@ class _Engine:
                          else stream.encoding_rate_bps)
         self.delivered_content_s = 0.0
         self._pushed = 0.0   # bytes buffered since the loop turn began
+        self._stopped = False   # whether a transfer since then met its stop
         # playback starts start_delay_s after the buffer first holds the
         # start threshold, at start_at
         self.start_at: Optional[float] = None
@@ -394,6 +413,8 @@ class _Engine:
     def _stall(self) -> None:
         self.stalled = True
         self.stall_since = self.t
+        if self.log.buffer_samples[-1][:2] == (self.t, self.buf.seconds):
+            self.log.buffer_samples.pop()   # a discard's: the stall's now
         self._sample()
 
     def _post_arrival(self) -> None:
@@ -540,9 +561,9 @@ class _Engine:
         while not self.finished:
             if budget - moved <= 0.5:
                 break
-            if stop_s is not None and self.buf.seconds >= stop_s:
-                break
-            if stop_bytes is not None and self.buf.bytes >= stop_bytes:
+            if (stop_s is not None and self.buf.seconds >= stop_s or
+                    stop_bytes is not None and self.buf.bytes >= stop_bytes):
+                self._stopped = True
                 break
             if enter_buffer and self.content_done:
                 break
@@ -698,20 +719,23 @@ class _Engine:
                       lower_s: Optional[float] = None) -> None:
         """Run cycle, one turn of a driver's loop, until delivery ends; it
         returns the driver's decision state and the turn's period.  A
-        gated loop requests once the buffer holds at most lower_s.
+        gated loop requests once the buffer holds at most lower_s (math.inf
+        after a fixed OFF period) and keeps every cycle's buffer samples;
+        a clocked one (None), its trains' first and last cycles'.
 
-        A turn that repeats the last one (the same runs a period later,
-        one content rate buffered, no other log entry, and the decision
-        state and playback phase as it found them) makes the two a
-        ChunkTrain.  The train then grows by the longest run of whole
-        repeats that crosses no decision point -- a link boundary, the
-        end of the content or the watch, playback start, stall or resume,
-        or lower_s -- in closed form.
+        A turn that repeats the last one (the same entries a period later,
+        on connections as many further on as it opened, one content rate
+        buffered, and the decision state and playback phase as it found
+        them) makes the two a ChunkTrain, in the event list and the log,
+        which then grows by the longest run of whole repeats that crosses
+        no decision point -- a link boundary, the end of the content or
+        the watch, playback start, stall or resume, or lower_s -- in
+        closed form.
         """
-        prev = train = None    # the last turn that could repeat, its train
+        prev = trains = None   # the last turn that could repeat, its trains
         state: object = None   # the decision state before the turn
         while not self.ended:
-            self._pushed = 0.0
+            self._pushed, self._stopped = 0.0, False
             cur = _Cycle(self.t, self.buf.seconds, self._phase(),
                          self._marks())
             before, (state, cur.period_s) = state, cycle()
@@ -720,64 +744,82 @@ class _Engine:
             crate = self._close_cycle(cur)
             if (crate is not None and prev is not None and before == state
                     and cur.repeats(prev, self._phase())):
-                train = self._extend_train(train, prev, cur)
+                trains = self._extend_train(trains, prev, cur)
                 m = self._whole_cycles(cur, crate, lower_s)
                 if m > 0:
-                    self._jump_cycles(train, cur, m, crate, lower_s)
+                    self._jump_cycles(trains, cur, m, crate, lower_s)
             else:
-                train = None
+                trains = None
             prev = cur if crate is not None else None
 
-    def _marks(self) -> tuple:
-        """Lengths of the lists a loop turn may append to; buffer rates."""
+    def _marks(self) -> SimpleNamespace:
+        """The state a loop turn may change; fixed: lists no repeat adds to."""
         lg = self.log
-        return (len(self.events), len(lg.records.items),
-                len(lg.buffer_samples), {seg[2] for seg in self.buf.segments},
-                *map(len, (lg.quality_switches, lg.on_spans, lg.off_spans,
-                           lg.stall_events, lg.notes)))
+        return SimpleNamespace(
+            events=len(self.events), records=len(lg.records.items),
+            samples=len(lg.buffer_samples), on_spans=len(lg.on_spans),
+            off_spans=len(lg.off_spans), conn=self._conn_seq,
+            since=(self._on_since, self._off_since),
+            overhead=lg.overhead_bytes,
+            rates={seg[2] for seg in self.buf.segments},
+            fixed=(len(lg.quality_switches), len(lg.stall_events),
+                   len(lg.notes)))
 
     def _close_cycle(self, c: _Cycle) -> Optional[float]:
         """End turn c now: the one content rate its buffer held, or None
-        if it held VBR content or two rates, or logged more than runs."""
+        if it held VBR content or two rates, buffered nothing, added a
+        quality switch, a stall or a note, or met a buffer threshold and
+        moved the buffer (later turns would meet it on other ticks)."""
         c.dbuffer_s, c.buffered = self.buf.seconds - c.buffer_s, self._pushed
-        c.spans = tuple(self.events[c.marks[0]:])
+        c.events = tuple(self.events[c.marks.events:])
+        c.records = tuple(self.log.records.items[c.marks.records:])
+        c.spans = tuple(e for e in c.events if isinstance(e, TransferSpan))
         end = self._marks()
-        rates = c.marks[3] | end[3]
-        if (end[4:] != c.marks[4:] or len(rates) != 1 or not c.buffered
-                or list(c.spans) != self.log.records.items[c.marks[1]:]):
+        rates = c.marks.rates | end.rates
+        if (end.fixed != c.marks.fixed or len(rates) != 1 or not c.buffered
+                or self._stopped and abs(c.dbuffer_s) > TIE_S):
             return None
         return rates.pop()
 
     def _phase(self) -> tuple[bool, bool]:
         return self.playback_start is not None, self.stalled
 
-    def _extend_train(self, train: Optional[ChunkTrain], prev: _Cycle,
-                      cur: _Cycle) -> ChunkTrain:
-        """Fold cur, a repeat of prev, into the train prev ends; without
-        one, prev and cur become a new train."""
-        if train is None:
-            train = ChunkTrain(prev.spans, 1, prev.period_s, prev.dbuffer_s)
-            cut, log_cut = prev.marks[:2]
+    def _extend_train(self, trains: Optional[tuple], prev: _Cycle,
+                      cur: _Cycle) -> tuple[ChunkTrain, ChunkTrain]:
+        """Fold cur, a repeat of prev, into the trains prev ends, the event
+        list's and the log's; without them, prev and cur become new ones."""
+        if trains is None:
+            # the event list's cycle is sorted as finalize sorts the list
+            events = tuple(sorted(prev.events, key=lambda e: e.sort_key()))
+            trains = tuple(ChunkTrain(cycle, 1, prev.period_s, prev.dbuffer_s,
+                                      cur.marks.conn - prev.marks.conn)
+                           for cycle in (events, prev.records))
+            cut = prev.marks
         else:
-            cut, log_cut = cur.marks[:2]
-        del self.events[cut:]
-        del self.log.records.items[log_cut:]
+            cut = cur.marks
+        del self.events[cut.events:]
+        del self.log.records.items[cut.records:]
         self._open_span = None     # a train's ticks are not extended
-        if train.m == 1:
-            self.events.append(train)
-            self.log.records.items.append(train)
-        train.m += 1
-        return train
+        if trains[0].m == 1:
+            self.events.append(trains[0])
+            self.log.records.items.append(trains[1])
+        for train in trains:
+            train.m += 1
+        return trains
 
     def _whole_cycles(self, c: _Cycle, crate: float,
                       lower_s: Optional[float]) -> int:
         """Whole repeats of cycle c, from its end, that can be applied in
         closed form: the run stops a cycle short of the earliest predicted
-        decision point, as _whole_ticks does for ticks."""
+        decision point, as _whole_ticks does for ticks.  A gated loop's
+        repeats keep their samples, so it runs up to the exact end of the
+        content: the repeat that brings it within CONTENT_DONE_S."""
         p, b = c.period_s, self.buf.seconds
+        per = c.buffered * 8.0 / crate      # content a repeat brings
         last_tick = c.spans[-1].t_end_s - c.t0
         x = (self.link.next_change_after(c.t0) - self.t - last_tick) / p
-        x = min(x, self.content_remaining_s / (c.buffered * 8.0 / crate))
+        x = min(x, self.content_remaining_s / per if lower_s is None else
+                math.ceil((self.content_remaining_s - CONTENT_DONE_S) / per))
         lo, hi = c.levels(crate)
         if lower_s is not None and c.dbuffer_s > TIE_S:
             # a drain would end the turn where it began: a gaining turn's
@@ -795,25 +837,41 @@ class _Engine:
                     (watch_left - 1e-6) / p)
         return int(x) - 1
 
-    def _jump_cycles(self, train: ChunkTrain, c: _Cycle, m: int,
-                     crate: float, lower_s: Optional[float]) -> None:
-        """Apply m whole repeats of cycle c that cross no decision point;
-        a gated loop's keep c's buffer samples, shifted (the sawtooth)."""
-        p, d = train.period_s, c.dbuffer_s
+    def _jump_cycles(self, trains: tuple, c: _Cycle, m: int, crate: float,
+                     lower_s: Optional[float]) -> None:
+        """Apply m whole repeats of cycle c that cross no decision point:
+        each opens c's connections, sends its control bytes and adds its
+        on and off spans, and a gated loop's its buffer samples, shifted
+        (the sawtooth)."""
+        lg, p, d = self.log, trains[0].period_s, c.dbuffer_s
+        shifts = range(1, m + 1)
         delivered = sum(s.n * s.nbytes for s in c.spans)
         if lower_s is not None:
-            self.log.buffer_samples += [
+            lg.buffer_samples += [
                 BufferSample(s.t_s + j * p, s.buffered_seconds + j * d,
                              s.buffered_bytes + j * d * crate / 8.0)
-                for j in range(1, m + 1)
-                for s in self.log.buffer_samples[c.marks[2]:]]
-        self.log.bytes_delivered += m * delivered
+                for j in shifts for s in lg.buffer_samples[c.marks.samples:]]
+        for spans, k in ((lg.on_spans, c.marks.on_spans),
+                         (lg.off_spans, c.marks.off_spans)):
+            if len(spans) > k:    # a long train of no on or off costs nothing
+                spans += [(a + j * p, b + j * p) for j in shifts
+                          for a, b in spans[k:]]
+        # an on or off period the turn began is the last repeat's
+        self._on_since, self._off_since = (
+            t if t is None or t == t0 else t + m * p
+            for t, t0 in zip((self._on_since, self._off_since), c.marks.since))
+        opened = self._conn_seq - c.marks.conn
+        self._conn_seq += m * opened
+        lg.connections_opened += m * opened
+        lg.overhead_bytes += m * (lg.overhead_bytes - c.marks.overhead)
+        lg.bytes_delivered += m * delivered
         # bytes that never entered the buffer (interleaved audio) count as
         # consumed on arrival, as the drivers book them
-        self.log.bytes_consumed += m * (delivered - c.buffered)
+        lg.bytes_consumed += m * (delivered - c.buffered)
         self._fill(m * c.buffered, crate, m * p if self.playing else 0.0)
         self.t += m * p
-        train.m += m
+        for train in trains:
+            train.m += m
 
     # -- waits -------------------------------------------------------------
 
@@ -872,7 +930,7 @@ class _Engine:
         # after what was emitted before it; an event tied with its last
         # tick is on the same or a newer connection.  So sorting runs by
         # their first tick sorts the ticks (a probe and its window update
-        # share a time and swap).
+        # share a time and swap), as in each train's cycle.
         self.events.sort(key=lambda it: it.sort_key())
         return TickSeq(self.events, TransferSpan.event), self.log
 
@@ -975,13 +1033,18 @@ def _run_onoff_s(eng: _Engine, tech: OnOffS) -> None:
     # can never overshoot it
     eng.deliver(conn, math.inf, stop_s=tech.faststart_target_s,
                 stop_bytes=tech.upper_bytes)
-    while not eng.finished and not eng.content_done and not eng.starved:
+
+    def cycle() -> tuple[None, float]:
+        t0 = eng.t
         eng.deliver(conn, math.inf, stop_bytes=tech.upper_bytes)
-        if eng.finished or eng.content_done:
-            break
-        eng.mark_off()
-        _off_with_probes(eng, conn, tech)
-        eng.mark_on()
+        if not (eng.finished or eng.content_done):
+            eng.mark_off()
+            _off_with_probes(eng, conn, tech)
+            eng.mark_on()
+        return None, eng.t - t0
+
+    eng.repeat_cycles(cycle, tech.lower_s if tech.off_fixed_s is None
+                      else math.inf)
     eng.close_connection(conn)
 
 
@@ -1006,19 +1069,25 @@ def _run_onoff_m(eng: _Engine, tech: OnOffM) -> None:
         eng.close_connection(conn)
         return
     eng.close_connection(conn)
-    while not eng.finished and not eng.content_done and not eng.starved:
+
+    def cycle() -> tuple[None, float]:
+        t0 = eng.t
         eng.mark_off()
         if tech.off_fixed_s is not None:
             eng.wait_until(eng.t + tech.off_fixed_s)
         else:
             eng.wait_drain_to_seconds(tech.lower_s)
-        if eng.finished:
-            break
-        conn = eng.open_connection()
-        eng.wait_until(eng.t + eng.link.rtt_s)
-        eng.mark_on()
-        eng.deliver(conn, on_rate, stop_s=tech.upper_s)
-        eng.close_connection(conn)
+        if not eng.finished:
+            conn = eng.open_connection()
+            eng.wait_until(eng.t + eng.link.rtt_s)
+            eng.mark_on()
+            eng.deliver(conn, on_rate, stop_s=tech.upper_s)
+            eng.close_connection(conn)
+        return None, eng.t - t0
+
+    # the next refill comes at lower_s, or at any level after a fixed OFF
+    eng.repeat_cycles(cycle, tech.lower_s if tech.off_fixed_s is None
+                      else math.inf)
 
 
 def _run_onoff_m_chunked(eng: _Engine, tech: OnOffM) -> None:
@@ -1068,6 +1137,7 @@ def _run_hls(eng: _Engine, tech: Hls) -> None:
         eng.log.bytes_wasted += nbytes
         eng.delivered_content_s -= secs
         eng._record("discard", conn, nbytes)
+        eng._sample()   # empty until the re-fetch's first tick
         # re-fetch the discarded span at the new quality, back to back
         rate = ladder[state["rung"]][1]
         refetch = secs
@@ -1251,7 +1321,7 @@ def simulate_multi_connection_waste(
     pos = 0.0  # contiguous content byte position delivered so far
     size = stream.size_bytes
     first = True
-    while not eng.finished and pos < size - 1.0:
+    while not eng.finished and not eng.starved and pos < size - 1.0:
         conn = eng.open_connection()
         eng.wait_until(eng.t + eng.link.rtt_s)
         eng.mark_on()

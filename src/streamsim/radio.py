@@ -177,10 +177,10 @@ def _bursts(events: Iterable[PacketEvent],
     A transfer span whose tick spacing passes joins_burst is one run: every
     tick after its first finds the radio in the state the first left it
     in.  Any other span is walked tick by tick, and a single event is a
-    run of its own.  A chunk train is one run when every spacing between
-    its ticks passes joins_burst and no tick is larger than its first
-    (so none can promote the radio further); otherwise it is walked cycle
-    by cycle, span by span.
+    run of its own.  A chunk train of spans is one run when every spacing
+    between its ticks passes joins_burst and no tick is larger than its
+    first (so none can promote the radio further); any other train (one
+    that holds control packets, too) is walked cycle by cycle.
     """
     out = []
     prev = 0.0
@@ -194,11 +194,13 @@ def _bursts(events: Iterable[PacketEvent],
                 f"events not sorted: event {i} at t={ev.t_s} after t={prev}")
         if isinstance(ev, ChunkTrain):
             first = ev.cycle[0].bytes
-            if (all(s.bytes <= first for s in ev.cycle)
-                    and all(map(joins_burst, ev.gaps()))):
+            if (all(isinstance(s, TransferSpan) and s.bytes <= first
+                    for s in ev.cycle) and all(map(joins_burst, ev.gaps()))):
                 out.append((ev.t_s, ev.t_end_s, first))
-            else:
-                out += _bursts(ev.repeats(), joins_burst)
+            else:   # each repeat's runs are the first cycle's, shifted
+                cycle = _bursts(ev.cycle, joins_burst)
+                out += [(a + j * ev.period_s, b + j * ev.period_s, nbytes)
+                        for j in range(ev.m) for a, b, nbytes in cycle]
         elif not isinstance(ev, TransferSpan):
             out.append((ev.t_s, ev.t_s, ev.bytes))
         elif ev.n == 1 or joins_burst(ev.dt_s):

@@ -35,7 +35,9 @@ class SessionResult:
             "compute_ms": dict(self.compute_ms),
             "counts": {
                 "stored_runs": len(runs),
-                "ticks": sum(it.n for it in runs),
+                "ticks": sum(s.n * getattr(it, "m", 1) for it in runs
+                             for s in getattr(it, "cycle", (it,))
+                             if isinstance(s, TransferSpan)),
                 "log_rows": sum(1 for _ in self.dlog.rows()),
                 "buffer_samples": len(self.buffer.samples),
                 "radio_intervals": len(self.radio.intervals),

@@ -44,6 +44,10 @@ class PacketEvent:
     def sort_key(self):
         return (self.t_s, self.connection_id, _KIND_ORDER[self.kind])
 
+    def shifted(self, dt: float, dbuffer: float, dconn: int) -> "PacketEvent":
+        return PacketEvent(self.t_s + dt, self.bytes,
+                           self.connection_id + dconn, self.kind)
+
 
 @dataclass
 class TransferSpan:
@@ -83,19 +87,27 @@ class TransferSpan:
     def sort_key(self):
         return (self.t_s, self.connection_id, _KIND_ORDER["data"])
 
+    def shifted(self, dt: float, dbuffer: float, dconn: int) -> "TransferSpan":
+        return TransferSpan(self.t_s + dt, self.dt_s, self.n,
+                            self.connection_id + dconn, self.nbytes,
+                            self.buffer_s + dbuffer, self.dbuffer_s)
+
 
 @dataclass
 class ChunkTrain:
-    """m repeats of one chunk cycle, period_s apart.
+    """m repeats of one driver's cycle, period_s apart.
 
-    cycle holds the TransferSpans of the first repeat.  In repeat j each
-    span's ticks come j * period_s later and leave j * dbuffer_s more
-    content buffered; repeats() builds those spans.
+    cycle holds the entries of the first repeat: TransferSpans and the
+    packets (PacketEvents) or decisions (LogRecords) of an on/off cycle.
+    In repeat j each comes j * period_s later, leaves j * dbuffer_s more
+    content buffered and is on a connection j * dconn further on (an id
+    of -1 stays -1); repeats() builds those entries.
     """
-    cycle: tuple[TransferSpan, ...]
+    cycle: tuple
     m: int
     period_s: float
     dbuffer_s: float
+    dconn: int = 0
 
     kind: ClassVar[str] = "data"
 
@@ -105,32 +117,32 @@ class ChunkTrain:
 
     @property
     def t_end_s(self) -> float:
-        return self.cycle[-1].t_end_s + (self.m - 1) * self.period_s
+        last = self.cycle[-1]
+        return getattr(last, "t_end_s", last.t_s) + (self.m - 1) * self.period_s
 
     @property
     def n(self) -> int:
-        """Ticks in the whole train."""
-        return self.m * sum(s.n for s in self.cycle)
+        """Entries of the whole train in the per-tick view."""
+        return self.m * sum(map(_size, self.cycle))
 
     def repeats(self, j0: int = 0, j1: Optional[int] = None):
-        """The spans of repeats j0 .. j1 - 1, in time order."""
+        """The entries of repeats j0 .. j1 - 1, in cycle order."""
         for j in range(j0, self.m if j1 is None else j1):
-            shift, db = j * self.period_s, j * self.dbuffer_s
-            for s in self.cycle:
-                yield TransferSpan(s.t_s + shift, s.dt_s, s.n, s.connection_id,
-                                   s.nbytes, s.buffer_s + db, s.dbuffer_s)
+            shift, db, dc = j * self.period_s, j * self.dbuffer_s, j * self.dconn
+            for e in self.cycle:
+                yield e.shifted(shift, db, dc)
 
-    def tick(self, k: int) -> tuple[TransferSpan, int]:
-        """The span holding tick k of the train, and k's index in it."""
+    def tick(self, k: int) -> tuple[object, int]:
+        """The entry holding entry k of the view, and k's index in it."""
         j, k = divmod(k, self.n // self.m)
-        for s in self.repeats(j, j + 1):
-            if k < s.n:
-                return s, k
-            k -= s.n
+        for e in self.repeats(j, j + 1):
+            if k < _size(e):
+                return e, k
+            k -= _size(e)
         raise IndexError("tick index out of range")
 
     def gaps(self) -> set[float]:
-        """Every spacing between consecutive ticks of the train."""
+        """Every spacing between consecutive ticks of a train of spans."""
         out = {s.dt_s for s in self.cycle if s.n > 1}
         out.update(b.t_s - a.t_end_s for a, b in zip(self.cycle, self.cycle[1:]))
         if self.m > 1:
@@ -141,7 +153,9 @@ class ChunkTrain:
         return self.cycle[0].sort_key()
 
 
-_RUNS = (TransferSpan, ChunkTrain)   # stored entries that stand for ticks
+def _size(it) -> int:
+    """Entries a stored entry stands for in the per-tick view."""
+    return it.n if isinstance(it, (TransferSpan, ChunkTrain)) else 1
 
 
 class TickSeq(Sequence):
@@ -149,9 +163,9 @@ class TickSeq(Sequence):
 
     items holds single entries, TransferSpans and ChunkTrains.  A span
     stands for its n ticks, each built by expand(span, k) only when it is
-    read, and a train for the spans of its repeats; expansion is streamed
-    and never cached.  The view compares equal to a list (or another view)
-    holding the same entries in the same order.
+    read, and a train for the entries of its repeats; expansion is
+    streamed and never cached.  The view compares equal to a list (or
+    another view) holding the same entries in the same order.
     """
 
     def __init__(self, items: list,
@@ -166,14 +180,17 @@ class TickSeq(Sequence):
                 for k in range(it.n):
                     yield expand(it, k)
             elif isinstance(it, ChunkTrain):
-                for s in it.repeats():
-                    for k in range(s.n):
-                        yield expand(s, k)
+                for e in it.repeats():
+                    if isinstance(e, TransferSpan):
+                        for k in range(e.n):
+                            yield expand(e, k)
+                    else:
+                        yield e
             else:
                 yield it
 
     def __len__(self) -> int:
-        return sum(it.n if isinstance(it, _RUNS) else 1 for it in self.items)
+        return sum(map(_size, self.items))
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -181,14 +198,13 @@ class TickSeq(Sequence):
         items = self.items if index >= 0 else reversed(self.items)
         want = index if index >= 0 else -index - 1   # ticks to skip
         for it in items:
-            size = it.n if isinstance(it, _RUNS) else 1
+            size = _size(it)
             if want < size:
-                if not isinstance(it, _RUNS):
-                    return it
                 k = want if index >= 0 else size - 1 - want
                 if isinstance(it, ChunkTrain):
                     it, k = it.tick(k)
-                return self._expand(it, k)
+                return (self._expand(it, k) if isinstance(it, TransferSpan)
+                        else it)
             want -= size
         raise IndexError("tick index out of range")
 

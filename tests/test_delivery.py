@@ -282,6 +282,18 @@ def test_waste_requires_keyframe_interval(hd_stream, link4):
         simulate_multi_connection_waste(hd_stream, link4)
 
 
+def test_waste_ends_when_the_link_dies():
+    """The reopen loop stops once the link starves, where it used to
+    reopen a connection and wait for the buffer to drain for ever."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6,
+                        keyframe_interval_bytes=2.4e6)
+    link = LinkModel(((0.0, 8e6), (5.0, 0.0)), rtt_ms=70)
+    _, dlog = simulate_multi_connection_waste(stream, link)
+    assert "link starved with no recovery" in dlog.notes
+    assert not dlog.completed
+    assert_conservation(dlog)
+
+
 def test_waste_tuned_scenario_reproduces_observed_overhead():
     """25 MB player buffer with eager re-requests: about 66 connections
     and roughly 2.1x the content size on the wire."""

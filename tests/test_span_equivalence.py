@@ -36,7 +36,7 @@ from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.techniques import FASTSTART_TARGET_S, RESUME_THRESHOLD_S
 from streamsim.session import run_session
-from streamsim.streams import ChunkTrain
+from streamsim.streams import ChunkTrain, TransferSpan
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
 BASE = "youtube_onoffm_hspa"
@@ -479,6 +479,108 @@ def test_ladder_trains_match_tick_engine(name, monkeypatch):
     for t in [s.t_s for s in stepped + b.buffer.samples]:
         assert _reads(b.buffer.samples, t) == pytest.approx(
             _reads(stepped, t), rel=1e-9, abs=1e-6), t
+
+
+# On/off variants whose cycles form trains, and ones that cut a train: the
+# technique and the keys to set.
+ONOFF_CASES = {
+    # drain-gated 10 s refills, capped at 4 Mbps, then link-bound at 3 Mbps
+    "onoffm_link_drop": ("on_off_m", {**LINK_DROP, "technique.lower_s": 90}),
+    "onoffm_abandon": ("on_off_m", {**LINK_DROP, "technique.lower_s": 90,
+                                    "abandon_at_s": 333}),
+    # probes only: the OFF period's one persist timer doubles to its cap
+    "onoffs_no_keepalive": ("on_off_s",
+                            {"technique.keepalive_interval_s": 0}),
+    # a 100 s outage stalls playback between two trains of 32 s cycles
+    "onoffs_outage_stall": ("on_off_s", {
+        "technique.lower_s": 60, "link.bandwidth_bps": None,
+        "link.segments": "0:8000000,300:0,400:8000000"}),
+    # a fixed OFF period: the refills repeat at any buffer level
+    "onoffs_fixed_off": ("on_off_s", {"technique.off_fixed_s": 30,
+                                      "technique.keepalive_interval_s": 0}),
+}
+
+
+@pytest.mark.parametrize("name", list(ONOFF_CASES))
+def test_onoff_trains_match_tick_engine(name, monkeypatch):
+    """Each ON/OFF cycle's request or probes ride in its train; the
+    repeats a train jumps leave the buffer timeline that stepping each of
+    them leaves."""
+    sc = _edited(name, *ONOFF_CASES[name])
+    a, b = _run_both(sc)
+    assert _sessions_match(a, b)
+    trains = _trains(b.events)
+    assert trains and all(tr.m >= 2 for tr in trains)
+    assert any(not isinstance(e, TransferSpan) for e in trains[0].cycle)
+    for tr in trains:
+        assert not any(tr.t_s < t0 <= tr.t_end_s
+                       for t0, _ in sc.link.segments)
+    if name == "onoffs_outage_stall":
+        assert len(trains) == 2 and len(b.qoe.stall_events) == 1
+    monkeypatch.setattr(delivery._Engine, "_whole_cycles", lambda *a: 0)
+    stepped = run_session(sc).buffer.samples
+    for t in [s.t_s for s in stepped + b.buffer.samples]:
+        assert _reads(b.buffer.samples, t) == pytest.approx(
+            _reads(stepped, t), rel=1e-9, abs=1e-6), t
+
+
+_STEPPED_CASES = ([(sc.name, sc) for sc in _sweep_points()]
+                  + [(f"session{i}", sc)
+                     for i, sc in enumerate(_session_variants())])
+
+
+@pytest.mark.parametrize("sc", [sc for _, sc in _STEPPED_CASES],
+                         ids=[name for name, _ in _STEPPED_CASES])
+def test_trains_match_the_session_with_every_repeat_stepped(sc,
+                                                            monkeypatch):
+    """Every sweep point and session variant, its trains' repeats jumped
+    and each stepped: the same ticks, decision records, log totals,
+    playback, radio, summary and buffer timeline, where the per-tick
+    engine leaves some sweep points a tick apart at their shift.  A
+    clocked train keeps the trend of the buffer, not its ripple, so there
+    the timelines agree at the jumped one's samples."""
+    b = run_session(sc)
+    with monkeypatch.context() as mp:
+        mp.setattr(delivery._Engine, "_whole_cycles", lambda *a: 0)
+        a = run_session(sc)
+    parts = ("events", "dlog", "buffer", "qoe", "radio")
+    assert _compare([getattr(a, p) for p in parts],
+                    [getattr(b, p) for p in parts], sc.technique, sc.stream)
+    assert a.qoe.stall_events == pytest.approx(b.qoe.stall_events, abs=1e-9)
+    want, got = a.summary.to_json_dict(), b.summary.to_json_dict()
+    assert set(want) == set(got)
+    for key, val in want.items():
+        assert got[key] == pytest.approx(val, rel=1e-9), key
+    times = b.buffer.samples
+    if not isinstance(sc.technique, Throttling):
+        times = times + a.buffer.samples
+    for t in [s.t_s for s in times]:
+        assert _reads(b.buffer.samples, t) == pytest.approx(
+            _reads(a.buffer.samples, t), rel=1e-9, abs=1e-6), t
+
+
+def test_hls_discard_empties_the_buffer_timeline():
+    """An up-switch that discards the buffer leaves it empty until the
+    re-fetch's first tick: the timeline reads 0 at each discard and, up
+    to that tick, no more than the tick brings (it read 12.2 s at 1.60 s
+    when only a stall sampled a discard).  The 9.07 s discard starts a
+    stall, which shares the discard's sample."""
+    res = run_session(_session_variants()[3])
+    records = list(res.dlog.records)
+    discards = [r for r in records if r.event == "discard"]
+    assert [round(r.t_s, 2) for r in discards] == [1.57, 9.07]
+    for d in discards:
+        tick = next(r for r in records
+                    if r.event == "data" and r.t_s > d.t_s + 1e-9)
+        assert res.buffer.value_at(d.t_s) == 0.0
+        for w in (0.2, 0.5, 0.8):
+            t = d.t_s + w * (tick.t_s - d.t_s)
+            assert res.buffer.value_at(t) == pytest.approx(
+                w * tick.buffer_s_after, abs=1e-9)
+    assert res.buffer.value_at(1.60) < 0.4
+    at_stall = [s for s in res.buffer.samples if abs(s.t_s - 9.07) <= 1e-9]
+    assert [s.buffered_seconds for s in at_stall] == [
+        pytest.approx(53.2), 0.0]
 
 
 def _reads(samples, t):

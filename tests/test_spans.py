@@ -3,19 +3,22 @@
 import importlib.resources as ir
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
-                       LinkModel, LteDrxConfig, Mss, OnOffM, PacketEvent,
-                       StreamSpec, Throttling, WifiPsmConfig, compute_buffer,
-                       delivery, preset, simulate_radio, simulate_session)
+                       LinkModel, LteDrxConfig, Mss, OnOffM, OnOffS,
+                       PacketEvent, StreamSpec, Throttling, WifiPsmConfig,
+                       compute_buffer, delivery, preset, simulate_radio,
+                       simulate_session)
 from streamsim.delivery import LogRecord, _data_record
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
 from streamsim.streams import ChunkTrain, TickSeq, TransferSpan
 from test_playback_report import assert_engine_playback
-from test_span_equivalence import _session_variants, _throttled_below_rate
+from test_span_equivalence import (_session_variants, _sweep_points,
+                                   _throttled_below_rate)
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
 
@@ -49,12 +52,13 @@ def test_throttling_cost_follows_state_changes():
 
 
 @pytest.mark.parametrize("kind,entries,lines,samples",
-                         [("hls", 30, 35, 121), ("mss", 80, 90, 391)])
+                         [("hls", 30, 35, 122), ("mss", 80, 90, 391)])
 def test_ladder_steady_state_is_a_train(kind, entries, lines, samples):
     """The bundled base scenario re-run with HLS or MSS: the steady state
     requests a chunk, or an audio group, each time the buffer drains to
     its level, and those cycles are one train (60 and 214 stored entries
-    when each was stepped).  The buffer keeps every cycle's breakpoints."""
+    when each was stepped).  The buffer keeps every cycle's breakpoints,
+    and HLS's the empty buffer after each discard."""
     text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text(encoding="utf-8")
     text = text.replace("technique.preset = youtube_onoffm",
                         f"technique.kind = {kind}")
@@ -62,6 +66,58 @@ def test_ladder_steady_state_is_a_train(kind, entries, lines, samples):
     assert len(res.events.items) <= entries
     assert len(res.dlog.to_csv_lines()) <= lines
     assert len(res.buffer.samples) == samples
+
+
+def test_onoff_steady_state_is_a_train():
+    """A sweep-buffer point (C = 2x, a 10 s buffer: 22 connections) and
+    the base scenario with vimeo_onoffs: each ON/OFF cycle, with its
+    request or its probes and keepalives, repeats the one before, and the
+    cycles are one train (46 and 269 stored entries when each was
+    stepped).  The drain-gated buffer keeps every cycle's breakpoints.  Of
+    the 51 the sweep point had with every cycle stepped, the one that went
+    was a tick of its own at the content's end, 2e-7 B short of a whole
+    one by the round-off of 21 stepped refills."""
+    buffer_c2_10 = {sc.name: sc for sc in _sweep_points()}["buffer_c2_10"]
+    res = run_session(buffer_c2_10)
+    assert res.dlog.connections_opened == 22
+    assert len(res.events.items) <= 16
+    assert len(res.dlog.to_csv_lines()) <= 45
+    assert len(res.buffer.samples) == 50
+    res = run_session(_session_variants()[6])
+    assert len(res.events.items) <= 120
+    assert len(res.dlog.to_csv_lines()) <= 130
+
+
+def _turn(t0, conn, probe_at=15.0):
+    """An OnOffM-like turn from t0: OFF, a request on conn, ON, a refill
+    span, a persist probe, close."""
+    return (LogRecord(t0, "off", -1, 0.0, 100.0),
+            LogRecord(t0 + 10.0, "request", conn, 500.0, 90.0),
+            LogRecord(t0 + 10.07, "on", -1, 0.0, 89.93),
+            TransferSpan(t0 + 10.12, 0.05, 200, conn, 25_000.0, 89.98, 0.05),
+            LogRecord(t0 + probe_at, "persist_probe", conn, 60.0, 95.0),
+            LogRecord(t0 + 20.0, "close", conn, 0.0, 100.0))
+
+
+def _cycle(t0, last_conn, records):
+    return delivery._Cycle(
+        t0, 100.0, (True, False), SimpleNamespace(conn=last_conn),
+        records=records, period_s=20.0,
+        spans=tuple(r for r in records if isinstance(r, TransferSpan)))
+
+
+def test_a_turn_repeats_the_last_only_if_every_log_entry_does():
+    """Spans alike are not enough: each decision record must come at the
+    same offset, and each connection be as many on from the last one
+    opened before the turn."""
+    playing = (True, False)
+    prev = _cycle(100.0, 1, _turn(100.0, 2))
+    assert _cycle(120.0, 2, _turn(120.0, 3)).repeats(prev, playing)
+    # the probe 10 ms later
+    assert not _cycle(120.0, 2, _turn(120.0, 3, 15.01)).repeats(prev,
+                                                                 playing)
+    # a turn on the connection opened before it, where prev opened one
+    assert not _cycle(120.0, 3, _turn(120.0, 3)).repeats(prev, playing)
 
 
 def _seq():
@@ -117,6 +173,38 @@ def test_tick_seq_expands_chunk_trains():
         seq[len(want)]
 
 
+def test_tick_seq_expands_trains_of_packets():
+    """A train whose cycle opens a connection: its request and its span
+    move to the next connection each repeat."""
+    cycle = (PacketEvent(10.0, 500, 1, "request"),
+             TransferSpan(10.12, 0.05, 2, 1, 25_000.0, 90.0, 0.05))
+    train = ChunkTrain(cycle, 3, 20.0, 0.0, dconn=1)
+    seq = TickSeq([PacketEvent(0.0, 500, 0, "request"), train,
+                   PacketEvent(80.0, 500, 4, "request")], TransferSpan.event)
+    ticks = [PacketEvent(0.0, 500, 0, "request")]
+    for j in range(3):
+        t = 10.0 + 20.0 * j
+        ticks += [PacketEvent(t, 500, 1 + j, "request"),
+                  PacketEvent(t + 0.12, 25_000, 1 + j),
+                  PacketEvent(t + 0.17, 25_000, 1 + j)]
+    ticks.append(PacketEvent(80.0, 500, 4, "request"))
+    assert train.n == len(seq) - 2 == 9
+    assert len(seq) == len(ticks) == 11
+
+    def same(a, b):
+        return (a.kind, a.connection_id, a.bytes) == (b.kind, b.connection_id,
+                                                      b.bytes) \
+            and a.t_s == pytest.approx(b.t_s, abs=1e-12)
+    assert all(same(a, b) for a, b in zip(seq, ticks))
+    assert all(same(seq[i], ticks[i]) for i in range(-11, 11))
+    assert all(same(a, b) for a, b in zip(seq[2:9], ticks[2:9]))
+    assert len(seq[2:9]) == 7
+    with pytest.raises(IndexError):
+        seq[11]
+    with pytest.raises(IndexError):
+        seq[-12]
+
+
 def test_delivery_log_rows_are_runs_and_decisions(hd_stream, link4):
     """Four decision records and three spans are seven rows; the in-memory
     log still reads per tick."""
@@ -140,11 +228,17 @@ def assert_log_rows_are_its_runs(dlog):
         elif isinstance(it, ChunkTrain):
             k = i
             for s in it.cycle:
-                want.append((ticks[k + s.n - 1], "data", ticks[k:k + s.n]))
-                k += s.n
+                if isinstance(s, TransferSpan):
+                    want.append((ticks[k + s.n - 1], "data",
+                                 ticks[k:k + s.n]))
+                    k += s.n
+                else:
+                    want.append((ticks[k], s.event, []))
+                    k += 1
             if it.m > 1:
-                want.append((ticks[i + it.n - 1], "repeat",
-                             ticks[k:i + it.n]))
+                # the later cycles' data ticks; their records have no row
+                data = [r for r in ticks[k:i + it.n] if r.event == "data"]
+                want.append((data[-1], "repeat", data))
             i += it.n
         else:
             want.append((it, it.event, []))
@@ -156,8 +250,9 @@ def assert_log_rows_are_its_runs(dlog):
         assert (row.t_s, row.event, row.connection_id, row.buffer_s_after) \
             == (tick.t_s, event, tick.connection_id, tick.buffer_s_after)
         if covered:
-            assert all(r.event == "data" and r.connection_id
-                       == row.connection_id for r in covered)
+            # a repeat row's cycles may each have opened a connection
+            assert all(r.event == "data" and (event == "repeat" or
+                       r.connection_id == row.connection_id) for r in covered)
             assert row.bytes == pytest.approx(
                 sum(r.bytes for r in covered), rel=1e-12)
     data = [r.bytes for r in rows if r.event in ("data", "repeat")]
@@ -180,10 +275,12 @@ def test_session_logs_write_one_row_per_run(variant):
     sc = _session_variants()[variant]
     rows = assert_log_rows_are_its_runs(run_session(sc).dlog)
     repeats = [r for r in rows if r.event == "repeat"]
-    # one train each: the throttled chunk cycles, and the drain-gated
-    # steady state of HLS and MSS
-    assert len(repeats) == (1 if isinstance(sc.technique, (Hls, Mss,
-                                                          Throttling)) else 0)
+    # one train each: the throttled chunk cycles, the drain-gated steady
+    # state of HLS and MSS, and vimeo_onoffs's ON/OFF cycles; the base
+    # scenario's fixed OFF periods leave the buffer a little lower each
+    # cycle, so its refills never repeat
+    assert len(repeats) == (1 if isinstance(sc.technique, (
+        Hls, Mss, Throttling, OnOffS)) else 0)
 
 
 def _vbr_stream():
