@@ -33,8 +33,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from types import SimpleNamespace
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, PacketEvent, StreamSpec,
@@ -230,8 +231,10 @@ class _Buffer:
                 self.bytes -= b
                 taken += b
                 left = 0.0
-        self.seconds = max(self.seconds, 0.0)
-        self.bytes = max(self.bytes, 0.0)
+        if self.seconds < 0.0:
+            self.seconds = 0.0
+        if self.bytes < 0.0:
+            self.bytes = 0.0
         return taken
 
     def drop_all(self) -> tuple[float, float]:
@@ -387,22 +390,22 @@ class _Engine:
             # a start at an arrival's time shares that arrival's sample
             if self.t > self.log.buffer_samples[-1].t_s:
                 self._sample()
+        buf, lg = self.buf, self.log
         while to_t > self.t + TIE_S:
             if self.playback_start is None or self.stalled or self.finished:
                 self.t = to_t
                 return
-            playable = min(self.buf.seconds,
-                           self.watch_end_s - self.log.content_consumed_s)
-            dt = min(to_t - self.t, playable)
+            dt = min(to_t - self.t, buf.seconds,
+                     self.watch_end_s - lg.content_consumed_s)
             if dt > 0:
                 self._play(dt)
                 self.t += dt
-            if (self.log.content_consumed_s >= self.watch_end_s - DONE_TOL_S
-                    or (self.buf.seconds <= TIE_S and self.content_done)):
+            if (lg.content_consumed_s >= self.watch_end_s - DONE_TOL_S
+                    or (buf.seconds <= TIE_S and self.content_done)):
                 self.finished = True
-                self.log.playback_end_s = self.t
+                lg.playback_end_s = self.t
                 self._sample()
-            elif self.buf.seconds <= TIE_S and self.t < to_t - TIE_S:
+            elif buf.seconds <= TIE_S and self.t < to_t - TIE_S:
                 self._stall()
 
     def _play(self, seconds: float) -> None:
@@ -558,7 +561,7 @@ class _Engine:
         if window_s is not None:
             window_s -= THRESHOLD_TOL_S
         link_bps, boundary = 0.0, -math.inf   # the link segment holding t
-        while not self.finished:
+        while not (self.finished or self.starved):
             if budget - moved <= 0.5:
                 break
             if (stop_s is not None and self.buf.seconds >= stop_s or
@@ -901,7 +904,7 @@ class _Engine:
         if self._off_since is not None:
             self.log.off_spans.append((self._off_since, self.t))
             self._off_since = None
-        if self.start_at is not None:
+        if self.start_at is not None and self.start_at < math.inf:
             self.advance(self.start_at)
         if self.playback_start is not None:
             # play out the buffer, with no arrivals to come
@@ -1294,6 +1297,40 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
         return eng.finalize()
     _DRIVERS[type(tech)](eng, tech)
     return eng.finalize()
+
+
+def replay_arrivals(arrivals: Iterable[PacketEvent], stream: StreamSpec,
+                    join_s: Optional[float],
+                    resume_threshold_s: float = RESUME_THRESHOLD_S,
+                    watch_end_s: Optional[float] = None) -> DeliveryLog:
+    """Play data arrivals, such as a flow trace's, through the engine's
+    buffer and playback clock, and return the log of that playback.
+
+    Each data event's bytes enter the buffer as the stream's own content
+    at its time, clipped at the content's end.  Playback starts at join_s
+    (never, if it is inf) or, with None, by the engine's start rule;
+    watch_end_s bounds consumption for abandoned sessions.
+    """
+    eng = _Engine(stream, LinkModel.constant(0.0), watch_end_s,
+                  resume_threshold_s=resume_threshold_s)
+    eng.start_at = join_s
+    duration, lowest_bps = stream.duration_s, eng.buf.rates_bps[0]
+    for e in sorted((e for e in arrivals if e.kind == "data"),
+                    key=attrgetter("t_s")):
+        eng.advance(e.t_s)
+        if eng.finished:
+            break
+        nbytes = e.bytes
+        # only an arrival that may reach the content's end is clipped
+        if nbytes * 8.0 / lowest_bps >= duration - eng.delivered_content_s:
+            nbytes = min(nbytes, stream.bytes_for_content(
+                eng.delivered_content_s, duration))
+        eng.log.bytes_delivered += nbytes
+        eng._fill(nbytes, eng.own_rate, 0.0)
+        eng._sample()     # a start at this arrival shares its sample
+        if eng.playback_start is None or eng.stalled:   # not playing
+            eng._post_arrival()
+    return eng.finalize()[1]
 
 
 def simulate_multi_connection_waste(

@@ -2,9 +2,9 @@
 
 A simulated session's playback is the delivery engine's: the buffer that
 drove its feedback loop, with its start, stalls and samples, is the one
-reported.  This module holds the report's types and the models that work
-from data arrivals alone, for a flow trace: the closed-form joining time
-and a per-event replay of the buffer.
+reported.  This module holds the report's types, the closed-form joining
+time, and the buffer timeline of data arrivals alone, such as a flow
+trace's, which replays them through that same engine buffer and clock.
 
 The buffer timeline is the difference of the cumulative arrival and
 consumption series.  Consumption starts at the joining time, runs at one
@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .delivery import CONTENT_DONE_S, DONE_TOL_S, TIE_S, BufferSample
+from .delivery import TIE_S, BufferSample, replay_arrivals
 from .radio import promotion_latency
 from .streams import LinkModel, PacketEvent, StreamSpec
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
@@ -104,79 +104,6 @@ def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
     return promo + link.rtt_s + fill
 
 
-class _Playout:
-    """Playback clock and buffer fill, replayed over data arrivals."""
-
-    def __init__(self, stream: StreamSpec, join: float, resume_s: float,
-                 watched: float):
-        self.stream = stream
-        self.join = join
-        self.resume_s = resume_s
-        self.watched = watched
-        self.t = 0.0
-        self.fill = 0.0          # content position delivered up to
-        self.play = 0.0          # content position played up to
-        self.started = False
-        self.stalled = False
-        self.stalled_at = 0.0    # when the last stall began
-        self.done_at: Optional[float] = None
-        self.samples: list[BufferSample] = []
-
-    @property
-    def content_done(self) -> bool:
-        return self.stream.duration_s - self.fill <= CONTENT_DONE_S
-
-    def emit(self) -> None:
-        self.samples.append(BufferSample(
-            self.t, max(self.fill - self.play, 0.0),
-            self.stream.bytes_for_content(self.play, self.fill)))
-
-    def stall(self) -> None:
-        self.stalled = True
-        self.stalled_at = self.t
-        self.emit()
-
-    def drain_to(self, to_t: float) -> None:
-        while self.t < to_t - TIE_S:
-            if not self.started:
-                if math.isinf(self.join) or to_t < self.join:
-                    self.t = to_t
-                    return
-                self.t = self.join
-                self.started = True
-                if self.fill - self.play <= TIE_S:
-                    self.stall()
-                else:
-                    self.emit()
-                continue
-            if self.done_at is not None or self.stalled:
-                self.t = to_t
-                return
-            span = min(to_t - self.t, self.fill - self.play,
-                       self.watched - self.play)
-            if span > 0:
-                self.play += span
-                self.t += span
-            if (self.play >= self.watched - DONE_TOL_S
-                    or (self.fill - self.play <= TIE_S and self.content_done)):
-                self.done_at = self.t
-                self.emit()
-                self.t = to_t
-                return
-            if self.fill - self.play <= TIE_S:
-                if self.t < to_t - TIE_S:
-                    self.stall()
-                else:
-                    return
-
-    def add(self, nbytes: float) -> None:
-        self.fill = min(self.fill + self.stream.seconds_for_bytes(
-            self.fill, nbytes), self.stream.duration_s)
-        if self.stalled and (self.fill - self.play >= self.resume_s - TIE_S
-                             or self.content_done):
-            self.stalled = False
-
-
 def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
                    joining_time_s: float,
                    resume_threshold_s: float = RESUME_THRESHOLD_S,
@@ -184,41 +111,20 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     """Build the playback-buffer timeline from data arrivals, such as a
     flow trace's (a simulated session reports its delivery engine's).
 
-    Only data events feed the buffer, event by event, as content of the
-    stream.  The buffer is clipped at zero: when it empties during
-    playback, consumption halts until the resume threshold is met again,
-    and the zero span shows up in the samples.  Ties are decided with the
-    delivery engine's tolerances.  A stall playback never leaves lasts as
-    long as the rest of the watch would have.  watch_end_s bounds
-    consumption for abandoned sessions.
+    The data events run through the delivery engine's own buffer and
+    playback clock (delivery.replay_arrivals), as content of the stream,
+    with playback starting at joining_time_s: the same start, stall,
+    resume and end rules and tolerances as a simulated session.  A stall
+    playback never leaves lasts as long as the rest of the watch would
+    have.  watch_end_s bounds consumption for abandoned sessions.
     """
-    data = sorted((e for e in arrivals if e.kind == "data"),
-                  key=lambda e: e.t_s)
-    join = joining_time_s
     watched = stream.duration_s if watch_end_s is None else min(
         watch_end_s, stream.duration_s)
-
-    p = _Playout(stream, join, resume_threshold_s, watched)
-    p.emit()
-    for e in data:
-        p.drain_to(e.t_s)
-        if p.done_at is not None:
-            break
-        p.add(e.bytes)
-        p.emit()
-    if p.done_at is None:
-        p.drain_to(math.inf)      # play out what is buffered
-
-    if p.done_at is not None:
-        end = p.done_at
-    elif math.isinf(join):
-        end = watched
-    else:
-        end = p.stalled_at + watched - p.play
-    if p.samples[-1].t_s < end - TIE_S:
-        p.samples.append(BufferSample(end, 0.0, 0.0))
-    return BufferTimeline(join, end, watched, p.samples, resume_threshold_s,
-                          completed=p.done_at is not None)
+    dlog = replay_arrivals(arrivals, stream, joining_time_s,
+                           resume_threshold_s, watched)
+    return BufferTimeline(joining_time_s, dlog.playback_end_s, watched,
+                          dlog.buffer_samples, resume_threshold_s,
+                          completed=dlog.completed)
 
 
 def detect_stalls(buffer: BufferTimeline,

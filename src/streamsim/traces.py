@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from . import playback
+from .delivery import replay_arrivals
 from .streams import PacketEvent, StreamSpec
-from .techniques import START_THRESHOLD_S
 
 log = logging.getLogger(__name__)
 
@@ -254,19 +254,15 @@ def classify(records: list[FlowRecord],
 def estimate_buffer(records: list[FlowRecord], encoding_rate_bps: float,
                     joining_time_s: Optional[float] = None
                     ) -> playback.BufferTimeline:
-    """Reconstruct playback-buffer occupancy from a flow trace."""
+    """Reconstruct playback-buffer occupancy from a flow trace: its data
+    arrivals, as a stream of their total size, played through the
+    delivery engine's buffer.  Playback starts at joining_time_s or, by
+    default, once the buffer holds the start threshold."""
     arrivals = [e for e in records_to_events(records) if e.kind == "data"]
     total = sum(e.bytes for e in arrivals)
-    duration = total * 8.0 / encoding_rate_bps
-    stream = StreamSpec(duration_s=max(duration, 1e-3),
+    if total <= 0:
+        raise ValueError("trace has no downlink data records")
+    stream = StreamSpec(duration_s=total * 8.0 / encoding_rate_bps,
                         encoding_rate_bps=encoding_rate_bps)
-    if joining_time_s is None:
-        need = START_THRESHOLD_S * encoding_rate_bps / 8.0
-        acc = 0.0
-        joining_time_s = arrivals[-1].t_s if arrivals else 0.0
-        for e in arrivals:
-            acc += e.bytes
-            if acc >= need:
-                joining_time_s = e.t_s
-                break
-    return playback.compute_buffer(arrivals, stream, joining_time_s)
+    dlog = replay_arrivals(arrivals, stream, joining_time_s)
+    return playback.playback_report(dlog, stream.duration_s)[0]

@@ -294,6 +294,24 @@ def test_waste_ends_when_the_link_dies():
     assert_conservation(dlog)
 
 
+@pytest.mark.parametrize("run", [
+    lambda stream, link: simulate_session(stream, link, EncodingRate()),
+    lambda stream, link: simulate_session(stream, link, Hls()),
+    lambda stream, link: simulate_session(stream, link, Mss()),
+    simulate_multi_connection_waste,
+], ids=["encoding_rate", "hls", "mss", "waste"])
+def test_a_starved_link_is_noted_once(run):
+    """Delivery on a link that has died returns at once, so the session
+    notes the starved link once; each later request used to note it
+    again (2, 8, 2 and 2 times), with every other figure the same."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6,
+                        keyframe_interval_bytes=2.4e6)
+    link = LinkModel(((0.0, 8e6), (5.0, 0.0)), rtt_ms=70)
+    _, dlog = run(stream, link)
+    assert dlog.notes == ["link starved with no recovery",
+                          "session ends stalled: content underrun"]
+
+
 def test_waste_tuned_scenario_reproduces_observed_overhead():
     """25 MB player buffer with eager re-requests: about 66 connections
     and roughly 2.1x the content size on the wire."""

@@ -91,6 +91,27 @@ def test_outage_stall_duration_hand_computed(ld_stream):
     assert qoe.stall_ratio == pytest.approx(29.0 / 600.0, rel=1e-6)
 
 
+def test_stall_never_left_ends_with_the_content_still_buffered(ld_stream):
+    """Hand-built trace: 10 s of content arrive at once, playback joins at
+    t=1 and stalls at 11; 2 s more arrive at 20, below the 4 s resume
+    threshold, and nothing after.  The stall lasts as long as the rest of
+    the watch would have, and the last sample holds the 2 s still
+    buffered, as a simulated session's does; the replay used to write an
+    empty buffer there."""
+    bps = ld_stream.bytes_per_second
+    events = [PacketEvent(0.5, int(10 * bps), 0),
+              PacketEvent(20.0, int(2 * bps), 0)]
+    tl = compute_buffer(events, ld_stream, joining_time_s=1.0)
+    assert not tl.completed
+    assert tl.playback_end_s == pytest.approx(601.0)
+    last = tl.samples[-1]
+    assert last.t_s == pytest.approx(601.0)
+    assert last.buffered_seconds == pytest.approx(2.0)
+    assert last.buffered_bytes == pytest.approx(2 * bps)
+    qoe = detect_stalls(tl)
+    assert qoe.stall_events == [(pytest.approx(11.0), pytest.approx(590.0))]
+
+
 def test_onoff_s_dip_at_off_end_stalls_only_with_dried_buffer(ld_stream):
     """A bandwidth hole placed where the legacy player's buffer runs dry
     causes a stall; a 40 s lower threshold rides the same hole out."""

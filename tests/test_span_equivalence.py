@@ -5,8 +5,8 @@ when every 50 ms tick was stepped.  Each scenario runs through both, and
 the outputs must agree tick for tick: events, decision records, log
 totals, playback start, stalls, radio states and the session summary.
 The event-driven engine reports its own playback; the per-tick engine's
-events are replayed event by event (playback.compute_buffer) from the
-start it recorded.  A replay reads every byte as the stream's, so for a
+events are replayed through the engine's buffer and playback clock
+(playback.compute_buffer) from the start it recorded.  A replay reads every byte as the stream's, so for a
 rate-adaptive technique only the engines' own stall totals are compared.
 
 The event-driven engine meets a driver's buffer threshold within

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import accumulate
 
 import pytest
 
@@ -7,6 +8,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
                        PacketEvent, StreamSpec, Throttling, classify,
                        detect_stalls, estimate_buffer, preset,
                        simulate_session)
+from streamsim.techniques import START_THRESHOLD_S
 from streamsim.traces import (FlowRecord, ingest_text, records_from_events,
                               records_to_csv, records_to_events)
 from test_acceptance import _random_scenario
@@ -122,6 +124,24 @@ def test_estimate_buffer_reconstructs_plateau(ld_stream):
     vals = [tl.value_at(t) for t in range(100, 400, 50)]
     assert all(30.0 <= v <= 45.0 for v in vals)
     assert all(s.buffered_seconds >= 0 for s in tl.samples)
+    # by default playback starts at the first arrival by which the trace
+    # has brought the start threshold
+    data = [r for r in recs if r.direction == "down" and not r.flags]
+    need = START_THRESHOLD_S * ld_stream.bytes_per_second
+    assert tl.joining_time_s == next(
+        r.t_s for r, total in zip(data, accumulate(r.bytes for r in data))
+        if total >= need)
+
+
+def test_estimate_buffer_rejects_a_trace_without_data():
+    """A trace with no downlink data has no stream to replay; it used to
+    get an invented 1 ms stream and a stall over all of it."""
+    control = [FlowRecord(0.0, 300, 0, "up"),
+               FlowRecord(1.0, 60, 0, "down", "persist_probe")]
+    for recs in ([], control):
+        with pytest.raises(ValueError,
+                           match="trace has no downlink data records"):
+            estimate_buffer(recs, 2e6)
 
 
 def test_ambiguous_trace_lowers_confidence():
