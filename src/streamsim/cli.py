@@ -17,22 +17,20 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 
-from . import analysis, traces
 from .profiles import BUILTIN_PROFILES
 from .scenario import ConfigError, load_scenario
 from .session import run_session
-from .svgplot import line_plot_svg
 
 
 def _write_atomic(path: str, text: str) -> None:
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
+    # open() gives the file the umask's mode, where mkstemp's would be 0600
+    tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.path.basename(path)}")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -80,6 +78,7 @@ def _parse_grid(raw: str) -> list[float]:
 
 
 def cmd_sweep_abandon(args) -> int:
+    from . import analysis, svgplot
     sc = load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     results = analysis.abandonment_sweep(sc, grid)
@@ -88,14 +87,15 @@ def cmd_sweep_abandon(args) -> int:
         path = os.path.join(args.out, f"abandon_{name}.csv")
         _write_atomic(path, "\n".join(sweep.to_csv_lines()) + "\n")
         series[name] = [(p.x, p.avg_current_ma) for p in sweep.points]
-    _write_atomic(os.path.join(args.out, "abandon_plot.svg"),
-                  line_plot_svg(series, "Average current vs watched fraction",
-                                "watched fraction", "avg current (mA)"))
+    svg = svgplot.line_plot_svg(series, "Average current vs watched fraction",
+                                "watched fraction", "avg current (mA)")
+    _write_atomic(os.path.join(args.out, "abandon_plot.svg"), svg)
     print(f"wrote abandonment sweep for {len(results)} techniques to {args.out}")
     return 0
 
 
 def cmd_sweep_buffer(args) -> int:
+    from . import analysis, svgplot
     sc = load_scenario(args.scenario)
     grid = _parse_grid(args.grid)
     ratios = _parse_grid(args.ratios) if args.ratios else [2.0, 4.0, 8.0]
@@ -108,14 +108,15 @@ def cmd_sweep_buffer(args) -> int:
                                    for p in sweep.points]
         for note in sweep.notes:
             print(f"note (C={ratio:g}x): {note}", file=sys.stderr)
-    _write_atomic(os.path.join(args.out, "buffer_plot.svg"),
-                  line_plot_svg(series, "Relative power vs dynamic buffer",
-                                "dynamic buffer (s)", "relative power"))
+    svg = svgplot.line_plot_svg(series, "Relative power vs dynamic buffer",
+                                "dynamic buffer (s)", "relative power")
+    _write_atomic(os.path.join(args.out, "buffer_plot.svg"), svg)
     print(f"wrote buffer-size sweep for {len(results)} ratios to {args.out}")
     return 0
 
 
 def cmd_analyze(args) -> int:
+    from . import traces
     records = traces.ingest(args.trace)
     cls = traces.classify(records, encoding_rate_bps=args.rate)
     if args.format == "json":

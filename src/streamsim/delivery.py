@@ -349,7 +349,7 @@ class _Engine:
         if self.finished:         # nothing to watch: done at once
             self.playback_start = self.log.playback_start_s = 0.0
         self.starved = False      # link died with no recovery ahead
-        self.rng = random.Random(seed)
+        self.seed, self._rng = seed, None   # _rng is built at the first draw
         self._conn_seq = -1
         self._on_since: Optional[float] = None
         self._off_since: Optional[float] = None
@@ -708,7 +708,8 @@ class _Engine:
             self._open_span = None   # own runs: back-to-back chunks repeat
             chunk = chunk_bytes
             if jitter:
-                chunk *= self.rng.uniform(1.0 - jitter, 1.0 + jitter)
+                self._rng = self._rng or random.Random(self.seed)
+                chunk *= self._rng.uniform(1.0 - jitter, 1.0 + jitter)
             due = self.t
             self.deliver(conn, math.inf, nbytes=chunk)
             period = max(chunk * 8.0 / rate_bps, self.t - due)

@@ -19,15 +19,12 @@ concurrently.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
 from .streams import (ChunkTrain, PacketEvent, TickSeq, TransferSpan,
                       check_finite)
-
-log = logging.getLogger(__name__)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
 FACH_MAX_BYTES = 1024
@@ -343,7 +340,9 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
     runs = _bursts(events, lambda dt: dt < shortest)
     end = _session_end(runs, session_end_s)
     if cfg.fd_timer_s is not None and cfg.fd_target == "idle":
-        log.debug("fast dormancy targets IDLE; T3 never applies")
+        import logging   # only here: a cold import costs milliseconds
+        logging.getLogger(__name__).debug(
+            "fast dormancy targets IDLE; T3 never applies")
 
     cur = _hspa_currents(profile)
     b = _Builder("hspa")

@@ -16,7 +16,6 @@ The format is deliberately diff-friendly: one dotted key per line,
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -89,6 +88,7 @@ class Scenario:
                               "must lie within [0, stream.duration_s]")
 
     def fingerprint(self) -> str:
+        import hashlib
         text = repr((self.stream, self.link, self.technique, self.radio_tech,
                      self.radio_cfg, self.profile, self.abandon_at_s,
                      self.seed))

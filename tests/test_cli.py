@@ -1,5 +1,7 @@
 import importlib.resources as ir
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,28 @@ def test_simulate_on_a_1_bps_link_writes_a_log_bounded_by_its_runs(tmp_path):
     counts = json.loads((out / "run_stats.json").read_text())["counts"]
     assert counts["ticks"] > 2e10 and counts["log_rows"] < 2_000
     assert counts["notes"] == 0     # no "session ends stalled"
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+def test_artifacts_get_the_umask_mode_and_leave_no_temp_file(tmp_path, umask):
+    out = tmp_path / "run"
+    old = os.umask(umask)
+    try:
+        assert main(["simulate", "--scenario", BUNDLED, "--out", str(out),
+                     "--stats"]) == 0
+        # a write that fails, here a directory in the way, is cleaned up too
+        (tmp_path / "blocked" / "buffer.csv" / "x").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            main(["simulate", "--scenario", BUNDLED,
+                  "--out", str(tmp_path / "blocked")])
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ARTIFACTS + ("run_stats.json",))
+    for p in out.iterdir():
+        assert stat.S_IMODE(p.stat().st_mode) == 0o666 & ~umask, p.name
+    assert sorted(p.name for p in (tmp_path / "blocked").iterdir()) == [
+        "buffer.csv", "session_summary.json"]
 
 
 def test_csv_headers_fixed(tmp_path):

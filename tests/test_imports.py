@@ -1,0 +1,93 @@
+"""What importing streamsim loads, and the public names it keeps.
+
+`import streamsim` loads no submodule, and each public name loads its
+module on first use. The contract is checked in a fresh `python -S`
+interpreter, whose `sys.modules` no test has filled yet; it takes no
+timings.
+"""
+
+import importlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import streamsim
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# every public name, kept apart from the package's own table so that a name
+# dropped there fails here
+PUBLIC = {
+    "analysis": ["SweepPoint", "SweepResult", "abandonment_sweep",
+                 "buffer_size_sweep", "equivalent_buffer_seconds",
+                 "recommend_thresholds"],
+    "delivery": ["DeliveryLog", "EVENT_TICK_S",
+                 "simulate_multi_connection_waste", "simulate_session"],
+    "energy": ["SessionSummary", "integrate_energy", "summarize"],
+    "playback": ["BufferTimeline", "QoeReport", "compute_buffer",
+                 "detect_stalls", "joining_time"],
+    "profiles": ["BUILTIN_PROFILES", "PowerProfile", "get_profile"],
+    "radio": ["HspaRrcConfig", "LteDrxConfig", "RadioInterval",
+              "RadioTimeline", "WifiPsmConfig", "promotion_latency",
+              "simulate_hspa", "simulate_lte", "simulate_radio",
+              "simulate_wifi"],
+    "scenario": ["ConfigError", "Scenario", "default_radio_config",
+                 "load_scenario", "parse_scenario_text"],
+    "session": ["SessionResult", "run_session"],
+    "streams": ["LinkModel", "PacketEvent", "StreamSpec"],
+    "techniques": ["EncodingRate", "FastCaching", "Hls", "Mss", "OnOffM",
+                   "OnOffS", "Technique", "Throttling", "preset",
+                   "technique_kind"],
+    "traces": ["Classification", "FlowRecord", "classify",
+               "estimate_buffer", "ingest"],
+}
+NAMES = [(mod, name) for mod, names in PUBLIC.items() for name in names]
+
+_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+before = set(sys.modules)
+import streamsim
+bare = set(sys.modules)
+import streamsim.cli
+print(json.dumps([sorted(bare - before), sorted(set(sys.modules) - bare)]))
+"""
+
+
+def test_import_loads_only_what_the_cli_runs():
+    out = subprocess.run([sys.executable, "-S", "-c", _PROBE.format(src=SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    bare, cli = json.loads(out)
+    assert bare == ["streamsim"]
+    assert "streamsim.cli" in cli
+    for mod in ("streamsim.traces", "streamsim.analysis", "streamsim.svgplot",
+                "hashlib", "logging", "statistics", "tempfile"):
+        assert mod not in cli, mod
+
+
+def test_every_public_name_is_kept():
+    assert len(NAMES) == 56
+    star: dict = {}
+    exec("from streamsim import *", star)
+    for mod, name in NAMES:
+        ns: dict = {}
+        exec(f"from streamsim import {name}", ns)
+        want = getattr(importlib.import_module(f"streamsim.{mod}"), name)
+        assert ns[name] is want, name
+        assert star[name] is want, name
+        assert name in dir(streamsim), name
+    assert vars(streamsim)["__version__"] == "0.1.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        streamsim.no_such_name
+    with pytest.raises(ImportError):
+        exec("from streamsim import no_such_name", {})
+    # a submodule's name is no public name, so the import falls back to it
+    ns: dict = {}
+    exec("from streamsim import svgplot", ns)
+    assert ns["svgplot"] is importlib.import_module("streamsim.svgplot")
