@@ -33,6 +33,7 @@ FACH_MAX_BYTES = 1024
 BEACON_WAKE_MS = 2.0
 
 _EPS = 1e-9
+_INF = float("inf")
 
 
 def _check_finite_fields(cfg) -> None:
@@ -167,49 +168,61 @@ class RadioTimeline:
 
 
 def _bursts(events: Iterable[PacketEvent],
-            joins_burst: Callable[[float], bool]
-            ) -> list[tuple[float, float, int]]:
-    """(first, last, bytes) per run of back-to-back packets, in time order.
+            joins_burst: Callable[[float], bool],
+            big_bytes: float = _INF) -> list[list[float]]:
+    """[first, last, big] per burst of back-to-back packets, in time order.
 
-    A transfer span whose tick spacing passes joins_burst is one run: every
-    tick after its first finds the radio in the state the first left it
-    in.  Any other span is walked tick by tick, and a single event is a
-    run of its own.  A chunk train of spans is one run when every spacing
-    between its ticks passes joins_burst and no tick is larger than its
-    first (so none can promote the radio further); any other train (one
-    that holds control packets, too) is walked cycle by cycle.
+    A packet, or a run of them, that starts within joins_burst of the
+    last burst's end extends it, so only a gap that fails joins_burst
+    splits two bursts.  big is the time of the burst's first packet of
+    at least big_bytes (inf if none): the one that promotes an HSPA
+    radio from FACH.  A transfer span whose tick spacing passes
+    joins_burst is one run, and any other span is walked tick by tick.
+    A chunk train whose cycle is one burst, and whose next repeat joins
+    it, is one burst; any other train repeats its cycle's bursts,
+    shifted by the period.
     """
-    out = []
+    out: list[list[float]] = []
     prev = 0.0
     # a TickSeq's runs as they are, any other events one by one
     runs = events.items if isinstance(events, TickSeq) else events
     for i, ev in enumerate(runs):
-        if ev.t_s < 0:
-            raise ValueError(f"event {i} has negative time {ev.t_s}")
-        if ev.t_s < prev - _EPS:
+        t = ev.t_s
+        if t < 0:
+            raise ValueError(f"event {i} has negative time {t}")
+        if t < prev - _EPS:
             raise ValueError(
-                f"events not sorted: event {i} at t={ev.t_s} after t={prev}")
+                f"events not sorted: event {i} at t={t} after t={prev}")
         if isinstance(ev, ChunkTrain):
-            first = ev.cycle[0].bytes
-            if (all(isinstance(s, TransferSpan) and s.bytes <= first
-                    for s in ev.cycle) and all(map(joins_burst, ev.gaps()))):
-                out.append((ev.t_s, ev.t_end_s, first))
-            else:   # each repeat's runs are the first cycle's, shifted
-                cycle = _bursts(ev.cycle, joins_burst)
-                out += [(a + j * ev.period_s, b + j * ev.period_s, nbytes)
-                        for j in range(ev.m) for a, b, nbytes in cycle]
-        elif not isinstance(ev, TransferSpan):
-            out.append((ev.t_s, ev.t_s, ev.bytes))
-        elif ev.n == 1 or joins_burst(ev.dt_s):
-            out.append((ev.t_s, ev.t_end_s, ev.bytes))
+            cycle = _bursts(ev.cycle, joins_burst, big_bytes)
+            a, b, big = cycle[0]
+            p = ev.period_s
+            if len(cycle) == 1 and joins_burst(a + p - b):
+                new = ((a, ev.t_end_s, big),)
+            else:   # each repeat's bursts are the first cycle's, shifted
+                new = [(a + j * p, b + j * p, big + j * p)
+                       for j in range(ev.m) for a, b, big in cycle]
+        elif isinstance(ev, TransferSpan) and not (
+                ev.n == 1 or joins_burst(ev.dt_s)):
+            big = ev.bytes >= big_bytes
+            new = [(tk, tk, tk if big else _INF)
+                   for tk in map(ev.tick_t, range(ev.n))]
         else:
-            out += [(t, t, ev.bytes)
-                    for t in (ev.tick_t(k) for k in range(ev.n))]
+            new = ((t, getattr(ev, "t_end_s", t),
+                    t if ev.bytes >= big_bytes else _INF),)
+        for a, b, big in new:
+            if out and joins_burst(a - out[-1][1]):
+                last = out[-1]
+                last[1] = b
+                if big < last[2]:
+                    last[2] = big
+            else:
+                out.append([a, b, big])
         prev = out[-1][1]
     return out
 
 
-def _session_end(runs: list[tuple[float, float, int]],
+def _session_end(runs: list[list[float]],
                  session_end_s: Optional[float]) -> float:
     end = session_end_s if session_end_s is not None else (
         runs[-1][1] if runs else 0.0)
@@ -221,24 +234,27 @@ def _session_end(runs: list[tuple[float, float, int]],
 class _Builder:
     """Accumulates (state, current) spans and merges adjacent equal ones."""
 
-    def __init__(self, technology: str):
-        self.timeline = RadioTimeline(technology)
-        self._t = 0.0
-
-    @property
-    def t(self) -> float:
-        return self._t
+    def __init__(self):
+        self._runs: list[list] = []   # [state, start, end, current_ma]
+        self.t = 0.0
 
     def push(self, state: str, t_end: float, current_ma: float) -> None:
-        if t_end <= self._t + _EPS:
-            self._t = max(self._t, t_end)
+        if t_end <= self.t + _EPS:
+            self.t = max(self.t, t_end)
             return
-        ivs = self.timeline.intervals
-        if ivs and ivs[-1].state == state and ivs[-1].current_ma == current_ma:
-            ivs[-1] = RadioInterval(state, ivs[-1].t_start_s, t_end, current_ma)
+        runs = self._runs
+        if runs and runs[-1][0] == state and runs[-1][3] == current_ma:
+            runs[-1][2] = t_end
         else:
-            ivs.append(RadioInterval(state, self._t, t_end, current_ma))
-        self._t = t_end
+            runs.append([state, self.t, t_end, current_ma])
+        self.t = t_end
+
+    def timeline(self, technology: str, end: float) -> RadioTimeline:
+        """The intervals pushed, checked to cover [0, end]."""
+        tl = RadioTimeline(technology,
+                           [RadioInterval(*run) for run in self._runs])
+        tl.validate(end)
+        return tl
 
 
 # --------------------------------------------------------------------------
@@ -270,22 +286,13 @@ def simulate_wifi(events: Iterable[PacketEvent], cfg: WifiPsmConfig,
     if not cfg.sleep_current_applies:
         sleep_ma = profile.wifi_idle_tail
 
-    b = _Builder("wifi")
-    i = 0
-    n = len(runs)
-    while i < n:
-        # burst: consecutive runs with gaps <= tail
-        j = i
-        while j + 1 < n and runs[j + 1][0] - runs[j][1] <= tail_s + _EPS:
-            j += 1
-        b.push(sleep_state, min(runs[i][0], end), sleep_ma)
-        b.push("active", min(runs[j][1], end), profile.wifi_active)
-        b.push("idle_tail", min(runs[j][1] + tail_s, end),
-               profile.wifi_idle_tail)
-        i = j + 1
+    b = _Builder()
+    for t_first, t_last, _ in runs:
+        b.push(sleep_state, min(t_first, end), sleep_ma)
+        b.push("active", min(t_last, end), profile.wifi_active)
+        b.push("idle_tail", min(t_last + tail_s, end), profile.wifi_idle_tail)
     b.push(sleep_state, end, sleep_ma)
-    b.timeline.validate(end)
-    return b.timeline
+    return b.timeline("wifi", end)
 
 
 # --------------------------------------------------------------------------
@@ -337,7 +344,8 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
     """
     shortest = min(cfg.t1_s, cfg.t2_s, cfg.t3_s,
                    cfg.fd_timer_s if cfg.fd_timer_s is not None else cfg.t1_s)
-    runs = _bursts(events, lambda dt: dt < shortest)
+    runs = _bursts(events, lambda dt: dt < shortest - _EPS,
+                   cfg.fach_max_bytes)
     end = _session_end(runs, session_end_s)
     if cfg.fd_timer_s is not None and cfg.fd_target == "idle":
         import logging   # only here: a cold import costs milliseconds
@@ -345,8 +353,7 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
             "fast dormancy targets IDLE; T3 never applies")
 
     cur = _hspa_currents(profile)
-    b = _Builder("hspa")
-    state = "idle"           # radio state carried into the next gap
+    b = _Builder()
     gap_start = 0.0          # time the current inactivity period began
 
     def carve_gap(t_from: float, t_to: float, chain, promote_at: Optional[float]):
@@ -367,7 +374,7 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
             b.push("dch", t_to, cur["dch"])
 
     chain: list[tuple[str, float]] = [("idle", float("inf"))]
-    for t_first, t_last, nbytes in runs:
+    for t_first, t_last, big in runs:
         t = min(t_first, end)
         tau = t - gap_start
         before = _chain_state_at(chain, tau)
@@ -382,23 +389,21 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
                     break
                 off += dwell
             promote_at = max(t - cfg.promotion_latency_s, low_entry, b.t)
-            after = "dch"
-        elif before == "fach":
-            after = "fach" if nbytes < cfg.fach_max_bytes else "dch"
-        else:
-            after = "dch"
         carve_gap(b.t, t, chain, promote_at)
-        state = after
-        # the rest of the run keeps the radio in that state
+        if before == "fach" and big != _INF:
+            # FACH serves the burst up to its first large packet, which
+            # promotes the radio to DCH
+            b.push("fach", min(big, end), cur["fach"])
+        after = "fach" if before == "fach" and big == _INF else "dch"
+        # the rest of the burst keeps the radio in that state
         gap_start = min(t_last, end)
-        b.push(state, gap_start, cur[state])
-        chain = _hspa_chain(cfg, state)
+        b.push(after, gap_start, cur[after])
+        chain = _hspa_chain(cfg, after)
     if runs:
         carve_gap(b.t, end, chain, None)
     else:
         b.push("idle", end, cur["idle"])
-    b.timeline.validate(end)
-    return b.timeline
+    return b.timeline("hspa", end)
 
 
 # --------------------------------------------------------------------------
@@ -418,14 +423,14 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
     the reception current before the packet time.
     """
     inact = cfg.drx_inactivity_ms / 1000.0
-    runs = _bursts(events, lambda dt: dt < cfg.rrc_idle_s
+    runs = _bursts(events, lambda dt: dt < cfg.rrc_idle_s - _EPS
                    and (dt <= inact or not cfg.drx_enabled))
     end = _session_end(runs, session_end_s)
 
     cycle = cfg.drx_cycle_ms / 1000.0
     on_s = min(profile.drx_on_overstay_ms, cfg.drx_cycle_ms) / 1000.0
     promo = cfg.promotion_latency_ms / 1000.0
-    b = _Builder("lte")
+    b = _Builder()
 
     def carve_gap(t_from: float, t_to: float, rx_from: float,
                   promote_at: Optional[float]):
@@ -461,15 +466,14 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
             if tau >= cfg.rrc_idle_s - _EPS:
                 promote_at = max(t - promo, last + cfg.rrc_idle_s, b.t)
             carve_gap(b.t, t, last, promote_at)
-        # the rest of the run keeps the radio in continuous reception
+        # the rest of the burst keeps the radio in continuous reception
         last = min(t_last, end)
         b.push("rx", last, profile.lte_rx)
     if last is not None:
         carve_gap(b.t, end, last, None)
     else:
         b.push("idle", end, profile.lte_idle)
-    b.timeline.validate(end)
-    return b.timeline
+    return b.timeline("lte", end)
 
 
 def simulate_radio(technology: str, events: Iterable[PacketEvent], cfg,

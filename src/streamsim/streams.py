@@ -141,14 +141,6 @@ class ChunkTrain:
             k -= _size(e)
         raise IndexError("tick index out of range")
 
-    def gaps(self) -> set[float]:
-        """Every spacing between consecutive ticks of a train of spans."""
-        out = {s.dt_s for s in self.cycle if s.n > 1}
-        out.update(b.t_s - a.t_end_s for a, b in zip(self.cycle, self.cycle[1:]))
-        if self.m > 1:
-            out.add(self.cycle[0].t_s + self.period_s - self.cycle[-1].t_end_s)
-        return out
-
     def sort_key(self):
         return self.cycle[0].sort_key()
 

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import hspa_energy, quantize_events, step_hspa
 from streamsim import HspaRrcConfig, PacketEvent, simulate_hspa
+from streamsim.streams import TickSeq, TransferSpan
 
 
 def _energy(tl):
@@ -116,6 +117,20 @@ def test_small_packets_served_in_fach_without_promotion(gs3):
              for iv in tl.intervals]
     assert spans == [("dch", 0.0, 8.0), ("fach", 8.0, 12.0),
                      ("pch", 12.0, 16.0)]
+
+
+def test_a_timer_within_round_off_of_a_tick_spacing_splits_the_span(gs3):
+    """A span's ticks 3 s - 5e-10 apart: T2 (3 s) counts as expired
+    within 1e-9 s, so the second tick finds the radio in PCH and promotes
+    it again.  The span and its per-tick list say so alike."""
+    cfg = HspaRrcConfig(fd_timer_s=None)
+    events = TickSeq([PacketEvent(0.0, 50_000, 0),
+                      TransferSpan(8.5, 3.0 - 5e-10, 2, 0, 500.0)],
+                     TransferSpan.event)
+    want = ["dch", "fach", "dch", "fach", "pch"]
+    for view in (events, list(events)):
+        tl = simulate_hspa(view, cfg, gs3, session_end_s=30.0)
+        assert [iv.state for iv in tl.intervals] == want
 
 
 def test_monotone_energy_under_added_traffic(gs3):

@@ -1,5 +1,6 @@
 """Transfer spans: the cost model and the per-tick views built on them."""
 
+import functools
 import importlib.resources as ir
 import random
 from dataclasses import replace
@@ -7,11 +8,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import tick_reference as ref
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, Mss, OnOffM, OnOffS,
                        PacketEvent, StreamSpec, Throttling, WifiPsmConfig,
-                       compute_buffer, delivery, preset, simulate_radio,
-                       simulate_session)
+                       compute_buffer, delivery, preset, radio,
+                       simulate_radio, simulate_session)
 from streamsim.delivery import LogRecord, _data_record
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
@@ -159,7 +161,6 @@ def test_tick_seq_expands_chunk_trains():
                  LogRecord(1.75 + 2 * j, "data", 0, 400.0, 3.5 + 0.1 * j)]
     assert train.n == len(seq) - 1 == 9
     assert train.t_end_s == 5.75
-    assert train.gaps() == {0.5, 0.25, 1.25}
     assert len(list(seq)) == len(want)
     for i in range(-len(want), len(want)):
         got = seq[i]
@@ -357,6 +358,14 @@ RADIO_CONFIGS = [
 ]
 
 
+def _assert_same_timeline(got, want):
+    assert [iv.state for iv in got.intervals] == [
+        iv.state for iv in want.intervals]
+    for a, b in zip(got.intervals, want.intervals):
+        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
+        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+
+
 @pytest.mark.parametrize("tech", [preset("youtube_onoffm"), EncodingRate(),
                                   preset("vimeo_onoffs"), Throttling(),
                                   Throttling(chunk_bytes=40_000)],
@@ -370,12 +379,20 @@ def test_radio_on_spans_equals_radio_on_ticks(radio_tech, cfg, tech, gs3):
     stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
     events, _ = simulate_session(stream, LinkModel.constant(8e6), tech)
     end = events[-1].t_s + 30.0
-    got = simulate_radio(radio_tech, events, cfg, gs3, end).intervals
-    want = simulate_radio(radio_tech, list(events), cfg, gs3, end).intervals
-    assert [iv.state for iv in got] == [iv.state for iv in want]
-    for a, b in zip(got, want):
-        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
-        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+    _assert_same_timeline(
+        simulate_radio(radio_tech, events, cfg, gs3, end),
+        ref.simulate_radio_per_packet(radio_tech, events, cfg, gs3, end))
+
+
+def _fach_train(first_bytes):
+    """A train whose first tick may be small, between a large packet and
+    a request."""
+    cycle = (TransferSpan(9.0, 0.01, 1, 0, first_bytes),
+             TransferSpan(9.05, 0.05, 3, 0, 20_000.0))
+    return TickSeq([PacketEvent(0.0, 50_000, 0),
+                    ChunkTrain(cycle, 40, 0.3, 0.0),
+                    PacketEvent(40.0, 500, 0, "request")],
+                   TransferSpan.event)
 
 
 @pytest.mark.parametrize("first_bytes", [50_000.0, 500.0])
@@ -384,19 +401,70 @@ def test_radio_on_spans_equals_radio_on_ticks(radio_tech, cfg, tech, gs3):
 def test_radio_on_a_train_equals_radio_on_its_ticks(radio_tech, cfg,
                                                      first_bytes, gs3):
     """A train whose first tick is small finds an HSPA radio left in FACH
-    and stays there until its large tick, so it cannot be one burst."""
-    cycle = (TransferSpan(9.0, 0.01, 1, 0, first_bytes),
-             TransferSpan(9.05, 0.05, 3, 0, 20_000.0))
-    events = TickSeq([PacketEvent(0.0, 50_000, 0),
-                      ChunkTrain(cycle, 40, 0.3, 0.0),
-                      PacketEvent(40.0, 500, 0, "request")],
-                     TransferSpan.event)
-    got = simulate_radio(radio_tech, events, cfg, gs3, 60.0).intervals
-    want = simulate_radio(radio_tech, list(events), cfg, gs3, 60.0).intervals
-    assert [iv.state for iv in got] == [iv.state for iv in want]
-    for a, b in zip(got, want):
-        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
-        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+    and stays there until its large tick, which promotes it to DCH inside
+    the burst."""
+    events = _fach_train(first_bytes)
+    _assert_same_timeline(
+        simulate_radio(radio_tech, events, cfg, gs3, 60.0),
+        ref.simulate_radio_per_packet(radio_tech, events, cfg, gs3, 60.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _radio_session(name):
+    """One of the radio tests' sessions, run once per test process: the
+    seeded 3,000-segment link and 600-breakpoint VBR stream, and the base
+    scenario re-run with HLS, MSS, throttling and vimeo_onoffs."""
+    variants = dict(zip(("hls", "mss", "throttling", "vimeo_onoffs"),
+                        _session_variants()[3:]))
+    link3000, vbr600 = _long_inputs(1)
+    return run_session({"link3000": link3000, "vbr600": vbr600,
+                        **variants}[name])
+
+
+@pytest.mark.parametrize("case", ["link3000", "vbr600", "hls", "mss",
+                                  "throttling", "vimeo_onoffs"])
+@pytest.mark.parametrize("radio_tech,cfg", RADIO_CONFIGS)
+def test_radio_equals_the_per_packet_walk(radio_tech, cfg, case, gs3):
+    """Coalesced bursts, spans and trains give the radio timeline that
+    walking every packet as a run of its own gives."""
+    res = _radio_session(case)
+    end = res.summary.wall_time_s
+    _assert_same_timeline(
+        simulate_radio(radio_tech, res.events, cfg, gs3, end),
+        ref.simulate_radio_per_packet(radio_tech, res.events, cfg, gs3, end))
+
+
+def _bursts_walked(monkeypatch, res):
+    """Bursts the session's own radio machine walks, and its intervals."""
+    walked = []
+    bursts = radio._bursts
+
+    def counting(*args):
+        out = bursts(*args)
+        walked.append(len(out))
+        return out
+
+    monkeypatch.setattr(radio, "_bursts", counting)
+    sc = res.scenario
+    tl = simulate_radio(sc.radio_tech, res.events, sc.radio_cfg, sc.profile,
+                        res.summary.wall_time_s)
+    return walked[-1], len(tl.intervals)   # the outermost call ends last
+
+
+@pytest.mark.parametrize("case,bursts,intervals", [
+    ("link3000", 5, 10), ("throttling", 1, 2), ("mss", 99, 2),
+    ("vimeo_onoffs", 76, 2)])
+def test_radio_walks_a_burst_per_radio_burst(case, bursts, intervals,
+                                             monkeypatch):
+    """The HSPA machine walks one burst per gap its timers can see, not
+    one per stored run: 656, 5, 214 and 269 before runs coalesced.  A
+    burst carries the time its first large packet promotes the radio
+    from FACH, so that packet splits no burst."""
+    res = _radio_session(case)
+    assert res.scenario.radio_tech == "hspa"
+    walked, n_intervals = _bursts_walked(monkeypatch, res)
+    assert walked <= bursts
+    assert n_intervals == intervals
 
 
 def test_link_boundaries_on_the_tick_grid_leave_no_slivers():

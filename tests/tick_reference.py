@@ -3,8 +3,10 @@
 This is the delivery engine as it was before it became event-driven: it
 steps every transfer in EVENT_TICK_S ticks and returns a plain list of
 PacketEvents, one per tick.  compute_buffer below is the matching
-per-event buffer model.  The equivalence tests run the same scenarios
-through both and compare the outputs; nothing under src/ imports this.
+per-event buffer model, and simulate_radio_per_packet the radio machines
+as they were before they coalesced bursts: every packet is a run of its
+own.  The equivalence tests run the same scenarios through both and
+compare the outputs; nothing under src/ imports this.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from streamsim.playback import BufferSample, BufferTimeline
+from streamsim.profiles import PowerProfile
+from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
+                             RadioTimeline, WifiPsmConfig, wifi_sleep_current)
 from streamsim.streams import (FLOW_CONTROL_BYTES, PROBE_BYTES,
                                REQUEST_BYTES, LinkModel, PacketEvent,
                                StreamSpec)
@@ -884,3 +889,190 @@ def _zero_span_total(samples: list[BufferSample], after: float = 0.0) -> float:
         if a.buffered_seconds <= _EPS and a.t_s >= after - _EPS:
             total += b.t_s - a.t_s
     return total
+
+
+# --------------------------------------------------------------------------
+# Per-packet radio machines
+# --------------------------------------------------------------------------
+
+class _RadioBuilder:
+    """Accumulates (state, current) spans and merges adjacent equal ones."""
+
+    def __init__(self, technology: str):
+        self.timeline = RadioTimeline(technology)
+        self.t = 0.0
+
+    def push(self, state: str, t_end: float, current_ma: float) -> None:
+        if t_end <= self.t + _EPS:
+            self.t = max(self.t, t_end)
+            return
+        ivs = self.timeline.intervals
+        if ivs and ivs[-1].state == state and ivs[-1].current_ma == current_ma:
+            ivs[-1] = RadioInterval(state, ivs[-1].t_start_s, t_end, current_ma)
+        else:
+            ivs.append(RadioInterval(state, self.t, t_end, current_ma))
+        self.t = t_end
+
+
+def _packets(events: Iterable[PacketEvent],
+             session_end_s: Optional[float]) -> tuple[list, float]:
+    """(t, bytes) of every packet, checked sorted, and the session end."""
+    packets, prev = [], 0.0
+    for i, ev in enumerate(events):
+        if ev.t_s < prev - _EPS:
+            raise ValueError(f"events not sorted: event {i} at t={ev.t_s}")
+        packets.append((ev.t_s, ev.bytes))
+        prev = ev.t_s
+    end = session_end_s if session_end_s is not None else prev
+    if prev > end + _EPS:
+        raise ValueError("events extend past session_end_s")
+    return packets, end
+
+
+def _wifi(packets, end, cfg: WifiPsmConfig, profile: PowerProfile):
+    tail_s = cfg.tail_ms / 1000.0
+    sleep_ma = wifi_sleep_current(cfg, profile)
+    sleep_state = "sleep" if cfg.sleep_current_applies else "idle_tail"
+    if not cfg.sleep_current_applies:
+        sleep_ma = profile.wifi_idle_tail
+    b = _RadioBuilder("wifi")
+    i, n = 0, len(packets)
+    while i < n:
+        # burst: consecutive packets with gaps <= tail
+        j = i
+        while j + 1 < n and packets[j + 1][0] - packets[j][0] <= tail_s + _EPS:
+            j += 1
+        b.push(sleep_state, min(packets[i][0], end), sleep_ma)
+        b.push("active", min(packets[j][0], end), profile.wifi_active)
+        b.push("idle_tail", min(packets[j][0] + tail_s, end),
+               profile.wifi_idle_tail)
+        i = j + 1
+    b.push(sleep_state, end, sleep_ma)
+    return b.timeline
+
+
+def _hspa_chain(cfg: HspaRrcConfig, from_state: str) -> list:
+    inf = float("inf")
+    if from_state == "dch":
+        if cfg.fd_timer_s is not None:
+            if cfg.fd_target == "idle":
+                return [("dch", cfg.fd_timer_s), ("idle", inf)]
+            return [("dch", cfg.fd_timer_s), ("pch", cfg.t3_s), ("idle", inf)]
+        return [("dch", cfg.t1_s), ("fach", cfg.t2_s), ("pch", cfg.t3_s),
+                ("idle", inf)]
+    return [("fach", cfg.t2_s), ("pch", cfg.t3_s), ("idle", inf)]
+
+
+def _chain_state_at(chain: list, tau: float) -> str:
+    off = 0.0
+    for state, dwell in chain:
+        off += dwell
+        if tau < off - _EPS:   # a timer counts as expired within _EPS
+            return state
+    return chain[-1][0]
+
+
+def _hspa(packets, end, cfg: HspaRrcConfig, profile: PowerProfile):
+    cur = {"dch": profile.hspa_dch, "fach": profile.hspa_fach,
+           "pch": profile.hspa_pch, "idle": profile.hspa_idle}
+    b = _RadioBuilder("hspa")
+
+    def carve_gap(t_from, t_to, chain, promote_at):
+        lo = t_from
+        cut = t_to if promote_at is None else promote_at
+        off = t_from
+        for st, dwell in chain:
+            hi = min(cut, off + dwell)
+            if hi > lo:
+                b.push(st, hi, cur[st])
+                lo = hi
+            off += dwell
+            if off >= cut:
+                break
+        if promote_at is not None and t_to > promote_at:
+            b.push("dch", t_to, cur["dch"])
+
+    chain = [("idle", float("inf"))]
+    gap_start = 0.0
+    for t, nbytes in packets:
+        t = min(t, end)
+        before = _chain_state_at(chain, t - gap_start)
+        promote_at = None
+        if before in ("pch", "idle"):
+            low_entry, off = gap_start, 0.0
+            for st, dwell in chain:
+                if st in ("pch", "idle"):
+                    low_entry = gap_start + off
+                    break
+                off += dwell
+            promote_at = max(t - cfg.promotion_latency_s, low_entry, b.t)
+            after = "dch"
+        elif before == "fach":
+            after = "fach" if nbytes < cfg.fach_max_bytes else "dch"
+        else:
+            after = "dch"
+        carve_gap(b.t, t, chain, promote_at)
+        gap_start = t
+        b.push(after, t, cur[after])
+        chain = _hspa_chain(cfg, after)
+    if packets:
+        carve_gap(b.t, end, chain, None)
+    else:
+        b.push("idle", end, cur["idle"])
+    return b.timeline
+
+
+def _lte(packets, end, cfg: LteDrxConfig, profile: PowerProfile):
+    inact = cfg.drx_inactivity_ms / 1000.0
+    cycle = cfg.drx_cycle_ms / 1000.0
+    on_s = min(profile.drx_on_overstay_ms, cfg.drx_cycle_ms) / 1000.0
+    promo = cfg.promotion_latency_ms / 1000.0
+    b = _RadioBuilder("lte")
+
+    def carve_gap(t_to, rx_from, promote_at):
+        cut = t_to if promote_at is None else promote_at
+        idle_at = rx_from + cfg.rrc_idle_s
+        b.push("rx", min(cut, rx_from + inact), profile.lte_rx)
+        if not cfg.drx_enabled:
+            b.push("rx", min(cut, idle_at), profile.lte_rx)
+        else:
+            k = 0
+            while b.t + _EPS < min(cut, idle_at):
+                c0 = rx_from + inact + k * cycle
+                b.push("drx_on", min(cut, idle_at, c0 + on_s),
+                       profile.lte_drx_on)
+                b.push("drx_sleep", min(cut, idle_at, c0 + cycle),
+                       profile.lte_drx_sleep)
+                k += 1
+        b.push("idle", cut, profile.lte_idle)
+        if promote_at is not None and t_to > promote_at:
+            b.push("rx", t_to, profile.lte_rx)
+
+    last = None
+    for t, _ in packets:
+        t = min(t, end)
+        if last is None:
+            b.push("idle", max(t - promo, 0.0), profile.lte_idle)
+        elif t - last >= cfg.rrc_idle_s - _EPS:
+            carve_gap(t, last, max(t - promo, last + cfg.rrc_idle_s, b.t))
+        else:
+            carve_gap(t, last, None)
+        last = t
+        b.push("rx", t, profile.lte_rx)
+    if last is not None:
+        carve_gap(end, last, None)
+    else:
+        b.push("idle", end, profile.lte_idle)
+    return b.timeline
+
+
+def simulate_radio_per_packet(technology: str, events: Iterable[PacketEvent],
+                              cfg, profile: PowerProfile,
+                              session_end_s: Optional[float] = None
+                              ) -> RadioTimeline:
+    """The radio timeline of the per-tick events, walked packet by packet."""
+    packets, end = _packets(events, session_end_s)
+    machine = {"wifi": _wifi, "hspa": _hspa, "lte": _lte}[technology]
+    tl = machine(packets, end, cfg, profile)
+    tl.validate(end)
+    return tl
