@@ -5,13 +5,8 @@ drove its feedback loop, with its start, stalls and samples, is the one
 reported.  This module holds the report's types, the closed-form joining
 time, and the buffer timeline of data arrivals alone, such as a flow
 trace's, which replays them through that same engine buffer and clock.
-
-The buffer timeline is the difference of the cumulative arrival and
-consumption series.  Consumption starts at the joining time, runs at one
-content-second per wall second, halts whenever the buffer empties (a stall)
-and resumes once resume_threshold_s of content is available again.
-Buffered bytes are converted to seconds through the stream's encoding-rate
-trace, so VBR streams are handled exactly.
+Either way a timeline carries the stalls that playback recorded: each
+runs from an empty buffer until resume_threshold_s is buffered again.
 """
 
 from __future__ import annotations
@@ -37,8 +32,21 @@ class BufferTimeline:
     samples: list[BufferSample] = field(default_factory=list)
     resume_threshold_s: float = RESUME_THRESHOLD_S
     completed: bool = True         # playback reached the watch end
+    # the stalls the playback recorded: (t_start_s, duration_s)
+    stall_events: list[tuple[float, float]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
+
+    @classmethod
+    def from_log(cls, dlog, watched_s: float, joining_time_s=None,
+                 resume_threshold_s: float = RESUME_THRESHOLD_S):
+        """The timeline of a delivery log's playback, its stalls included,
+        from joining_time_s (by default the log's start; inf if none)."""
+        join = (dlog.playback_start_s if joining_time_s is None
+                else joining_time_s)
+        return cls(JOIN_FAILURE_S if join is None else join,
+                   dlog.playback_end_s, watched_s, dlog.buffer_samples,
+                   resume_threshold_s, dlog.completed, dlog.stall_events)
 
     def to_csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
@@ -77,13 +85,8 @@ def playback_report(dlog, watched_s: float
                     ) -> tuple[BufferTimeline, QoeReport]:
     """The buffer timeline and QoE of the playback a delivery log records;
     watched_s is the content the viewer meant to watch."""
-    join = dlog.playback_start_s
-    if join is None:
-        join = JOIN_FAILURE_S
-    tl = BufferTimeline(join, dlog.playback_end_s, watched_s,
-                        dlog.buffer_samples, completed=dlog.completed)
-    ratio = dlog.stall_total_s / watched_s if watched_s > 0 else 0.0
-    return tl, QoeReport(join, dlog.stall_events, ratio)
+    tl = BufferTimeline.from_log(dlog, watched_s)
+    return tl, detect_stalls(tl)
 
 
 def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
@@ -114,49 +117,25 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     The data events run through the delivery engine's own buffer and
     playback clock (delivery.replay_arrivals), as content of the stream,
     with playback starting at joining_time_s: the same start, stall,
-    resume and end rules and tolerances as a simulated session.  A stall
-    playback never leaves lasts as long as the rest of the watch would
-    have.  watch_end_s bounds consumption for abandoned sessions.
+    resume and end rules and tolerances as a simulated session, and its
+    stalls.  watch_end_s bounds consumption for abandoned sessions.
     """
     watched = stream.duration_s if watch_end_s is None else min(
         watch_end_s, stream.duration_s)
     dlog = replay_arrivals(arrivals, stream, joining_time_s,
                            resume_threshold_s, watched)
-    return BufferTimeline(joining_time_s, dlog.playback_end_s, watched,
-                          dlog.buffer_samples, resume_threshold_s,
-                          completed=dlog.completed)
+    return BufferTimeline.from_log(dlog, watched, joining_time_s,
+                                   resume_threshold_s)
 
 
 def detect_stalls(buffer: BufferTimeline,
-                  resume_threshold_s: float = RESUME_THRESHOLD_S) -> QoeReport:
-    """Extract stall events from a buffer timeline.
-
-    A stall opens when the buffer hits zero during playback and closes when
-    buffered content reaches the resume threshold or holds the rest of a
-    completed watch (or never, in which case it runs to the end of the
-    timeline).
-    """
-    if math.isinf(buffer.joining_time_s):
-        return QoeReport(JOIN_FAILURE_S,
-                         [(0.0, buffer.playback_end_s)],
-                         1.0)
-    events: list[tuple[float, float]] = []
-    join = buffer.joining_time_s
-    open_at: Optional[float] = None
-    for s in buffer.samples:
-        if s.t_s < join - TIE_S:
-            continue
-        if open_at is None:
-            if (s.buffered_seconds <= TIE_S
-                    and s.t_s < buffer.playback_end_s - 1e-9):
-                open_at = s.t_s
-        elif (s.buffered_seconds >= resume_threshold_s - 1e-6
-              or (buffer.completed and s.t_s + s.buffered_seconds
-                  >= buffer.playback_end_s - 1e-6)):
-            events.append((open_at, s.t_s - open_at))
-            open_at = None
-    if open_at is not None and buffer.playback_end_s - open_at > 1e-6:
-        events.append((open_at, buffer.playback_end_s - open_at))
-    total = sum(d for _, d in events)
-    return QoeReport(joining_time_s=join, stall_events=events,
-                     stall_ratio=total / buffer.duration_s)
+                  resume_threshold_s: Optional[float] = None) -> QoeReport:
+    """The QoE of a buffer timeline: its joining time, the stalls its
+    playback recorded at its own resume threshold (the only one
+    resume_threshold_s may name), and their share of the watch."""
+    if resume_threshold_s not in (None, buffer.resume_threshold_s):
+        raise ValueError("the stalls were decided at a resume threshold of "
+                         f"{buffer.resume_threshold_s} s")
+    total = sum(d for _, d in buffer.stall_events)
+    ratio = total / buffer.duration_s if buffer.duration_s > 0 else 0.0
+    return QoeReport(buffer.joining_time_s, buffer.stall_events, ratio)

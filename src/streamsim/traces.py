@@ -265,4 +265,4 @@ def estimate_buffer(records: list[FlowRecord], encoding_rate_bps: float,
     stream = StreamSpec(duration_s=total * 8.0 / encoding_rate_bps,
                         encoding_rate_bps=encoding_rate_bps)
     dlog = replay_arrivals(arrivals, stream, joining_time_s)
-    return playback.playback_report(dlog, stream.duration_s)[0]
+    return playback.BufferTimeline.from_log(dlog, stream.duration_s)

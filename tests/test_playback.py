@@ -206,6 +206,28 @@ def test_abandoned_session_watch_end(hd_stream, link4):
     assert detect_stalls(tl).stall_events == []
 
 
+@pytest.mark.parametrize("join", [1.0, math.inf])
+def test_zero_length_watch_has_a_zero_stall_ratio(join):
+    """A watch of no content, as a session abandoned at 0 s, has no stall
+    ratio to take; the timeline keeps the joining time it was given,
+    where its replay's log starts at 0 s."""
+    tl = compute_buffer([PacketEvent(0.5, 10000, 0)], StreamSpec(600, 2e6),
+                        join, watch_end_s=0.0)
+    qoe = detect_stalls(tl)
+    assert qoe.stall_ratio == 0.0
+    assert qoe.joining_time_s == tl.joining_time_s == join
+
+
+def test_detect_stalls_rejects_another_resume_threshold(hd_stream):
+    """The stalls were decided at the timeline's resume threshold: naming
+    it is allowed, naming another raises."""
+    tl = compute_buffer([], hd_stream, joining_time_s=2.0,
+                        resume_threshold_s=1.0)
+    assert detect_stalls(tl, resume_threshold_s=1.0) == detect_stalls(tl)
+    with pytest.raises(ValueError, match="resume threshold of 1.0 s"):
+        detect_stalls(tl, resume_threshold_s=4.0)
+
+
 def _value_at_by_scan(tl, t):
     """Linear-scan reference: interpolate between the samples around t."""
     prev = nxt = None

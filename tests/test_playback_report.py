@@ -56,7 +56,7 @@ def assert_engine_playback(tech, stream, events, dlog, watched,
     want = model(exact_ticks(events), stream, got.joining_time_s,
                  watch_end_s=watched)
     assert got.completed == want.completed
-    q_want = detect_stalls(want)
+    q_want = ref.detect_stalls(want)
     assert len(qoe.stall_events) == len(q_want.stall_events)
     for (s1, d1), (s2, d2) in zip(q_want.stall_events, qoe.stall_events):
         assert s2 == pytest.approx(s1, abs=1e-6)
@@ -125,7 +125,7 @@ def test_ladder_sessions_report_the_engine_buffer():
         assert max(s.buffered_seconds for s in res.buffer.samples) == \
             pytest.approx(peak, abs=0.05)
         if res is hls:
-            assert detect_stalls(blind).stall_events == []
+            assert ref.detect_stalls(blind).stall_events == []
     assert hls.summary.stall_count == 1
     assert hls.summary.stall_total_s == pytest.approx(1.0, abs=1e-9)
     assert mss.summary.stall_count == 0
@@ -216,8 +216,8 @@ def test_buffer_replay_ties_like_the_engine():
                                   res.qoe.stall_events):
         assert s2 == pytest.approx(s1, abs=1e-9)
         assert d2 == pytest.approx(d1, abs=1e-9)
-    old = detect_stalls(ref.compute_buffer(exact_ticks(res.events),
-                                           sc.stream, join))
+    old = ref.detect_stalls(ref.compute_buffer(exact_ticks(res.events),
+                                               sc.stream, join))
     assert [round(t, 3) for t, _ in old.stall_events[:3]] == \
         [212.64, 237.258, 261.834]
     assert [round(t, 3) for t, _ in res.qoe.stall_events[:3]] == \

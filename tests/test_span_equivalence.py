@@ -166,10 +166,17 @@ def _replayed(dlog, stream, threshold_s=RESUME_THRESHOLD_S,
     join = dlog.playback_start_s
     ticks = [PacketEvent(r.t_s, r.bytes, r.connection_id)
              for r in dlog.records if r.event == "data"]
-    tl = playback.compute_buffer(
-        ticks, stream, JOIN_FAILURE_S if join is None else join,
-        resume_threshold_s=threshold_s, watch_end_s=watch_end_s)
-    return tl, detect_stalls(tl, resume_threshold_s=threshold_s)
+    join = JOIN_FAILURE_S if join is None else join
+    tl = playback.compute_buffer(ticks, stream, join,
+                                 resume_threshold_s=threshold_s,
+                                 watch_end_s=watch_end_s)
+    qoe = detect_stalls(tl, resume_threshold_s=threshold_s)
+    # the timeline carries the replay's own stalls, which the frozen walk
+    # over its samples finds too
+    assert tl.stall_events == delivery.replay_arrivals(
+        ticks, stream, join, threshold_s, watch_end_s).stall_events
+    assert qoe.stall_events == ref.detect_stalls(tl, threshold_s).stall_events
+    return tl, qoe
 
 
 def _pipeline(simulate, stream, link, tech, radio_tech, cfg, threshold_s=1.0,

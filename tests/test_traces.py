@@ -11,6 +11,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
 from streamsim.techniques import START_THRESHOLD_S
 from streamsim.traces import (FlowRecord, ingest_text, records_from_events,
                               records_to_csv, records_to_events)
+import tick_reference as ref
 from test_acceptance import _random_scenario
 
 
@@ -179,6 +180,7 @@ def test_replayed_records_add_no_stall_to_the_sessions_own():
                              stream.encoding_rate_bps,
                              math.inf if join is None else join)
         stalls = detect_stalls(tl).stall_events
+        assert stalls == ref.detect_stalls(tl).stall_events, i
         assert len(stalls) == len(dlog.stall_events), i
         for (a, _), (b, _) in zip(stalls, dlog.stall_events):
             assert a == pytest.approx(b, abs=1e-4), i

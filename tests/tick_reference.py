@@ -3,10 +3,12 @@
 This is the delivery engine as it was before it became event-driven: it
 steps every transfer in EVENT_TICK_S ticks and returns a plain list of
 PacketEvents, one per tick.  compute_buffer below is the matching
-per-event buffer model, and simulate_radio_per_packet the radio machines
-as they were before they coalesced bursts: every packet is a run of its
-own.  The equivalence tests run the same scenarios through both and
-compare the outputs; nothing under src/ imports this.
+per-event buffer model, detect_stalls the walk over its samples that
+found stalls before timelines carried their playback's own, and
+simulate_radio_per_packet the radio machines as they were before they
+coalesced bursts: every packet is a run of its own.  The equivalence
+tests run the same scenarios through both and compare the outputs;
+nothing under src/ imports this.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from streamsim.playback import BufferSample, BufferTimeline
+from streamsim.delivery import TIE_S
+from streamsim.playback import (JOIN_FAILURE_S, BufferSample,
+                                BufferTimeline, QoeReport)
 from streamsim.profiles import PowerProfile
 from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
                              RadioTimeline, WifiPsmConfig, wifi_sleep_current)
@@ -883,12 +887,39 @@ def _zero_span_total(samples: list[BufferSample], after: float = 0.0) -> float:
     return total
 
 
-def _zero_span_total(samples: list[BufferSample], after: float = 0.0) -> float:
-    total = 0.0
-    for a, b in zip(samples, samples[1:]):
-        if a.buffered_seconds <= _EPS and a.t_s >= after - _EPS:
-            total += b.t_s - a.t_s
-    return total
+def detect_stalls(buffer: BufferTimeline,
+                  resume_threshold_s: float = RESUME_THRESHOLD_S) -> QoeReport:
+    """Extract stall events from a buffer timeline.
+
+    A stall opens when the buffer hits zero during playback and closes when
+    buffered content reaches the resume threshold or holds the rest of a
+    completed watch (or never, in which case it runs to the end of the
+    timeline).
+    """
+    if math.isinf(buffer.joining_time_s):
+        return QoeReport(JOIN_FAILURE_S,
+                         [(0.0, buffer.playback_end_s)],
+                         1.0)
+    events: list[tuple[float, float]] = []
+    join = buffer.joining_time_s
+    open_at: Optional[float] = None
+    for s in buffer.samples:
+        if s.t_s < join - TIE_S:
+            continue
+        if open_at is None:
+            if (s.buffered_seconds <= TIE_S
+                    and s.t_s < buffer.playback_end_s - 1e-9):
+                open_at = s.t_s
+        elif (s.buffered_seconds >= resume_threshold_s - 1e-6
+              or (buffer.completed and s.t_s + s.buffered_seconds
+                  >= buffer.playback_end_s - 1e-6)):
+            events.append((open_at, s.t_s - open_at))
+            open_at = None
+    if open_at is not None and buffer.playback_end_s - open_at > 1e-6:
+        events.append((open_at, buffer.playback_end_s - open_at))
+    total = sum(d for _, d in events)
+    return QoeReport(joining_time_s=join, stall_events=events,
+                     stall_ratio=total / buffer.duration_s)
 
 
 # --------------------------------------------------------------------------
