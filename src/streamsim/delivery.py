@@ -121,7 +121,9 @@ class DeliveryLog:
     # when playback finished, or the horizon of a stall it never left
     playback_end_s: float = 0.0
     completed: bool = False           # playback reached the watch end
+    # the stalls, each decided to end at resume_threshold_s buffered
     stall_events: list[tuple[float, float]] = field(default_factory=list)
+    resume_threshold_s: float = RESUME_THRESHOLD_S
     buffer_samples: list[BufferSample] = field(default_factory=list)
     bytes_delivered: float = 0.0      # data bytes on the wire (incl. re-requests)
     bytes_consumed: float = 0.0
@@ -330,7 +332,7 @@ class _Engine:
         self.t = 0.0
         # PacketEvents and TransferSpans, in emission order
         self.events: list = []
-        self.log = DeliveryLog()
+        self.log = DeliveryLog(resume_threshold_s=resume_threshold_s)
         self.buf = _Buffer(stream)
         # the content rate of the stream's own bytes; None for VBR, whose
         # bytes enter the buffer through the stream's own trace
@@ -516,7 +518,7 @@ class _Engine:
                     and abs(sp.buffer_s + (sp.n + n - 1) * d - last) <= TIE_S):
                 sp.n += n
                 sp.dbuffer_s = d
-                self.t = sp.t_end_s
+                self.t = sp.t_s + (sp.n - 1) * dt   # its last tick
                 if self._tail:
                     self.log.buffer_samples.pop()
                 self._sample(tail=True)
@@ -526,7 +528,7 @@ class _Engine:
         self.log.records.items.append(sp)
         self._open_span = sp
         self.log.buffer_samples.append(first)
-        self.t = sp.t_end_s
+        self.t = t_first + (n - 1) * dt
         if n > 1:
             self._sample(tail=True)
         else:
@@ -560,6 +562,8 @@ class _Engine:
             stop_bytes -= THRESHOLD_TOL_S * self.stream.bytes_per_second
         if window_s is not None:
             window_s -= THRESHOLD_TOL_S
+        segs = self.link.segments
+        last = len(segs) - 1
         link_bps, boundary = 0.0, -math.inf   # the link segment holding t
         while not (self.finished or self.starved):
             if budget - moved <= 0.5:
@@ -571,17 +575,22 @@ class _Engine:
             if enter_buffer and self.content_done:
                 break
             while self.t >= boundary - TIE_S:
-                # a boundary within TIE_S of the clock counts as reached
-                at = max(self.t, boundary)
-                link_bps = self.link.bandwidth_at(at)
-                boundary = self.link.next_change_after(at)
+                # a boundary within TIE_S of the clock counts as reached;
+                # a wait may have passed more, so seek
+                i = self.link.segment_index(max(self.t, boundary))
+                link_bps = segs[i][1]
                 # one the cap hides on a tick edge changes neither the
                 # rate nor the ticks: it is no decision point
-                while (window_s is None and boundary < math.inf
-                       and min(link_bps, self.link.bandwidth_at(boundary))
-                       >= rate_cap_bps and abs(math.remainder(
-                           boundary - self.t, self.tick_s)) <= TIE_S):
-                    boundary = self.link.next_change_after(boundary)
+                hides = window_s is None and link_bps >= rate_cap_bps
+                boundary = math.inf
+                while i < last:
+                    start, bw = segs[i + 1]
+                    if not (hides and bw >= rate_cap_bps and start < math.inf
+                            and abs(math.remainder(start - self.t,
+                                                   self.tick_s)) <= TIE_S):
+                        boundary = start
+                        break
+                    i += 1
             window_open = window_s is not None and self.buf.seconds < window_s
             rate = min(link_bps, math.inf if window_open else rate_cap_bps)
             if rate <= 0:

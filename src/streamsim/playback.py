@@ -38,15 +38,15 @@ class BufferTimeline:
     CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
 
     @classmethod
-    def from_log(cls, dlog, watched_s: float, joining_time_s=None,
-                 resume_threshold_s: float = RESUME_THRESHOLD_S):
-        """The timeline of a delivery log's playback, its stalls included,
-        from joining_time_s (by default the log's start; inf if none)."""
+    def from_log(cls, dlog, watched_s: float, joining_time_s=None):
+        """The timeline of a delivery log's playback, its stalls included
+        and labelled with the resume threshold they were decided at, from
+        joining_time_s (by default the log's start; inf if none)."""
         join = (dlog.playback_start_s if joining_time_s is None
                 else joining_time_s)
         return cls(JOIN_FAILURE_S if join is None else join,
                    dlog.playback_end_s, watched_s, dlog.buffer_samples,
-                   resume_threshold_s, dlog.completed, dlog.stall_events)
+                   dlog.resume_threshold_s, dlog.completed, dlog.stall_events)
 
     def to_csv_lines(self) -> list[str]:
         lines = [self.CSV_HEADER]
@@ -124,8 +124,7 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
         watch_end_s, stream.duration_s)
     dlog = replay_arrivals(arrivals, stream, joining_time_s,
                            resume_threshold_s, watched)
-    return BufferTimeline.from_log(dlog, watched, joining_time_s,
-                                   resume_threshold_s)
+    return BufferTimeline.from_log(dlog, watched, joining_time_s)
 
 
 def detect_stalls(buffer: BufferTimeline,

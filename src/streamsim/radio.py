@@ -193,6 +193,7 @@ def _bursts(events: Iterable[PacketEvent],
         if t < prev - _EPS:
             raise ValueError(
                 f"events not sorted: event {i} at t={t} after t={prev}")
+        span = isinstance(ev, TransferSpan)
         if isinstance(ev, ChunkTrain):
             cycle = _bursts(ev.cycle, joins_burst, big_bytes)
             a, b, big = cycle[0]
@@ -202,14 +203,23 @@ def _bursts(events: Iterable[PacketEvent],
             else:   # each repeat's bursts are the first cycle's, shifted
                 new = [(a + j * p, b + j * p, big + j * p)
                        for j in range(ev.m) for a, b, big in cycle]
-        elif isinstance(ev, TransferSpan) and not (
-                ev.n == 1 or joins_burst(ev.dt_s)):
+        elif span and not (ev.n == 1 or joins_burst(ev.dt_s)):
             big = ev.bytes >= big_bytes
             new = [(tk, tk, tk if big else _INF)
                    for tk in map(ev.tick_t, range(ev.n))]
         else:
-            new = ((t, getattr(ev, "t_end_s", t),
-                    t if ev.bytes >= big_bytes else _INF),)
+            # a packet, or a span whose ticks join, is one run; its bytes
+            # matter only while its burst has no large packet before it
+            b = t + (ev.n - 1) * ev.dt_s if span else t   # its last tick
+            if out and joins_burst(t - out[-1][1]):
+                last = out[-1]
+                last[1] = b
+                if t < last[2] and ev.bytes >= big_bytes:
+                    last[2] = t
+            else:
+                out.append([t, b, t if ev.bytes >= big_bytes else _INF])
+            prev = b
+            continue
         for a, b, big in new:
             if out and joins_burst(a - out[-1][1]):
                 last = out[-1]

@@ -352,16 +352,17 @@ class LinkModel:
             raise ValueError("link needs at least one segment")
         if segs[0][0] != 0.0:
             raise ValueError("first link segment must start at t=0")
-        prev = -math.inf
+        starts, prev = [], -math.inf
         for t0, bw in segs:
-            if t0 <= prev:
+            if not t0 > prev:   # a NaN start is in no order
                 raise ValueError("link segments must be strictly ordered")
             if not bw >= 0:
                 raise ValueError(
                     f"bandwidth must be a number >= 0, not {bw!r}")
+            starts.append(t0)
             prev = t0
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_starts", tuple(t0 for t0, _ in segs))
+        object.__setattr__(self, "_starts", tuple(starts))
 
     @classmethod
     def constant(cls, bandwidth_bps: float, rtt_ms: float = 70.0) -> "LinkModel":
@@ -371,12 +372,16 @@ class LinkModel:
     def rtt_s(self) -> float:
         return self.rtt_ms / 1000.0
 
+    def segment_index(self, t_s: float) -> int:
+        """Index of the segment in effect at t_s: the last one starting at
+        or before it (-1 before t = 0)."""
+        return bisect_right(self._starts, t_s) - 1
+
     def bandwidth_at(self, t_s: float) -> float:
-        i = bisect_right(self._starts, t_s)
-        return self.segments[i - 1 if i else 0][1]
+        return self.segments[max(self.segment_index(t_s), 0)][1]
 
     def next_change_after(self, t_s: float) -> float:
-        i = bisect_right(self._starts, t_s)
+        i = self.segment_index(t_s) + 1
         return self._starts[i] if i < len(self._starts) else math.inf
 
     def bytes_capacity(self, a_s: float, b_s: float) -> float:

@@ -268,6 +268,7 @@ def _scenario_with(tmp_path, line):
     ("link.rtt_ms = -5", "link.rtt_ms"),
     ("link.rtt_ms = slow", "link.rtt_ms"),
     ("link.segments = 0:abc", "link.segments"),
+    ("link.segments = 0:8000000, nan:0, 5:1000000", "link.segments"),
     ("stream.size_bytes = nan", "stream.size_bytes"),
     ("radio.t1_s = nan", "radio.t1_s"),
 ])

@@ -18,9 +18,9 @@ from pathlib import Path
 import pytest
 
 import tick_reference as ref
-from streamsim import (FastCaching, Hls, LinkModel, Mss, PacketEvent,
-                       StreamSpec, Throttling, compute_buffer, detect_stalls,
-                       simulate_session)
+from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
+                       PacketEvent, StreamSpec, Throttling, compute_buffer,
+                       detect_stalls, simulate_session)
 from streamsim.cli import main
 from streamsim.playback import playback_report
 from streamsim.scenario import default_radio_config, parse_scenario_text
@@ -276,3 +276,18 @@ def test_content_within_a_millisecond_of_its_end_plays_out():
     assert "session ends stalled: content underrun" not in dlog.notes
     assert dlog.playback_end_s == pytest.approx(
         dlog.playback_start_s + dlog.content_consumed_s, abs=1e-9)
+
+
+def test_report_is_labelled_with_the_engine_resume_threshold():
+    """A session run at a 1 s resume threshold reports a timeline labelled
+    1 s, so its stalls can be asked for at the threshold they were decided
+    at, and at no other."""
+    stream = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
+    _, dlog = simulate_session(stream, LinkModel.constant(1.8e6, rtt_ms=70),
+                               EncodingRate(), resume_threshold_s=1.0)
+    tl, qoe = playback_report(dlog, stream.duration_s)
+    assert tl.resume_threshold_s == dlog.resume_threshold_s == 1.0
+    assert detect_stalls(tl, resume_threshold_s=1.0) == qoe
+    assert len(qoe.stall_events) == 3
+    with pytest.raises(ValueError, match="resume threshold of 1.0 s"):
+        detect_stalls(tl, resume_threshold_s=4.0)

@@ -26,10 +26,10 @@ import pytest
 
 import tick_reference as ref
 from test_acceptance import _random_scenario
-from streamsim import (FastCaching, Hls, HspaRrcConfig, LinkModel, Mss,
-                       PacketEvent, StreamSpec, Throttling, analysis, delivery,
-                       detect_stalls, get_profile, playback, simulate_radio,
-                       summarize)
+from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
+                       LinkModel, Mss, PacketEvent, StreamSpec, Throttling,
+                       analysis, delivery, detect_stalls, get_profile,
+                       playback, simulate_radio, summarize)
 from streamsim.delivery import THRESHOLD_TOL_S
 from streamsim.playback import JOIN_FAILURE_S, playback_report
 from streamsim.radio import promotion_latency
@@ -688,3 +688,139 @@ def test_sessions_on_an_off_grid_link_match_tick_engine(variant):
     boundaries above it."""
     sc = replace(_session_variants()[variant], link=_grid_link(0.13, n=5000))
     assert _sessions_match(*_run_both(sc))
+
+
+# The engine's walk over link segments: it keeps the segment holding its
+# clock and seeks again only once the clock reaches that segment's end.
+
+def _tick_grid_link(rates, t0, every=4):
+    """A link whose boundaries fall on the per-tick engine's own clock,
+    every `every` ticks of 50 ms from t0.  Each rate is a multiple of
+    250 kbps, at which a tick takes exactly 50 ms, so that engine reaches
+    each boundary exactly and steps no hop tick before it."""
+    t, segs = t0, [(0.0, rates[0])]
+    for bw in rates[1:]:
+        for _ in range(every):
+            t += 0.05
+        segs.append((t, bw))
+    return LinkModel(tuple(segs), rtt_ms=70.0)
+
+
+def _tick_grid_rates(cap_bps, n):
+    """n seeded segment rates: two in seven at exactly cap_bps, one in
+    seven below it."""
+    rng = random.Random(14)
+    return [rng.choice([cap_bps, cap_bps, 3.5e6, 5e6, 8e6, 12e6, 2e6])
+            for _ in range(n)]
+
+
+def test_boundaries_the_cap_hides_are_never_sought(monkeypatch):
+    """A capped transfer from t = 0 on a link whose boundaries are on the
+    tick grid: the engine seeks the link only at t = 0 and at boundaries
+    next to a segment below the cap.  Every other boundary, even one
+    next to a segment at exactly the cap, is a step to the next segment
+    inside the run, and the ticks are the per-tick engine's."""
+    link = _tick_grid_link(_tick_grid_rates(GRID_CAP_BPS, 400), 0.0)
+    ev_a, log_a = _capped_delivery(ref, link)
+    seeks = []
+    index = LinkModel.segment_index
+    monkeypatch.setattr(LinkModel, "segment_index",
+                        lambda lk, t: seeks.append(t) or index(lk, t))
+    ev_b, log_b = _capped_delivery(delivery, link)
+    assert _same_delivery(ev_a, log_a, ev_b, log_b, SimpleNamespace(),
+                          GRID_STREAM)
+    end = ev_b[-1].t_s
+    segs = link.segments
+    below = [t0 for (t0, bw), (_, prev) in zip(segs[1:], segs)
+             if t0 < end and min(bw, prev) < GRID_CAP_BPS]
+    assert seeks[0] == 0.0
+    assert seeks[1:] == pytest.approx(below, abs=1e-9)
+    hidden = sum(1 for t0, _ in segs[1:] if t0 < end) - len(below)
+    assert hidden > 100
+
+
+@pytest.mark.parametrize("tech", [Throttling(chunk_bytes=16384),
+                                  EncodingRate()],
+                         ids=["throttling_coalesced", "encoding_rate"])
+def test_capped_sessions_on_a_tick_grid_link_match_tick_engine(tech):
+    """Throttling whose 16 KiB chunks coalesce into one transfer capped
+    at 2.5 Mbps, and the encoding-rate window, on 0.2 s segments that
+    start on the tick grid from the 70 ms request, two in seven of them
+    at exactly the throttled rate."""
+    stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
+    link = _tick_grid_link(_tick_grid_rates(2.5e6, 1000), 0.07)
+    a, b = _both(stream, link, tech, "hspa", HspaRrcConfig())
+    assert _compare(a, b, tech, stream)
+    assert len(a[0]) > 1000
+
+
+@pytest.mark.parametrize("tech", [FastCaching(), EncodingRate()],
+                         ids=["fast_caching", "encoding_rate"])
+def test_zero_bandwidth_then_recovery_matches_tick_engine(tech):
+    """The link dies mid-transfer for two 0 bps segments in a row, then
+    recovers: delivery waits out both and resumes at the new rate."""
+    stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
+    link = LinkModel(((0.0, 8e6), (20.013, 0.0), (25.0171, 0.0),
+                      (35.017, 6e6)), rtt_ms=70.0)
+    a, b = _both(stream, link, tech, "hspa", HspaRrcConfig())
+    assert _compare(a, b, tech, stream)
+    ticks = [e.t_s for e in b[0] if e.kind == "data"]
+    assert not any(20.013 < t < 35.017 for t in ticks)
+    assert min(t for t in ticks if t > 20.013) == pytest.approx(
+        35.017 + 0.05, abs=1e-9)
+    assert b[1].notes == []
+
+
+@pytest.mark.parametrize("tech", [FastCaching(), Throttling(),
+                                  EncodingRate()],
+                         ids=["fast_caching", "throttling", "encoding_rate"])
+def test_link_ending_at_zero_is_noted_starved_once(tech):
+    """A link whose last segment is 0 bps starves delivery for good.
+    Fast caching meets it in its one transfer, throttling inside a chunk
+    and the encoding-rate window in its transfer after the fast start:
+    each notes it once, and the session ends stalled."""
+    stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
+    link = LinkModel(((0.0, 8e6), (20.0331, 0.0)), rtt_ms=70.0)
+    a, b = _both(stream, link, tech, "hspa", HspaRrcConfig())
+    assert _compare(a, b, tech, stream)
+    assert b[1].notes == ["link starved with no recovery",
+                          "session ends stalled: content underrun"]
+    assert len(b[3].stall_events) == 1
+
+
+def test_off_wait_across_dozens_of_segments_matches_tick_engine():
+    """Fixed 30 s OFF periods on a 0.13 s-segment link: each refill's
+    transfer starts over 200 segments after the last one ended."""
+    sc = replace(_edited("onoffs_fixed_off_grid", "on_off_s",
+                         {"technique.off_fixed_s": 30,
+                          "technique.keepalive_interval_s": 0}),
+                 link=_grid_link(0.13, n=5000))
+    a, b = _run_both(sc)
+    assert _sessions_match(a, b)
+    starts = [t0 for t0, _ in sc.link.segments]
+    crossed = [bisect_right(starts, t1) - bisect_right(starts, t0)
+               for t0, t1 in b.dlog.off_spans]
+    assert len(crossed) >= 5 and min(crossed) > 200
+
+
+@pytest.mark.parametrize("shift_s", [-5e-10, 5e-10])
+def test_a_boundary_within_tie_of_the_clock_is_reached(shift_s):
+    """A boundary within TIE_S of a tick's end counts as reached there:
+    the next tick runs at the new rate.  Half a TIE_S before the tick's
+    end, the per-tick engine cuts the tick at the boundary; half a TIE_S
+    after it, that engine would step a 1 us hop tick, so there the
+    reference is the boundary exactly on the tick's end."""
+    t = 0.0
+    for _ in range(37):
+        t += 0.05
+    link, exact = (LinkModel(((0.0, 8e6), (t + d, 2e6), (t + 2.013, 5e6)),
+                             rtt_ms=70.0) for d in (shift_s, 0.0))
+    ev_b, log_b = _capped_delivery(delivery, link, math.inf)
+    ev_a, log_a = _capped_delivery(ref, exact if shift_s > 0 else link,
+                                   math.inf)
+    assert _same_delivery(ev_a, log_a, ev_b, log_b, SimpleNamespace(),
+                          GRID_STREAM)
+    ticks = [e for e in ev_b if e.kind == "data"]
+    k = min(i for i, e in enumerate(ticks) if e.t_s > t + 1e-9)
+    assert ticks[k - 1].t_s == pytest.approx(t, abs=1e-9)
+    assert ticks[k].bytes == 2e6 * 0.05 / 8

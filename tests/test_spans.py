@@ -15,6 +15,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        compute_buffer, delivery, preset, radio,
                        simulate_radio, simulate_session)
 from streamsim.delivery import LogRecord, _data_record
+from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
 from streamsim.streams import ChunkTrain, TickSeq, TransferSpan
@@ -529,6 +530,25 @@ def test_long_link_costs_a_run_per_decision(seed, monkeypatch):
     assert len(jumps) <= 700
     assert _stored_runs(res) <= 700
     assert len(res.dlog.to_csv_lines()) <= 700
+
+
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_long_link_is_sought_at_most_once_per_run(seed, monkeypatch):
+    """The engine keeps the link segment its clock is in and seeks the
+    link again only when the clock reaches that segment's end, so its
+    link lookups are bounded by its stored runs, not by the 3,000
+    segments; a boundary the cap hides is a step, not a lookup."""
+    seeks = []
+    index = LinkModel.segment_index
+    monkeypatch.setattr(LinkModel, "segment_index",
+                        lambda link, t: seeks.append(t) or index(link, t))
+    sc = _long_inputs(seed)[0]
+    events, _ = simulate_session(
+        sc.stream, sc.link, sc.technique, seed=sc.seed,
+        start_delay_s=promotion_latency(sc.radio_tech, sc.radio_cfg))
+    runs = sum(isinstance(it, (TransferSpan, ChunkTrain))
+               for it in events.items)
+    assert len(seeks) <= runs <= 700
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
