@@ -70,7 +70,7 @@ def abandonment_sweep(scenario: Scenario,
     fr = sorted(watch_fractions)
     if not fr:
         raise ValueError("watch_fractions must not be empty")
-    if any(w <= 0 or w > 1.0 for w in fr):
+    if any(not 0 < w <= 1.0 for w in fr):
         raise ValueError("watch fractions must lie in (0, 1]")
     if techniques is None:
         techniques = {technique_kind(scenario.technique): scenario.technique}

@@ -20,7 +20,7 @@ import sys
 import time
 
 from .profiles import BUILTIN_PROFILES
-from .scenario import ConfigError, load_scenario
+from .scenario import ConfigError, _number, load_scenario
 from .session import run_session
 
 
@@ -67,20 +67,17 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str) -> list[float]:
-    try:
-        vals = [float(v) for v in raw.split(",") if v.strip()]
-    except ValueError:
-        raise ConfigError("--grid", f"not a number list: {raw!r}") from None
+def _parse_grid(raw: str, flag: str) -> list[float]:
+    vals = [_number(v, flag) for v in raw.split(",") if v.strip()]
     if not vals:
-        raise ConfigError("--grid", "grid must not be empty")
+        raise ConfigError(flag, "grid must not be empty")
     return vals
 
 
 def cmd_sweep_abandon(args) -> int:
     from . import analysis, svgplot
     sc = load_scenario(args.scenario)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, "--grid")
     results = analysis.abandonment_sweep(sc, grid)
     series = {}
     for name, sweep in results.items():
@@ -97,8 +94,9 @@ def cmd_sweep_abandon(args) -> int:
 def cmd_sweep_buffer(args) -> int:
     from . import analysis, svgplot
     sc = load_scenario(args.scenario)
-    grid = _parse_grid(args.grid)
-    ratios = _parse_grid(args.ratios) if args.ratios else [2.0, 4.0, 8.0]
+    grid = _parse_grid(args.grid, "--grid")
+    ratios = (_parse_grid(args.ratios, "--ratios") if args.ratios
+              else [2.0, 4.0, 8.0])
     results = analysis.buffer_size_sweep(sc, grid, ratios)
     series = {}
     for ratio, sweep in results.items():

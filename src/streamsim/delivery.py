@@ -1375,8 +1375,7 @@ def simulate_multi_connection_waste(
         resume_from = math.floor(pos / kf) * kf
         waste = pos - resume_from
         if waste > 1.0:
-            eng.deliver_aux(conn, waste)
-            eng.log.bytes_wasted += waste
+            eng.log.bytes_wasted += eng.deliver_aux(conn, waste)
         if first:
             eng.deliver(conn, math.inf, stop_s=FASTSTART_TARGET_S,
                         stop_bytes=buffer_bytes)

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .streams import check_finite_fields
+
 
 @dataclass(frozen=True)
 class PowerProfile:
@@ -38,6 +40,7 @@ class PowerProfile:
     nominal_voltage_v: float = 3.8
 
     def __post_init__(self):
+        check_finite_fields(self)
         currents = (self.wifi_active, self.wifi_idle_tail, self.wifi_sleep,
                     self.hspa_dch, self.hspa_fach, self.hspa_pch,
                     self.hspa_idle, self.lte_rx, self.lte_drx_on,

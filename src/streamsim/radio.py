@@ -19,12 +19,12 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
 from .streams import (ChunkTrain, PacketEvent, TickSeq, TransferSpan,
-                      check_finite)
+                      check_finite_fields)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
 FACH_MAX_BYTES = 1024
@@ -36,14 +36,6 @@ _EPS = 1e-9
 _INF = float("inf")
 
 
-def _check_finite_fields(cfg) -> None:
-    """Reject a NaN or infinite timer in a radio config, naming it."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float):
-            check_finite(f.name, value)
-
-
 @dataclass(frozen=True)
 class WifiPsmConfig:
     """Adaptive power-save parameters for an 802.11 interface."""
@@ -52,7 +44,7 @@ class WifiPsmConfig:
     sleep_current_applies: bool = True  # False: interface never sleeps
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        check_finite_fields(self)
         if self.listen_interval_ms <= 0:
             raise ValueError("listen_interval_ms must be > 0")
         if self.tail_ms < 0:
@@ -71,7 +63,7 @@ class HspaRrcConfig:
     fach_max_bytes: int = FACH_MAX_BYTES
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        check_finite_fields(self)
         for name in ("t1_s", "t2_s", "t3_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
@@ -94,7 +86,7 @@ class LteDrxConfig:
     drx_enabled: bool = True
 
     def __post_init__(self):
-        _check_finite_fields(self)
+        check_finite_fields(self)
         if self.rrc_idle_s <= 0:
             raise ValueError("rrc_idle_s must be > 0")
         if not 20.0 <= self.drx_cycle_ms <= 5000.0:

@@ -81,9 +81,8 @@ class Scenario:
                 "profile.drx_on_overstay_ms",
                 "device on-period residency cannot be shorter than the "
                 "configured drx_on_ms")
-        if self.abandon_at_s is not None and (
-                self.abandon_at_s < 0
-                or self.abandon_at_s > self.stream.duration_s + 1e-9):
+        if self.abandon_at_s is not None and not (
+                0 <= self.abandon_at_s <= self.stream.duration_s + 1e-9):
             raise ConfigError("abandon_at_s",
                               "must lie within [0, stream.duration_s]")
 
@@ -150,13 +149,10 @@ def _section(table: dict, prefix: str) -> dict[str, object]:
     return {k[plen:]: v for k, v in table.items() if k.startswith(prefix + ".")}
 
 
-def _pop(section: dict, key: str, prefix: str, required: bool = False,
-         default=None):
-    if key in section:
-        return section.pop(key)
-    if required:
+def _pop_required(section: dict, key: str, prefix: str):
+    if key not in section:
         raise ConfigError(f"{prefix}.{key}", "required field is missing")
-    return default
+    return section.pop(key)
 
 
 def _field_error(exc: Exception, cls, prefix: str) -> ConfigError:
@@ -169,32 +165,58 @@ def _field_error(exc: Exception, cls, prefix: str) -> ConfigError:
     return ConfigError(prefix, str(exc))
 
 
-def _build(cls, fields: dict, prefix: str):
-    valid = {f.name for f in dataclasses.fields(cls)}
-    for k in fields:
-        if k not in valid:
-            raise ConfigError(f"{prefix}.{k}",
-                              f"unknown field for {cls.__name__}")
-    try:
-        return cls(**fields)
-    except (TypeError, ValueError) as exc:
-        raise _field_error(exc, cls, prefix) from exc
-
-
 def _number(raw, field: str) -> float:
+    """raw as a float, naming field if it is no number or NaN."""
     try:
-        return float(raw)
+        value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(field, f"not a number: {raw!r}") from None
+    if value != value:
+        raise ConfigError(field, "must be a number, not NaN")
+    return value
+
+
+def _checked(value, kind: str, field: str):
+    """value, if a field declared kind may hold it: a float, int or
+    Optional[float] field takes a number, never NaN (None only when
+    Optional), and an int field a whole one."""
+    if kind in ("float", "int") or (kind == "Optional[float]"
+                                    and value is not None):
+        number = _number(value, field)
+        if kind == "int" and not number.is_integer():
+            raise ConfigError(field, f"must be a whole number, not {value!r}")
+    return value
+
+
+def _build(base, fields: dict, prefix: str):
+    """A config class built from fields, or a copy of a config instance
+    (a preset, a built-in profile, a default radio config) with fields
+    overridden; any bad field is named prefix.key."""
+    cls = base if isinstance(base, type) else type(base)
+    # the config modules postpone annotations, so a type is its text
+    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    for k, v in fields.items():
+        if k not in kinds:
+            raise ConfigError(f"{prefix}.{k}",
+                              f"unknown field for {cls.__name__}")
+        _checked(v, kinds[k], f"{prefix}.{k}")
+    if "ladder" in fields:
+        fields["ladder"] = _parse_ladder(fields["ladder"], f"{prefix}.ladder")
+    try:
+        return cls(**fields) if base is cls else replace(base, **fields)
+    except (TypeError, ValueError) as exc:
+        raise _field_error(exc, cls, prefix) from exc
 
 
 def _parse_ladder(raw: str, prefix: str) -> tuple[tuple[str, float], ...]:
     rungs = []
     for part in str(raw).split(","):
-        if ":" not in part:
-            raise ConfigError(prefix, f"bad ladder entry {part!r}, want name:bps")
         name, _, rate = part.partition(":")
-        rungs.append((name.strip(), float(rate)))
+        bps = _number(rate, prefix) if ":" in part else 0.0
+        if not 0 < bps < math.inf:
+            raise ConfigError(prefix, f"bad ladder entry {part!r}, "
+                              "want name:bps with a finite bps > 0")
+        rungs.append((name.strip(), bps))
     return tuple(rungs)
 
 
@@ -240,65 +262,34 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
             tech = T.preset(str(preset_name))
         except KeyError as exc:
             raise ConfigError("technique.preset", str(exc)) from exc
-        if te:
-            tech = _apply_overrides(tech, te, "technique")
+    elif kind is None:
+        raise ConfigError("technique.kind",
+                          "need technique.kind or technique.preset")
     else:
-        if kind is None:
-            raise ConfigError("technique.kind",
-                              "need technique.kind or technique.preset")
-        cls = T.TECHNIQUE_KINDS.get(str(kind))
-        if cls is None:
+        tech = T.TECHNIQUE_KINDS.get(str(kind))
+        if tech is None:
             raise ConfigError("technique.kind",
                               f"unknown technique {kind!r} "
                               f"(one of {sorted(T.TECHNIQUE_KINDS)})")
-        if "ladder" in te:
-            te["ladder"] = _parse_ladder(te["ladder"], "technique.ladder")
-        tech = _build(cls, te, "technique")
+    tech = _build(tech, te, "technique")
 
     ra = _section(table, "radio")
-    radio_tech = str(_pop(ra, "technology", "radio", required=True))
+    radio_tech = str(_pop_required(ra, "technology", "radio"))
     prof_section = _section(table, "profile")
-    prof_name = str(_pop(prof_section, "name", "profile", required=True))
+    prof_name = str(_pop_required(prof_section, "name", "profile"))
     if prof_name not in BUILTIN_PROFILES:
         raise ConfigError("profile.name",
                           f"unknown power profile {prof_name!r} "
                           f"(built-ins: {sorted(BUILTIN_PROFILES)})")
-    profile = BUILTIN_PROFILES[prof_name]
-    if prof_section:
-        try:
-            profile = replace(profile, **prof_section)
-        except (TypeError, ValueError) as exc:
-            raise _field_error(exc, PowerProfile, "profile") from exc
+    profile = _build(BUILTIN_PROFILES[prof_name], prof_section, "profile")
+    cfg = _build(default_radio_config(radio_tech, prof_name), ra, "radio")
 
-    base_cfg = default_radio_config(radio_tech, prof_name)
-    if ra:
-        try:
-            cfg = replace(base_cfg, **ra)
-        except (TypeError, ValueError) as exc:
-            raise _field_error(exc, type(base_cfg), "radio") from exc
-    else:
-        cfg = base_cfg
-
+    seed = _checked(table.get("seed", 0) or 0, "int", "seed")
     return Scenario(
         stream=stream, link=link, technique=tech, radio_tech=radio_tech,
         radio_cfg=cfg, profile=profile,
-        abandon_at_s=table.get("abandon_at_s"),
-        seed=int(table.get("seed", 0) or 0),
+        abandon_at_s=_checked(table.get("abandon_at_s"), "Optional[float]",
+                              "abandon_at_s"),
+        seed=int(seed),
         name=str(table.get("name", name)),
     )
-
-
-def _apply_overrides(tech: T.Technique, overrides: dict, prefix: str
-                     ) -> T.Technique:
-    valid = {f.name for f in dataclasses.fields(tech)}
-    for k in overrides:
-        if k not in valid:
-            raise ConfigError(f"{prefix}.{k}",
-                              f"unknown field for {type(tech).__name__}")
-    if "ladder" in overrides:
-        overrides["ladder"] = _parse_ladder(overrides["ladder"],
-                                            f"{prefix}.ladder")
-    try:
-        return replace(tech, **overrides)
-    except (TypeError, ValueError) as exc:
-        raise _field_error(exc, type(tech), prefix) from exc

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
@@ -21,6 +21,14 @@ def check_finite(name: str, value: float) -> None:
     """Reject NaN and infinities in a numeric input, naming the field."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, not {value!r}")
+
+
+def check_finite_fields(cfg) -> None:
+    """Reject a NaN or infinite float field of a config, naming it."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float):
+            check_finite(f.name, value)
 
 
 @dataclass(frozen=True)
@@ -356,9 +364,9 @@ class LinkModel:
         for t0, bw in segs:
             if not t0 > prev:   # a NaN start is in no order
                 raise ValueError("link segments must be strictly ordered")
-            if not bw >= 0:
+            if not 0 <= bw < math.inf:
                 raise ValueError(
-                    f"bandwidth must be a number >= 0, not {bw!r}")
+                    f"bandwidth must be a finite number >= 0, not {bw!r}")
             starts.append(t0)
             prev = t0
         object.__setattr__(self, "segments", segs)

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .streams import check_finite
+
 # Shared client-side constants.
 FASTSTART_TARGET_S = 40.0   # content buffered at full rate before steady state
 START_THRESHOLD_S = 4.0     # content needed before playback starts
@@ -65,6 +67,8 @@ class OnOffS:
             raise ValueError("persist_cap_s must be > 0")
         if self.keepalive_interval_s < 0 or self.lower_s < 0:
             raise ValueError("intervals must be >= 0")
+        if self.off_fixed_s is not None:
+            check_finite("off_fixed_s", self.off_fixed_s)
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,8 @@ class OnOffM:
                 raise ValueError("need lower_s <= upper_s")
         if self.on_rate_factor <= 1.0:
             raise ValueError("on_rate_factor must be > 1")
+        if self.off_fixed_s is not None:
+            check_finite("off_fixed_s", self.off_fixed_s)
 
 
 @dataclass(frozen=True)

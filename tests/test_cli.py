@@ -243,21 +243,23 @@ def test_scenario_overstay_invariant(tmp_path):
                  profile=get_profile("gs3-lte"))
 
 
-def _scenario_with(tmp_path, line):
-    """A valid scenario file with one key = value line replaced."""
+def _scenario_with(tmp_path, *lines):
+    """A valid scenario file with each key = value line set."""
     table = {"stream.duration_s": "600",
              "stream.encoding_rate_bps": "2000000",
              "link.bandwidth_bps": "8000000",
              "technique.kind": "fast_caching",
              "radio.technology": "hspa",
              "profile.name": "gs3-lte"}
-    key, _, value = line.partition(" = ")
-    table[key] = value
+    for line in lines:
+        key, _, value = line.partition(" = ")
+        table[key] = value
     scn = tmp_path / "bad.scn"
     scn.write_text("".join(f"{k} = {v}\n" for k, v in table.items()))
     return str(scn)
 
 
+# "; " joins the lines of a case that sets several keys
 @pytest.mark.parametrize("line,field", [
     ("stream.duration_s = inf", "duration_s"),
     ("stream.duration_s = nan", "duration_s"),
@@ -271,12 +273,72 @@ def _scenario_with(tmp_path, line):
     ("link.segments = 0:8000000, nan:0, 5:1000000", "link.segments"),
     ("stream.size_bytes = nan", "stream.size_bytes"),
     ("radio.t1_s = nan", "radio.t1_s"),
+    # no number where one is declared, or an unknown field
+    ("technique.kind = hls; technique.ladder = ld:abc", "technique.ladder"),
+    ("seed = abc", "seed"),
+    ("abandon_at_s = abc", "abandon_at_s"),
+    ("technique.kind = hls; technique.chunk_s = abc", "technique.chunk_s"),
+    ("radio.t1_s = abc", "radio.t1_s"),
+    ("profile.wifi_active = abc", "profile.wifi_active"),
+    ("radio.foo = 1", "radio.foo"),
+    # NaN, which every range check used to let through or crash on
+    ("technique.kind = on_off_m; technique.lower_s = nan",
+     "technique.lower_s"),
+    ("technique.kind = on_off_s; technique.upper_bytes = nan",
+     "technique.upper_bytes"),
+    ("technique.preset = youtube_onoffm; technique.off_fixed_s = nan",
+     "technique.off_fixed_s"),
+    ("abandon_at_s = nan", "abandon_at_s"),
+    ("radio.technology = lte; profile.drx_on_overstay_ms = nan",
+     "profile.drx_on_overstay_ms"),
+    ("technique.kind = throttling; technique.chunk_bytes = nan",
+     "technique.chunk_bytes"),
+    ("technique.kind = mss; technique.video_chunk_s = nan",
+     "technique.video_chunk_s"),
+    # infinities that hung delivery or broke the summary or a count
+    ("technique.preset = youtube_onoffm; technique.off_fixed_s = inf",
+     "technique.off_fixed_s"),
+    ("technique.preset = netflix_onoffs; technique.off_fixed_s = inf",
+     "technique.off_fixed_s"),
+    ("profile.playback_ma = inf", "profile.playback_ma"),
+    ("link.bandwidth_bps = inf", "link.bandwidth_bps"),
+    ("seed = inf", "seed"),
+    ("technique.kind = hls; technique.initial_chunks = inf",
+     "technique.initial_chunks"),
+    ("technique.kind = hls; technique.ladder = ld:inf", "technique.ladder"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
-    rc = main(["simulate", "--scenario", _scenario_with(tmp_path, line),
+    rc = main(["simulate", "--scenario",
+               _scenario_with(tmp_path, *line.split("; ")),
                "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert field in capsys.readouterr().err
+    assert f"{field}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_an_infinite_throttle_factor_still_simulates(tmp_path):
+    """technique.factor is the one field where inf means something: a
+    server that does not throttle."""
+    rc = main(["simulate", "--scenario",
+               _scenario_with(tmp_path, "technique.kind = throttling",
+                              "technique.factor = inf"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / "session_summary.json").exists()
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("sweep-abandon", "--grid", "nan,0.5"),
+    ("sweep-buffer", "--grid", "10,nan"),
+    ("sweep-buffer", "--ratios", "2,abc"),
+    ("sweep-buffer", "--ratios", "nan"),
+])
+def test_sweep_grid_exits_2_naming_its_flag(tmp_path, capsys, command, flag,
+                                            value):
+    rc = main([command, "--scenario", BUNDLED, "--out", str(tmp_path / "o"),
+               flag, value])
+    assert rc == 2
+    assert f"{flag}: " in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -294,6 +294,19 @@ def test_waste_ends_when_the_link_dies():
     assert_conservation(dlog)
 
 
+def test_waste_books_the_bytes_moved_when_the_link_dies_mid_refetch():
+    """A re-fetched keyframe fragment that the dying link cuts short is
+    wasted only as far as it was moved; booking the whole fragment broke
+    byte conservation (45.90 MB accounted for 45.65 MB delivered)."""
+    stream = StreamSpec(600, 2e6, keyframe_interval_bytes=3e6)
+    link = LinkModel(((0.0, 8e6), (94.24, 0.0)))
+    _, dlog = simulate_multi_connection_waste(stream, link,
+                                              reopen_free_bytes=4e6)
+    assert "link starved with no recovery" in dlog.notes
+    assert 0 < dlog.bytes_wasted < 3e6
+    assert_conservation(dlog)
+
+
 @pytest.mark.parametrize("run", [
     lambda stream, link: simulate_session(stream, link, EncodingRate()),
     lambda stream, link: simulate_session(stream, link, Hls()),
