@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -67,17 +68,23 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_grid(raw: str, flag: str) -> list[float]:
+def _parse_grid(raw: str, flag: str, top: float = math.inf) -> list[float]:
+    """flag's comma-separated values: finite numbers > 0 and <= top."""
     vals = [_number(v, flag) for v in raw.split(",") if v.strip()]
     if not vals:
         raise ConfigError(flag, "grid must not be empty")
+    for v in vals:
+        if not (0 < v <= top and math.isfinite(v)):
+            limit = f" and <= {top:g}" if top < math.inf else ""
+            raise ConfigError(flag, f"{v:g} is out of range, want a finite "
+                              f"number > 0{limit}")
     return vals
 
 
 def cmd_sweep_abandon(args) -> int:
     from . import analysis, svgplot
     sc = load_scenario(args.scenario)
-    grid = _parse_grid(args.grid, "--grid")
+    grid = _parse_grid(args.grid, "--grid", top=1.0)
     results = analysis.abandonment_sweep(sc, grid)
     series = {}
     for name, sweep in results.items():

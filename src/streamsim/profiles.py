@@ -12,13 +12,13 @@ plausible fill-in values consistent with the relative device rankings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .streams import check_finite_fields
+from .streams import Record, check_finite_fields
 
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(Record):
+    """One handset's current draw in mA per radio state, plus playback."""
     name: str
     # Wi-Fi
     wifi_active: float

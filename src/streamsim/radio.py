@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import (ChunkTrain, PacketEvent, TickSeq, TransferSpan,
+from .streams import (ChunkTrain, PacketEvent, Record, TickSeq, TransferSpan,
                       check_finite_fields)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
@@ -36,8 +36,7 @@ _EPS = 1e-9
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class WifiPsmConfig:
+class WifiPsmConfig(Record):
     """Adaptive power-save parameters for an 802.11 interface."""
     listen_interval_ms: float = 100.0   # TIM beacon period
     tail_ms: float = 200.0              # idle hold after the last packet
@@ -51,8 +50,7 @@ class WifiPsmConfig:
             raise ValueError("tail_ms must be >= 0")
 
 
-@dataclass(frozen=True)
-class HspaRrcConfig:
+class HspaRrcConfig(Record):
     """RRC inactivity timers and fast-dormancy settings for HSPA."""
     t1_s: float = 8.0                   # DCH -> FACH inactivity
     t2_s: float = 3.0                   # FACH -> PCH inactivity
@@ -75,8 +73,7 @@ class HspaRrcConfig:
             raise ValueError("fd_target must be 'pch' or 'idle'")
 
 
-@dataclass(frozen=True)
-class LteDrxConfig:
+class LteDrxConfig(Record):
     """Connected-mode DRX and RRC idle settings for LTE."""
     rrc_idle_s: float = 10.0            # connected -> idle inactivity
     drx_inactivity_ms: float = 100.0    # continuous rx -> DRX cycling

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Optional, Union
 
 from . import techniques as T
 from .profiles import BUILTIN_PROFILES, PowerProfile
 from .radio import HspaRrcConfig, LteDrxConfig, WifiPsmConfig
-from .streams import LinkModel, StreamSpec
+from .streams import LinkModel, Record, StreamSpec
 
 RadioConfig = Union[WifiPsmConfig, HspaRrcConfig, LteDrxConfig]
 
@@ -53,8 +53,7 @@ def default_radio_config(radio_tech: str, profile_name: str = "") -> RadioConfig
                       f"must be wifi, hspa or lte, not {radio_tech!r}")
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """Full declarative description of one streaming session."""
     stream: StreamSpec
     link: LinkModel

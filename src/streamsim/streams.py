@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from typing import Callable, ClassVar, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
@@ -29,6 +29,75 @@ def check_finite_fields(cfg) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float):
             check_finite(f.name, value)
+
+
+class Record:
+    """Base of the frozen config records a scenario is built from.
+
+    A subclass declares its fields as a dataclass does, with plain
+    defaults, and keeps a dataclass's fields(), replace() and
+    __post_init__.  Its __init__, __repr__, __eq__, __hash__ and frozen
+    __setattr__ are the ones below, shared by every record, where a
+    frozen dataclass compiles its own set through exec at import.  They
+    behave as a frozen dataclass's do, and __repr__ writes the same text.
+    The shared __init__ is slower per call, so records that the engine
+    builds by the thousand stay dataclasses.
+    """
+
+    def __init_subclass__(cls):
+        dataclass(init=False, repr=False, eq=False)(cls)
+        cls._names = tuple(f.name for f in fields(cls))
+        cls._defaults = {f.name: f.default for f in fields(cls)
+                         if f.default is not MISSING}
+
+    def __init__(self, *args, **kwargs):
+        names = self._names
+        if len(args) > len(names):
+            raise TypeError(f"{type(self).__qualname__}() takes {len(names)} "
+                            f"arguments but {len(args)} were given")
+        extra = kwargs.keys() - names[len(args):]
+        if extra:
+            raise TypeError(f"{type(self).__qualname__}() got an unexpected "
+                            f"or repeated argument {min(extra)!r}")
+        # object.__setattr__, not self.__dict__, which would turn the
+        # instance's inline attribute values into a slower dict; in field
+        # order, as vars() shows them
+        set_field = object.__setattr__
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        defaults = self._defaults
+        for name in names[len(args):]:
+            value = kwargs.get(name, defaults.get(name, MISSING))
+            if value is MISSING:
+                raise TypeError(f"{type(self).__qualname__}() missing "
+                                f"required argument {name!r}")
+            set_field(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._names)
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +289,7 @@ class TickSeq(Sequence):
         return f"TickSeq({len(self)} ticks in {len(self.items)} runs)"
 
 
-@dataclass(frozen=True)
-class StreamSpec:
+class StreamSpec(Record):
     """A constant- or variable-bitrate video stream.
 
     size_bytes defaults to duration * rate / 8.  When a VBR trace is given
@@ -345,8 +413,7 @@ class StreamSpec:
         return pos - from_pos_s
 
 
-@dataclass(frozen=True)
-class LinkModel:
+class LinkModel(Record):
     """Piecewise-constant available bandwidth plus a round-trip time."""
     segments: tuple[tuple[float, float], ...]  # (t_start_s, bandwidth_bps)
     rtt_ms: float = 70.0

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import Optional, Union
 
-from .streams import check_finite
+from .streams import Record, check_finite
 
 # Shared client-side constants.
 FASTSTART_TARGET_S = 40.0   # content buffered at full rate before steady state
@@ -13,15 +13,19 @@ START_THRESHOLD_S = 4.0     # content needed before playback starts
 RESUME_THRESHOLD_S = 4.0    # content needed to resume after a stall
 
 
-@dataclass(frozen=True)
-class EncodingRate:
+def _check_audio_rate(bps: float) -> None:
+    if not 0 < bps < math.inf:
+        raise ValueError(
+            f"audio_rate_bps must be a finite number > 0, not {bps!r}")
+
+
+class EncodingRate(Record):
     """Receive-window clocked delivery: after the fast start the small client
     buffer back-pressures the sender to exactly the consumption rate."""
     faststart_target_s: float = FASTSTART_TARGET_S
 
 
-@dataclass(frozen=True)
-class Throttling:
+class Throttling(Record):
     """Server paces delivery at factor * encoding rate, sent as periodic
     chunks bursted at link speed.
 
@@ -41,8 +45,7 @@ class Throttling:
             raise ValueError("chunk_bytes must be > 0")
 
 
-@dataclass(frozen=True)
-class OnOffS:
+class OnOffS(Record):
     """Buffer-adaptive delivery over a single persistent connection.
 
     The player stops reading at upper_bytes of buffered content; the sender
@@ -71,8 +74,7 @@ class OnOffS:
             check_finite("off_fixed_s", self.off_fixed_s)
 
 
-@dataclass(frozen=True)
-class OnOffM:
+class OnOffM(Record):
     """Buffer-adaptive delivery over sequential connections.
 
     The connection closes once upper_s of content is buffered; a new one
@@ -99,13 +101,11 @@ class OnOffM:
             check_finite("off_fixed_s", self.off_fixed_s)
 
 
-@dataclass(frozen=True)
-class FastCaching:
+class FastCaching(Record):
     """Download the whole content at the maximum available rate."""
 
 
-@dataclass(frozen=True)
-class Hls:
+class Hls(Record):
     """Chunked rate-adaptive delivery with fixed-duration segments.
 
     Quality moves up one rung after up_consecutive chunks whose measured
@@ -131,10 +131,10 @@ class Hls:
         rates = [r for _, r in self.ladder]
         if rates != sorted(rates):
             raise ValueError("ladder must be ordered by rate")
+        _check_audio_rate(self.audio_rate_bps)
 
 
-@dataclass(frozen=True)
-class Mss:
+class Mss(Record):
     """Smooth-streaming style delivery: short video chunks on one connection
     with an audio chunk interleaved after every N video chunks."""
     video_chunk_s: float = 4.0
@@ -149,6 +149,7 @@ class Mss:
             raise ValueError("audio_every_n_video_chunks must be >= 1")
         if self.video_chunk_s <= 0:
             raise ValueError("video_chunk_s must be > 0")
+        _check_audio_rate(self.audio_rate_bps)
 
 
 Technique = Union[EncodingRate, Throttling, OnOffS, OnOffM, FastCaching, Hls, Mss]

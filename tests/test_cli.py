@@ -306,6 +306,10 @@ def _scenario_with(tmp_path, *lines):
     ("technique.kind = hls; technique.initial_chunks = inf",
      "technique.initial_chunks"),
     ("technique.kind = hls; technique.ladder = ld:inf", "technique.ladder"),
+    ("technique.kind = mss; technique.audio_rate_bps = inf",
+     "technique.audio_rate_bps"),
+    ("technique.kind = hls; technique.audio_video_split = true; "
+     "technique.audio_rate_bps = inf", "technique.audio_rate_bps"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario",
@@ -332,6 +336,10 @@ def test_an_infinite_throttle_factor_still_simulates(tmp_path):
     ("sweep-buffer", "--grid", "10,nan"),
     ("sweep-buffer", "--ratios", "2,abc"),
     ("sweep-buffer", "--ratios", "nan"),
+    # out of range, which the sweeps used to reject with exit 1
+    ("sweep-abandon", "--grid", "2"),
+    ("sweep-buffer", "--grid", "-5"),
+    ("sweep-buffer", "--ratios", "inf"),
 ])
 def test_sweep_grid_exits_2_naming_its_flag(tmp_path, capsys, command, flag,
                                             value):
