@@ -754,6 +754,10 @@ class _Engine:
             before, (state, cur.period_s) = state, cycle()
             if self.ended:
                 break
+            if (self.t == cur.t0 and not self._pushed
+                    and len(self.events) == cur.marks.events):
+                raise ValueError(f"a delivery loop turn at t={self.t} moved "
+                                 "neither the clock nor a byte")
             crate = self._close_cycle(cur)
             if (crate is not None and prev is not None and before == state
                     and cur.repeats(prev, self._phase())):

@@ -2,16 +2,20 @@
 
 Each simulator maps a sorted packet-event timeline onto a contiguous list of
 radio-state intervals with a per-state current draw taken from a device
-PowerProfile.  The machines model:
+PowerProfile.  All three follow one pattern, which one walker carves: after
+a burst, inactivity timers demote the radio through a chain of states, and
+a burst that finds it in a low state pays a promotion, charged at the
+serving state's current before its first byte.  The chains:
 
   Wi-Fi  - adaptive PSM: active during packet bursts, an idle tail after the
            last packet of a burst, then sleep with periodic beacon wake-ups
-           (folded into the sleep current as a duty-cycle blend).
-  HSPA   - CELL_DCH / CELL_FACH / CELL_PCH / IDLE with inactivity timers,
-           optional fast dormancy, and a promotion delay charged at the
-           destination-state current before the first byte of a burst.
+           (folded into the sleep current as a duty-cycle blend); no state
+           is low.
+  HSPA   - CELL_DCH / CELL_FACH / CELL_PCH / IDLE with inactivity timers and
+           optional fast dormancy; PCH and IDLE are low, and FACH serves a
+           burst up to its first large packet.
   LTE    - continuous reception, connected-mode DRX cycling (on-period /
-           sleep per cycle) and RRC idle, with a short promotion delay.
+           sleep per cycle) and RRC idle, which is low.
 
 All functions are pure: they never mutate their inputs and are safe to run
 concurrently.
@@ -221,39 +225,82 @@ def _bursts(events: Iterable[PacketEvent],
     return out
 
 
-def _session_end(runs: list[list[float]],
-                 session_end_s: Optional[float]) -> float:
-    end = session_end_s if session_end_s is not None else (
-        runs[-1][1] if runs else 0.0)
-    if runs and runs[-1][1] > end + _EPS:
-        raise ValueError("events extend past session_end_s")
-    return end
-
-
 class _Builder:
     """Accumulates (state, current) spans and merges adjacent equal ones."""
 
     def __init__(self):
-        self._runs: list[list] = []   # [state, start, end, current_ma]
+        self.runs: list[list] = []   # [state, start, end, current_ma]
         self.t = 0.0
 
     def push(self, state: str, t_end: float, current_ma: float) -> None:
         if t_end <= self.t + _EPS:
             self.t = max(self.t, t_end)
             return
-        runs = self._runs
+        runs = self.runs
         if runs and runs[-1][0] == state and runs[-1][3] == current_ma:
             runs[-1][2] = t_end
         else:
             runs.append([state, self.t, t_end, current_ma])
         self.t = t_end
 
-    def timeline(self, technology: str, end: float) -> RadioTimeline:
-        """The intervals pushed, checked to cover [0, end]."""
-        tl = RadioTimeline(technology,
-                           [RadioInterval(*run) for run in self._runs])
-        tl.validate(end)
-        return tl
+
+def _walk(technology: str, cfg, events: Iterable[PacketEvent],
+          session_end_s: Optional[float], joins_burst: Callable[[float], bool],
+          current: dict[str, float], rest: str, gap, serve, low=(),
+          big_bytes: float = _INF) -> RadioTimeline:
+    """The timeline of one radio machine over the bursts of events.
+
+    The radio rests in rest until the first burst.  After a burst that
+    ends in a state at t, gap(state, t) yields the (state, end) pieces
+    inactivity demotes it through, the last never ending.  A burst
+    arriving in a low state pays the promotion: the state that serves it
+    from max(t - promotion_latency, the entry into the first low state).
+    serve(state, big) yields the (state, until) pieces that serve a
+    burst arriving in state, big being its first large packet.
+    """
+    runs = _bursts(events, joins_burst, big_bytes)
+    end = session_end_s if session_end_s is not None else (
+        runs[-1][1] if runs else 0.0)
+    if runs and runs[-1][1] > end + _EPS:
+        raise ValueError("events extend past session_end_s")
+    latency = promotion_latency(technology, cfg)
+    b = _Builder()
+
+    def carve(pieces, cut: float) -> None:
+        for state, e in pieces:
+            if e >= cut:
+                b.push(state, cut, current[state])
+                return
+            b.push(state, e, current[state])
+
+    pieces, gap_start = iter(((rest, _INF),)), 0.0
+    for t_first, t_last, big in runs:
+        t = min(t_first, end)
+        # the gap's pieces up to the burst's, and where its low ones begin
+        walked, entry = [], gap_start
+        for piece in pieces:
+            walked.append(piece)
+            state, e = piece
+            if state not in low:
+                entry = e
+            # a timer counts as expired within _EPS: wall times carry round-off
+            if t < e - _EPS:
+                break
+        served = tuple(serve(state, big))
+        top = served[0][0]
+        if state in low:   # the promotion, in the serving state, before t
+            carve(walked, max(t - latency, entry, b.t))
+            b.push(top, t, current[top])
+        else:
+            carve(walked, t)
+        gap_start = min(t_last, end)
+        for state, until in served:
+            b.push(state, min(until, gap_start), current[state])
+            if until > gap_start:
+                break
+        pieces = gap(state, gap_start)
+    carve(pieces, end)
+    return RadioTimeline(technology, [RadioInterval(*r) for r in b.runs])
 
 
 # --------------------------------------------------------------------------
@@ -277,56 +324,43 @@ def simulate_wifi(events: Iterable[PacketEvent], cfg: WifiPsmConfig,
     interval for the beacon (charged as a blended sleep current).
     """
     tail_s = cfg.tail_ms / 1000.0
-    runs = _bursts(events, lambda dt: dt <= tail_s + _EPS)
-    end = _session_end(runs, session_end_s)
-
-    sleep_ma = wifi_sleep_current(cfg, profile)
-    sleep_state = "sleep" if cfg.sleep_current_applies else "idle_tail"
-    if not cfg.sleep_current_applies:
-        sleep_ma = profile.wifi_idle_tail
-
-    b = _Builder()
-    for t_first, t_last, _ in runs:
-        b.push(sleep_state, min(t_first, end), sleep_ma)
-        b.push("active", min(t_last, end), profile.wifi_active)
-        b.push("idle_tail", min(t_last + tail_s, end), profile.wifi_idle_tail)
-    b.push(sleep_state, end, sleep_ma)
-    return b.timeline("wifi", end)
+    sleep = "sleep" if cfg.sleep_current_applies else "idle_tail"
+    current = {"active": profile.wifi_active,
+               "idle_tail": profile.wifi_idle_tail,
+               "sleep": wifi_sleep_current(cfg, profile)}
+    return _walk("wifi", cfg, events, session_end_s,
+                 lambda dt: dt <= tail_s + _EPS, current, sleep,
+                 lambda state, t: (("idle_tail", t + tail_s), (sleep, _INF)),
+                 lambda state, big: (("active", _INF),))
 
 
 # --------------------------------------------------------------------------
 # WCDMA/HSPA RRC
 # --------------------------------------------------------------------------
 
-def _hspa_currents(profile: PowerProfile) -> dict[str, float]:
-    return {"dch": profile.hspa_dch, "fach": profile.hspa_fach,
-            "pch": profile.hspa_pch, "idle": profile.hspa_idle}
-
-
-def _hspa_chain(cfg: HspaRrcConfig, from_state: str) -> list[tuple[str, float]]:
-    """Demotion chain from an active state: [(state, dwell_s), ...] ending
-    with the terminal state at dwell = inf."""
-    inf = float("inf")
-    if from_state == "dch":
-        if cfg.fd_timer_s is not None:
-            if cfg.fd_target == "idle":
-                return [("dch", cfg.fd_timer_s), ("idle", inf)]
-            return [("dch", cfg.fd_timer_s), ("pch", cfg.t3_s), ("idle", inf)]
-        return [("dch", cfg.t1_s), ("fach", cfg.t2_s), ("pch", cfg.t3_s),
-                ("idle", inf)]
+def _hspa_chain(cfg: HspaRrcConfig, from_state: str, t: float):
+    """The demotion chain after a burst ending in from_state at t:
+    (state, end) pieces, the terminal state's ending at inf."""
     if from_state == "fach":
-        return [("fach", cfg.t2_s), ("pch", cfg.t3_s), ("idle", inf)]
-    raise ValueError(from_state)
-
-
-def _chain_state_at(chain: list[tuple[str, float]], tau: float) -> str:
-    off = 0.0
+        chain = [("fach", cfg.t2_s), ("pch", cfg.t3_s)]
+    elif cfg.fd_timer_s is None:
+        chain = [("dch", cfg.t1_s), ("fach", cfg.t2_s), ("pch", cfg.t3_s)]
+    elif cfg.fd_target == "idle":
+        chain = [("dch", cfg.fd_timer_s)]
+    else:
+        chain = [("dch", cfg.fd_timer_s), ("pch", cfg.t3_s)]
     for state, dwell in chain:
-        off += dwell
-        # a timer counts as expired within _EPS: wall times carry round-off
-        if tau < off - _EPS:
-            return state
-    return chain[-1][0]
+        t += dwell
+        yield state, t
+    yield "idle", _INF
+
+
+def _hspa_serve(state: str, big: float):
+    """FACH serves a burst up to its first large packet, which promotes
+    the radio to DCH; DCH serves any other burst."""
+    if state == "fach":
+        yield "fach", big
+    yield "dch", _INF
 
 
 def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
@@ -343,66 +377,16 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
     """
     shortest = min(cfg.t1_s, cfg.t2_s, cfg.t3_s,
                    cfg.fd_timer_s if cfg.fd_timer_s is not None else cfg.t1_s)
-    runs = _bursts(events, lambda dt: dt < shortest - _EPS,
-                   cfg.fach_max_bytes)
-    end = _session_end(runs, session_end_s)
     if cfg.fd_timer_s is not None and cfg.fd_target == "idle":
         import logging   # only here: a cold import costs milliseconds
         logging.getLogger(__name__).debug(
             "fast dormancy targets IDLE; T3 never applies")
-
-    cur = _hspa_currents(profile)
-    b = _Builder()
-    gap_start = 0.0          # time the current inactivity period began
-
-    def carve_gap(t_from: float, t_to: float, chain, promote_at: Optional[float]):
-        """Fill [t_from, t_to] from the demotion chain, replacing the final
-        promotion window (if any) with DCH."""
-        lo = t_from
-        cut = t_to if promote_at is None else promote_at
-        off = t_from
-        for st, dwell in chain:
-            hi = min(cut, off + dwell)
-            if hi > lo:
-                b.push(st, hi, cur[st])
-                lo = hi
-            off += dwell
-            if off >= cut:
-                break
-        if promote_at is not None and t_to > promote_at:
-            b.push("dch", t_to, cur["dch"])
-
-    chain: list[tuple[str, float]] = [("idle", float("inf"))]
-    for t_first, t_last, big in runs:
-        t = min(t_first, end)
-        tau = t - gap_start
-        before = _chain_state_at(chain, tau)
-        promote_at = None
-        if before in ("pch", "idle"):
-            # time the chain enters its first low state within this gap
-            low_entry = gap_start
-            off = 0.0
-            for st, dwell in chain:
-                if st in ("pch", "idle"):
-                    low_entry = gap_start + off
-                    break
-                off += dwell
-            promote_at = max(t - cfg.promotion_latency_s, low_entry, b.t)
-        carve_gap(b.t, t, chain, promote_at)
-        if before == "fach" and big != _INF:
-            # FACH serves the burst up to its first large packet, which
-            # promotes the radio to DCH
-            b.push("fach", min(big, end), cur["fach"])
-        after = "fach" if before == "fach" and big == _INF else "dch"
-        # the rest of the burst keeps the radio in that state
-        gap_start = min(t_last, end)
-        b.push(after, gap_start, cur[after])
-        chain = _hspa_chain(cfg, after)
-    if runs:
-        carve_gap(b.t, end, chain, None)
-    else:
-        b.push("idle", end, cur["idle"])
-    return b.timeline("hspa", end)
+    current = {"dch": profile.hspa_dch, "fach": profile.hspa_fach,
+               "pch": profile.hspa_pch, "idle": profile.hspa_idle}
+    return _walk("hspa", cfg, events, session_end_s,
+                 lambda dt: dt < shortest - _EPS, current, "idle",
+                 lambda state, t: _hspa_chain(cfg, state, t), _hspa_serve,
+                 ("pch", "idle"), cfg.fach_max_bytes)
 
 
 # --------------------------------------------------------------------------
@@ -422,57 +406,31 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
     the reception current before the packet time.
     """
     inact = cfg.drx_inactivity_ms / 1000.0
-    runs = _bursts(events, lambda dt: dt < cfg.rrc_idle_s - _EPS
-                   and (dt <= inact or not cfg.drx_enabled))
-    end = _session_end(runs, session_end_s)
-
     cycle = cfg.drx_cycle_ms / 1000.0
     on_s = min(profile.drx_on_overstay_ms, cfg.drx_cycle_ms) / 1000.0
-    promo = cfg.promotion_latency_ms / 1000.0
-    b = _Builder()
 
-    def carve_gap(t_from: float, t_to: float, rx_from: float,
-                  promote_at: Optional[float]):
-        """Fill [t_from, t_to] given continuous rx anchored at rx_from."""
-        cut = t_to if promote_at is None else promote_at
-        idle_at = rx_from + cfg.rrc_idle_s
-        b.push("rx", min(cut, rx_from + inact), profile.lte_rx)
+    def gap(state: str, t: float):
+        anchor, idle_at = t + inact, t + cfg.rrc_idle_s
+        yield "rx", anchor
         if not cfg.drx_enabled:
-            b.push("rx", min(cut, idle_at), profile.lte_rx)
+            yield "rx", idle_at
         else:
-            k = 0
-            anchor = rx_from + inact
-            while b.t + _EPS < min(cut, idle_at):
+            e, k = anchor, 0
+            while e + _EPS < idle_at:
                 c0 = anchor + k * cycle
-                b.push("drx_on", min(cut, idle_at, c0 + on_s), profile.lte_drx_on)
-                b.push("drx_sleep", min(cut, idle_at, c0 + cycle),
-                       profile.lte_drx_sleep)
+                yield "drx_on", min(idle_at, c0 + on_s)
+                e = min(idle_at, c0 + cycle)
+                yield "drx_sleep", e
                 k += 1
-        b.push("idle", cut, profile.lte_idle)
-        if promote_at is not None and t_to > promote_at:
-            b.push("rx", t_to, profile.lte_rx)
+        yield "idle", _INF
 
-    last = None
-    for t_first, t_last, _ in runs:
-        t = min(t_first, end)
-        if last is None:
-            promote_at = max(t - promo, 0.0)
-            b.push("idle", promote_at, profile.lte_idle)
-            b.push("rx", t, profile.lte_rx)
-        else:
-            tau = t - last
-            promote_at = None
-            if tau >= cfg.rrc_idle_s - _EPS:
-                promote_at = max(t - promo, last + cfg.rrc_idle_s, b.t)
-            carve_gap(b.t, t, last, promote_at)
-        # the rest of the burst keeps the radio in continuous reception
-        last = min(t_last, end)
-        b.push("rx", last, profile.lte_rx)
-    if last is not None:
-        carve_gap(b.t, end, last, None)
-    else:
-        b.push("idle", end, profile.lte_idle)
-    return b.timeline("lte", end)
+    current = {"rx": profile.lte_rx, "drx_on": profile.lte_drx_on,
+               "drx_sleep": profile.lte_drx_sleep, "idle": profile.lte_idle}
+    return _walk("lte", cfg, events, session_end_s,
+                 lambda dt: dt < cfg.rrc_idle_s - _EPS
+                 and (dt <= inact or not cfg.drx_enabled),
+                 current, "idle", gap, lambda state, big: (("rx", _INF),),
+                 ("idle",))
 
 
 def simulate_radio(technology: str, events: Iterable[PacketEvent], cfg,

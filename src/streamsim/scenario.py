@@ -271,6 +271,14 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
                               f"unknown technique {kind!r} "
                               f"(one of {sorted(T.TECHNIQUE_KINDS)})")
     tech = _build(tech, te, "technique")
+    if isinstance(tech, T.OnOffS) and tech.off_fixed_s is None:
+        # a full buffer must hold more than lower_s, or no OFF period ends
+        # above it and the ON periods find the buffer full
+        upper_s = tech.upper_bytes * 8.0 / stream.rate_range_bps()[1]
+        if tech.lower_s >= upper_s:
+            raise ConfigError("technique.lower_s",
+                              f"{tech.lower_s:g} s is at or above upper_bytes "
+                              f"({upper_s:.1f} s at the highest rate)")
 
     ra = _section(table, "radio")
     radio_tech = str(_pop_required(ra, "technology", "radio"))

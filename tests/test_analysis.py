@@ -1,8 +1,10 @@
+import functools
+
 import pytest
 
 from conftest import make_scenario
-from streamsim import (FastCaching, LinkModel, OnOffM,
-                       abandonment_sweep, buffer_size_sweep,
+from streamsim import (FastCaching, LinkModel, OnOffM, OnOffS, StreamSpec,
+                       Throttling, abandonment_sweep, buffer_size_sweep,
                        equivalent_buffer_seconds, preset,
                        recommend_thresholds)
 from streamsim.session import run_session
@@ -159,3 +161,47 @@ def test_svg_plot_is_selfcontained():
                         "t", "x", "y")
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "polyline" in svg and "http://www.w3.org/2000/svg" in svg
+
+
+@functools.lru_cache(maxsize=None)
+def _watched(tech, bw, radio_tech, frac):
+    """The base session (2 Mbps, 600 s) watched for frac of the stream."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    techs = {"on_off_m": preset("youtube_onoffm"), "on_off_s": OnOffS(),
+             "throttling": Throttling(), "fast_caching": FastCaching()}
+    return run_session(make_scenario(
+        stream, LinkModel.constant(bw, rtt_ms=70.0), techs[tech], radio_tech,
+        abandon_at_s=None if frac == 1.0 else frac * 600.0))
+
+
+def _cut(intervals, t):
+    """(state, start, end) of the intervals, cut at t."""
+    return [(iv.state, iv.t_start_s, min(iv.t_end_s, t))
+            for iv in intervals if iv.t_start_s < t - 1e-9]
+
+
+@pytest.mark.parametrize("radio_tech", ["hspa", "lte", "wifi"])
+@pytest.mark.parametrize("frac", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("bw", [8e6, 2.5e6])
+@pytest.mark.parametrize("tech", ["on_off_m", "on_off_s", "throttling",
+                                  "fast_caching"])
+def test_abandonment_is_causal(tech, bw, frac, radio_tech):
+    """An abandoned session is the full session cut at its wall end: the
+    same events up to it, and the same radio intervals.  Wi-Fi charges a
+    gap of up to tail_ms as active only once a later packet closes it, so
+    there both timelines are cut at the abandoned session's last packet."""
+    full = _watched(tech, bw, radio_tech, 1.0)
+    cut = _watched(tech, bw, radio_tech, frac)
+    wall = cut.summary.wall_time_s
+    want = [e for e in full.events if e.t_s <= wall + 1e-9]
+    got = list(cut.events)
+    assert [(e.bytes, e.connection_id, e.kind) for e in got] == [
+        (e.bytes, e.connection_id, e.kind) for e in want]
+    assert [e.t_s for e in got] == pytest.approx([e.t_s for e in want],
+                                                 rel=0, abs=1e-9)
+    end = got[-1].t_s if radio_tech == "wifi" else wall
+    want_radio = _cut(full.radio.intervals, end)
+    got_radio = _cut(cut.radio.intervals, end)
+    assert [iv[0] for iv in got_radio] == [iv[0] for iv in want_radio]
+    assert [t for iv in got_radio for t in iv[1:]] == pytest.approx(
+        [t for iv in want_radio for t in iv[1:]], rel=0, abs=1e-9)

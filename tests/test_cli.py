@@ -310,6 +310,9 @@ def _scenario_with(tmp_path, *lines):
      "technique.audio_rate_bps"),
     ("technique.kind = hls; technique.audio_video_split = true; "
      "technique.audio_rate_bps = inf", "technique.audio_rate_bps"),
+    # a full buffer (20 MiB, 83.9 s at 2 Mbps) below lower_s: no OFF
+    # period ends above it, so delivery used to repeat empty turns
+    ("technique.kind = on_off_s; technique.lower_s = 90", "technique.lower_s"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario",

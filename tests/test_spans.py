@@ -468,6 +468,26 @@ def test_radio_walks_a_burst_per_radio_burst(case, bursts, intervals,
     assert n_intervals == intervals
 
 
+@pytest.mark.parametrize("technique,counts", [
+    ("technique.kind = throttling",
+     {"rx": 2092, "drx_on": 4304, "drx_sleep": 2214, "idle": 1}),
+    ("technique.preset = youtube_onoffm",
+     {"rx": 10, "drx_on": 625, "drx_sleep": 620, "idle": 5})])
+def test_lte_carves_every_drx_cycle(technique, counts):
+    """The base scenario on LTE costs an interval per DRX on-period and
+    sleep: 8,611 intervals for 2,092 throttling bursts and 1,260 for 10
+    ON/OFF bursts.  Pinned, so that a change to how gaps are carved moves
+    them only on purpose."""
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text().replace(
+        "technique.preset = youtube_onoffm", technique).replace(
+        "radio.technology = hspa", "radio.technology = lte")
+    res = run_session(parse_scenario_text(text))
+    got: dict[str, int] = {}
+    for iv in res.radio.intervals:
+        got[iv.state] = got.get(iv.state, 0) + 1
+    assert got == counts
+
+
 def test_link_boundaries_on_the_tick_grid_leave_no_slivers():
     """Ticks that meet a boundary up to round-off meet it exactly: no
     1 us hop ticks carrying a byte or two."""
