@@ -10,26 +10,37 @@ SweepResult contents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import Optional, Sequence
 
 from .scenario import Scenario
 from .session import run_session
-from .streams import LinkModel, StreamSpec
+from .streams import LinkModel, MutableRecord, Record, StreamSpec
 from .techniques import FastCaching, OnOffM, technique_kind
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(Record):
+    """One point of a sweep: the average current and what it cost in
+    waste and stalls at x."""
     x: float
     avg_current_ma: float
     relative_power: float
     bytes_wasted: float
     stall_total_s: float
 
+    def __init__(self, x: float, avg_current_ma: float,
+                 relative_power: float, bytes_wasted: float,
+                 stall_total_s: float):
+        set_field = object.__setattr__
+        set_field(self, "x", x)
+        set_field(self, "avg_current_ma", avg_current_ma)
+        set_field(self, "relative_power", relative_power)
+        set_field(self, "bytes_wasted", bytes_wasted)
+        set_field(self, "stall_total_s", stall_total_s)
 
-@dataclass
-class SweepResult:
+
+class SweepResult(MutableRecord):
+    """A sweep's points along its axis, with the scenario's fingerprint."""
     axis: str
     points: list[SweepPoint] = field(default_factory=list)
     fingerprint: str = ""

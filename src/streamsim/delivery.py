@@ -32,14 +32,14 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import MISSING, field
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
-                      ChunkTrain, LinkModel, PacketEvent, StreamSpec,
-                      TickSeq, TransferSpan)
+                      ChunkTrain, LinkModel, MutableRecord, PacketEvent,
+                      StreamSpec, TickSeq, TransferSpan)
 from .techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM, OnOffS,
                          FASTSTART_TARGET_S, RESUME_THRESHOLD_S,
                          START_THRESHOLD_S, Technique, Throttling)
@@ -67,13 +67,21 @@ class BufferSample(NamedTuple):
     buffered_bytes: float
 
 
-@dataclass
-class LogRecord:
+class LogRecord(MutableRecord):
+    """One row of the delivery log: a decision, or a data tick."""
     t_s: float
     event: str
     connection_id: int
     bytes: float
     buffer_s_after: float
+
+    def __init__(self, t_s: float, event: str, connection_id: int,
+                 bytes: float, buffer_s_after: float):
+        self.t_s = t_s
+        self.event = event
+        self.connection_id = connection_id
+        self.bytes = bytes
+        self.buffer_s_after = buffer_s_after
 
     def shifted(self, dt: float, dbuffer: float, dconn: int) -> "LogRecord":
         conn = self.connection_id + dconn if self.connection_id >= 0 else -1
@@ -97,8 +105,7 @@ def _log_records() -> TickSeq:
     return TickSeq([], _data_record)
 
 
-@dataclass
-class DeliveryLog:
+class DeliveryLog(MutableRecord):
     """Session-level record of what the delivery layer did, and of the
     playback it drove.
 
@@ -135,6 +142,43 @@ class DeliveryLog:
     quality_switches: list[tuple[float, str, str]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,event,connection_id,bytes,buffer_s_after"
+
+    def __init__(self, records: TickSeq = MISSING,
+                 on_spans: list[tuple[float, float]] = MISSING,
+                 off_spans: list[tuple[float, float]] = MISSING,
+                 notes: list[str] = MISSING, connections_opened: int = 0,
+                 playback_start_s: Optional[float] = None,
+                 playback_end_s: float = 0.0, completed: bool = False,
+                 stall_events: list[tuple[float, float]] = MISSING,
+                 resume_threshold_s: float = RESUME_THRESHOLD_S,
+                 buffer_samples: list[BufferSample] = MISSING,
+                 bytes_delivered: float = 0.0, bytes_consumed: float = 0.0,
+                 bytes_buffered_end: float = 0.0, bytes_wasted: float = 0.0,
+                 overhead_bytes: float = 0.0,
+                 content_delivered_s: float = 0.0,
+                 content_consumed_s: float = 0.0,
+                 quality_switches: list[tuple[float, str, str]] = MISSING):
+        self.records = _log_records() if records is MISSING else records
+        self.on_spans = [] if on_spans is MISSING else on_spans
+        self.off_spans = [] if off_spans is MISSING else off_spans
+        self.notes = [] if notes is MISSING else notes
+        self.connections_opened = connections_opened
+        self.playback_start_s = playback_start_s
+        self.playback_end_s = playback_end_s
+        self.completed = completed
+        self.stall_events = [] if stall_events is MISSING else stall_events
+        self.resume_threshold_s = resume_threshold_s
+        self.buffer_samples = ([] if buffer_samples is MISSING
+                               else buffer_samples)
+        self.bytes_delivered = bytes_delivered
+        self.bytes_consumed = bytes_consumed
+        self.bytes_buffered_end = bytes_buffered_end
+        self.bytes_wasted = bytes_wasted
+        self.overhead_bytes = overhead_bytes
+        self.content_delivered_s = content_delivered_s
+        self.content_consumed_s = content_consumed_s
+        self.quality_switches = ([] if quality_switches is MISSING
+                                 else quality_switches)
 
     @property
     def stall_total_s(self) -> float:
@@ -256,8 +300,7 @@ def _ticks_to(gap: float, per_tick: float) -> float:
     return gap / per_tick if per_tick > 0 else math.inf
 
 
-@dataclass
-class _Cycle:
+class _Cycle(MutableRecord):
     """One turn of a driver's loop, stepped singly: from t0 to the start
     of the next turn."""
     t0: float
@@ -270,6 +313,22 @@ class _Cycle:
     period_s: float = 0.0      # t0 to the next turn's start
     dbuffer_s: float = 0.0     # buffer change over the turn
     buffered: float = 0.0      # bytes that entered the buffer in the turn
+
+    def __init__(self, t0: float, buffer_s: float, phase: tuple[bool, bool],
+                 marks: SimpleNamespace, events: tuple = (),
+                 records: tuple = (), spans: tuple[TransferSpan, ...] = (),
+                 period_s: float = 0.0, dbuffer_s: float = 0.0,
+                 buffered: float = 0.0):
+        self.t0 = t0
+        self.buffer_s = buffer_s
+        self.phase = phase
+        self.marks = marks
+        self.events = events
+        self.records = records
+        self.spans = spans
+        self.period_s = period_s
+        self.dbuffer_s = dbuffer_s
+        self.buffered = buffered
 
     def _shape(self, e) -> tuple[tuple, tuple]:
         """What of log entry e a repeat matches exactly, and what within

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, field
 
 from .delivery import DeliveryLog
 from .playback import QoeReport
 from .profiles import PowerProfile
 from .radio import RadioTimeline
+from .streams import MutableRecord
 
 
 def integrate_energy(timeline: RadioTimeline, profile: PowerProfile,
@@ -29,8 +30,7 @@ def integrate_energy(timeline: RadioTimeline, profile: PowerProfile,
     return avg_ma, energy_j
 
 
-@dataclass
-class SessionSummary:
+class SessionSummary(MutableRecord):
     """Flat session metrics; the JSON field names are a stable interface."""
     joining_time_s: float
     stall_total_s: float
@@ -44,6 +44,27 @@ class SessionSummary:
     energy_j: float
     wall_time_s: float
     state_residency: dict[str, float] = field(default_factory=dict)
+
+    def __init__(self, joining_time_s: float, stall_total_s: float,
+                 stall_count: int, bytes_downloaded: float,
+                 bytes_consumed: float, bytes_wasted: float,
+                 avg_streaming_current_ma: float,
+                 avg_playback_current_ma: float, avg_total_current_ma: float,
+                 energy_j: float, wall_time_s: float,
+                 state_residency: dict[str, float] = MISSING):
+        self.joining_time_s = joining_time_s
+        self.stall_total_s = stall_total_s
+        self.stall_count = stall_count
+        self.bytes_downloaded = bytes_downloaded
+        self.bytes_consumed = bytes_consumed
+        self.bytes_wasted = bytes_wasted
+        self.avg_streaming_current_ma = avg_streaming_current_ma
+        self.avg_playback_current_ma = avg_playback_current_ma
+        self.avg_total_current_ma = avg_total_current_ma
+        self.energy_j = energy_j
+        self.wall_time_s = wall_time_s
+        self.state_residency = ({} if state_residency is MISSING
+                                else state_residency)
 
     def to_json_dict(self) -> dict:
         """The JSON object; a join failure's infinite joining time is

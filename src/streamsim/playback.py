@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import MISSING, field
 from typing import Iterable, Optional
 
 from .delivery import TIE_S, BufferSample, replay_arrivals
 from .radio import promotion_latency
-from .streams import LinkModel, PacketEvent, StreamSpec
+from .streams import LinkModel, MutableRecord, PacketEvent, StreamSpec
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
 
 JOIN_FAILURE_S = math.inf   # sentinel: the session can never start
 
 
-@dataclass
-class BufferTimeline:
+class BufferTimeline(MutableRecord):
+    """The playback buffer over a session: its samples, join and stalls."""
     joining_time_s: float
     playback_end_s: float          # wall time playback finished (or horizon)
     duration_s: float              # content seconds actually watched
@@ -36,6 +36,19 @@ class BufferTimeline:
     stall_events: list[tuple[float, float]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
+
+    def __init__(self, joining_time_s: float, playback_end_s: float,
+                 duration_s: float, samples: list[BufferSample] = MISSING,
+                 resume_threshold_s: float = RESUME_THRESHOLD_S,
+                 completed: bool = True,
+                 stall_events: list[tuple[float, float]] = MISSING):
+        self.joining_time_s = joining_time_s
+        self.playback_end_s = playback_end_s
+        self.duration_s = duration_s
+        self.samples = [] if samples is MISSING else samples
+        self.resume_threshold_s = resume_threshold_s
+        self.completed = completed
+        self.stall_events = [] if stall_events is MISSING else stall_events
 
     @classmethod
     def from_log(cls, dlog, watched_s: float, joining_time_s=None):
@@ -70,11 +83,17 @@ class BufferTimeline:
                                           - a.buffered_seconds)
 
 
-@dataclass
-class QoeReport:
+class QoeReport(MutableRecord):
+    """What the viewer saw: the joining time and the stalls."""
     joining_time_s: float
     stall_events: list[tuple[float, float]]   # (t_start_s, duration_s)
     stall_ratio: float
+
+    def __init__(self, joining_time_s: float,
+                 stall_events: list[tuple[float, float]], stall_ratio: float):
+        self.joining_time_s = joining_time_s
+        self.stall_events = stall_events
+        self.stall_ratio = stall_ratio
 
     @property
     def stall_total_s(self) -> float:

@@ -23,12 +23,12 @@ concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, field
 from typing import Callable, Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import (ChunkTrain, PacketEvent, Record, TickSeq, TransferSpan,
-                      check_finite_fields)
+from .streams import (ChunkTrain, MutableRecord, PacketEvent, Record, TickSeq,
+                      TransferSpan, check_finite_fields)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
 FACH_MAX_BYTES = 1024
@@ -96,6 +96,11 @@ class LteDrxConfig(Record):
             raise ValueError("drx_on_ms must be < drx_cycle_ms")
         if self.drx_inactivity_ms < 0 or self.promotion_latency_ms < 0:
             raise ValueError("DRX timers must be >= 0")
+        # continuous reception ends before the RRC release, as HSPA's
+        # fast-dormancy timer ends before T1
+        if self.drx_inactivity_ms > self.rrc_idle_s * 1000.0:
+            raise ValueError("drx_inactivity_ms must not exceed rrc_idle_s "
+                             f"({self.rrc_idle_s * 1000.0:g} ms)")
 
 
 # Default promotion latencies in seconds per access technology: the config
@@ -115,19 +120,31 @@ def promotion_latency(technology: str, cfg=None) -> float:
     return getattr(cfg, "promotion_latency_s", PROMOTION_LATENCY_S[technology])
 
 
-@dataclass(frozen=True)
-class RadioInterval:
+class RadioInterval(Record):
+    """One radio state held from t_start_s to t_end_s at current_ma."""
     state: str
     t_start_s: float
     t_end_s: float
     current_ma: float
 
+    def __init__(self, state: str, t_start_s: float, t_end_s: float,
+                 current_ma: float):
+        set_field = object.__setattr__
+        set_field(self, "state", state)
+        set_field(self, "t_start_s", t_start_s)
+        set_field(self, "t_end_s", t_end_s)
+        set_field(self, "current_ma", current_ma)
 
-@dataclass
-class RadioTimeline:
+
+class RadioTimeline(MutableRecord):
     """Contiguous, non-overlapping radio-state intervals covering a session."""
     technology: str
     intervals: list[RadioInterval] = field(default_factory=list)
+
+    def __init__(self, technology: str,
+                 intervals: list[RadioInterval] = MISSING):
+        self.technology = technology
+        self.intervals = [] if intervals is MISSING else intervals
 
     @property
     def end_s(self) -> float:
@@ -233,10 +250,12 @@ class _Builder:
         self.t = 0.0
 
     def push(self, state: str, t_end: float, current_ma: float) -> None:
-        if t_end <= self.t + _EPS:
-            self.t = max(self.t, t_end)
-            return
         runs = self.runs
+        if t_end <= self.t + _EPS:
+            # a sliver goes to the last run, so the next starts where it ends
+            if runs and t_end > self.t:
+                runs[-1][2] = self.t = t_end
+            return
         if runs and runs[-1][0] == state and runs[-1][3] == current_ma:
             runs[-1][2] = t_end
         else:

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, field
 
 from . import delivery
 from .energy import SessionSummary, summarize
 from .playback import BufferTimeline, QoeReport, playback_report
 from .radio import RadioTimeline, promotion_latency, simulate_radio
 from .scenario import Scenario
-from .streams import ChunkTrain, TickSeq, TransferSpan
+from .streams import ChunkTrain, MutableRecord, TickSeq, TransferSpan
 
 
-@dataclass
-class SessionResult:
+class SessionResult(MutableRecord):
+    """One session through every layer: its scenario, what each layer
+    produced, and the host time each took."""
     scenario: Scenario
     events: TickSeq
     dlog: delivery.DeliveryLog
@@ -24,6 +25,19 @@ class SessionResult:
     summary: SessionSummary
     # host milliseconds spent in each layer of run_session
     compute_ms: dict[str, float] = field(default_factory=dict)
+
+    def __init__(self, scenario: Scenario, events: TickSeq,
+                 dlog: delivery.DeliveryLog, buffer: BufferTimeline,
+                 qoe: QoeReport, radio: RadioTimeline, summary: SessionSummary,
+                 compute_ms: dict[str, float] = MISSING):
+        self.scenario = scenario
+        self.events = events
+        self.dlog = dlog
+        self.buffer = buffer
+        self.qoe = qoe
+        self.radio = radio
+        self.summary = summary
+        self.compute_ms = {} if compute_ms is MISSING else compute_ms
 
     @property
     def stats(self) -> dict:

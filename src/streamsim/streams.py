@@ -32,23 +32,31 @@ def check_finite_fields(cfg) -> None:
 
 
 class Record:
-    """Base of the frozen config records a scenario is built from.
+    """Base of the simulator's records: the frozen config records a
+    scenario is built from, and the results the engine builds.
 
     A subclass declares its fields as a dataclass does, with plain
-    defaults, and keeps a dataclass's fields(), replace() and
-    __post_init__.  Its __init__, __repr__, __eq__, __hash__ and frozen
-    __setattr__ are the ones below, shared by every record, where a
-    frozen dataclass compiles its own set through exec at import.  They
-    behave as a frozen dataclass's do, and __repr__ writes the same text.
-    The shared __init__ is slower per call, so records that the engine
-    builds by the thousand stay dataclasses.
+    defaults or default factories, and keeps a dataclass's fields(),
+    replace() and __post_init__.  Its __init__, __repr__, __eq__,
+    __hash__ and frozen __setattr__ are the ones below, shared by every
+    record, where a dataclass compiles its own set through exec at
+    import.  They behave as a frozen dataclass's do (a MutableRecord's as
+    a mutable one's), and __repr__ writes the same text.  The shared
+    __init__ is several times slower per call than a generated one, so a
+    record built once a session or more often writes its own; there a
+    field with a default factory defaults to MISSING, which stands for a
+    fresh value.  Every record class needs a docstring: without one,
+    dataclass() builds one through inspect.signature.
     """
 
     def __init_subclass__(cls):
         dataclass(init=False, repr=False, eq=False)(cls)
-        cls._names = tuple(f.name for f in fields(cls))
-        cls._defaults = {f.name: f.default for f in fields(cls)
+        fs = fields(cls)
+        cls._names = tuple(f.name for f in fs)
+        cls._defaults = {f.name: f.default for f in fs
                          if f.default is not MISSING}
+        cls._factories = {f.name: f.default_factory for f in fs
+                          if f.default_factory is not MISSING}
 
     def __init__(self, *args, **kwargs):
         names = self._names
@@ -65,10 +73,15 @@ class Record:
         set_field = object.__setattr__
         for name, value in zip(names, args):
             set_field(self, name, value)
-        defaults = self._defaults
+        defaults, factories = self._defaults, self._factories
         for name in names[len(args):]:
-            value = kwargs.get(name, defaults.get(name, MISSING))
-            if value is MISSING:
+            if name in kwargs:
+                value = kwargs[name]
+            elif name in defaults:
+                value = defaults[name]
+            elif name in factories:
+                value = factories[name]()
+            else:
                 raise TypeError(f"{type(self).__qualname__}() missing "
                                 f"required argument {name!r}")
             set_field(self, name, value)
@@ -100,23 +113,37 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class PacketEvent:
+class MutableRecord(Record):
+    """A Record whose fields can be set after it is built: like a
+    dataclass that is not frozen, it is unhashable."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class PacketEvent(Record):
     """One delivery event on the wire."""
     t_s: float
     bytes: int
     connection_id: int
     kind: str = "data"
 
-    def __post_init__(self):
-        if self.t_s < 0:
+    def __init__(self, t_s: float, bytes: int, connection_id: int,
+                 kind: str = "data"):
+        if t_s < 0:
             raise ValueError("event time must be >= 0")
-        if self.bytes < 0:
+        if bytes < 0:
             raise ValueError("event bytes must be >= 0")
-        if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
-        if self.kind in ("flow_control", "persist_probe") and self.bytes > 100:
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
+        if kind in ("flow_control", "persist_probe") and bytes > 100:
             raise ValueError("control events carry at most 100 bytes")
+        set_field = object.__setattr__
+        set_field(self, "t_s", t_s)
+        set_field(self, "bytes", bytes)
+        set_field(self, "connection_id", connection_id)
+        set_field(self, "kind", kind)
 
     def sort_key(self):
         return (self.t_s, self.connection_id, _KIND_ORDER[self.kind])
@@ -126,8 +153,7 @@ class PacketEvent:
                            self.connection_id + dconn, self.kind)
 
 
-@dataclass
-class TransferSpan:
+class TransferSpan(MutableRecord):
     """n back-to-back data ticks of equal size on one connection.
 
     Tick k (0-based) completes at t_s + k * dt_s carrying nbytes, and the
@@ -145,6 +171,17 @@ class TransferSpan:
     dbuffer_s: float = 0.0
 
     kind: ClassVar[str] = "data"
+
+    def __init__(self, t_s: float, dt_s: float, n: int, connection_id: int,
+                 nbytes: float, buffer_s: float = 0.0,
+                 dbuffer_s: float = 0.0):
+        self.t_s = t_s
+        self.dt_s = dt_s
+        self.n = n
+        self.connection_id = connection_id
+        self.nbytes = nbytes
+        self.buffer_s = buffer_s
+        self.dbuffer_s = dbuffer_s
 
     @property
     def bytes(self) -> int:
@@ -170,8 +207,7 @@ class TransferSpan:
                             self.buffer_s + dbuffer, self.dbuffer_s)
 
 
-@dataclass
-class ChunkTrain:
+class ChunkTrain(MutableRecord):
     """m repeats of one driver's cycle, period_s apart.
 
     cycle holds the entries of the first repeat: TransferSpans and the
@@ -187,6 +223,14 @@ class ChunkTrain:
     dconn: int = 0
 
     kind: ClassVar[str] = "data"
+
+    def __init__(self, cycle: tuple, m: int, period_s: float,
+                 dbuffer_s: float, dconn: int = 0):
+        self.cycle = cycle
+        self.m = m
+        self.period_s = period_s
+        self.dbuffer_s = dbuffer_s
+        self.dconn = dconn
 
     @property
     def t_s(self) -> float:

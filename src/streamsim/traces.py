@@ -19,12 +19,12 @@ import json
 import logging
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Iterable, Optional
 
 from . import playback
 from .delivery import replay_arrivals
-from .streams import PacketEvent, StreamSpec
+from .streams import MutableRecord, PacketEvent, Record, StreamSpec
 
 log = logging.getLogger(__name__)
 
@@ -44,23 +44,30 @@ _KIND_TO_WIRE = {
 _WIRE_TO_KIND = {v: k for k, v in _KIND_TO_WIRE.items()}
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(Record):
+    """One packet of a flow trace, as a capture shows it."""
     t_s: float
     bytes: int
     connection_id: int
     direction: str
     flags: str = ""
 
-    def __post_init__(self):
-        if self.bytes < 0:
+    def __init__(self, t_s: float, bytes: int, connection_id: int,
+                 direction: str, flags: str = ""):
+        if bytes < 0:
             raise ValueError("bytes must be >= 0")
-        if self.direction not in ("down", "up"):
-            raise ValueError(f"direction must be down/up, not {self.direction!r}")
+        if direction not in ("down", "up"):
+            raise ValueError(f"direction must be down/up, not {direction!r}")
+        set_field = object.__setattr__
+        set_field(self, "t_s", t_s)
+        set_field(self, "bytes", bytes)
+        set_field(self, "connection_id", connection_id)
+        set_field(self, "direction", direction)
+        set_field(self, "flags", flags)
 
 
-@dataclass
-class Classification:
+class Classification(MutableRecord):
+    """The technique a trace is classified as, and the evidence."""
     technique: str
     confidence: float
     evidence: dict = field(default_factory=dict)

@@ -313,6 +313,9 @@ def _scenario_with(tmp_path, *lines):
     # a full buffer (20 MiB, 83.9 s at 2 Mbps) below lower_s: no OFF
     # period ends above it, so delivery used to repeat empty turns
     ("technique.kind = on_off_s; technique.lower_s = 90", "technique.lower_s"),
+    # continuous reception held past the 10 s RRC release
+    ("radio.technology = lte; radio.drx_inactivity_ms = 20000",
+     "radio.drx_inactivity_ms"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario",

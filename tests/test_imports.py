@@ -68,6 +68,40 @@ def test_import_loads_only_what_the_cli_runs():
         assert mod not in cli, mod
 
 
+_RECORDS_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+import streamsim.cli, streamsim.analysis, streamsim.traces
+out = []
+for name, mod in sorted(sys.modules.items()):
+    if name.partition(".")[0] != "streamsim":
+        continue
+    for cls in vars(mod).values():
+        if (isinstance(cls, type) and cls.__module__ == name
+                and hasattr(cls, "__dataclass_params__")):
+            p = cls.__dataclass_params__
+            out.append([cls.__qualname__, p.init, p.repr, p.eq, cls.__doc__])
+print(json.dumps(out))
+"""
+
+
+def test_registered_classes_compile_nothing_and_carry_docstrings():
+    """Every class streamsim registers with dataclass() lets it generate
+    no __init__, __repr__ or __eq__, whose code would be compiled through
+    exec at import, and has a docstring, without which dataclass() would
+    build one through inspect.signature."""
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _RECORDS_PROBE.format(src=SRC)],
+        capture_output=True, text=True, check=True).stdout
+    registered = json.loads(out)
+    names = {name for name, *_ in registered}
+    assert {"Scenario", "PacketEvent", "RadioTimeline", "_Cycle",
+            "SessionResult", "SweepResult", "FlowRecord"} <= names
+    for name, init, repr_, eq, doc in registered:
+        assert not (init or repr_ or eq), name
+        assert doc and not doc.startswith(f"{name}("), name
+
+
 def test_every_public_name_is_kept():
     assert len(NAMES) == 56
     star: dict = {}

@@ -102,6 +102,10 @@ def test_config_validation():
         LteDrxConfig(drx_on_ms=90.0, drx_cycle_ms=80.0)
     with pytest.raises(ValueError):
         LteDrxConfig(rrc_idle_s=0.0)
+    # continuous reception past the 10 s RRC release would never enter DRX
+    with pytest.raises(ValueError, match="drx_inactivity_ms must not exceed"):
+        LteDrxConfig(drx_inactivity_ms=20000.0)
+    assert LteDrxConfig(drx_inactivity_ms=10000.0).rrc_idle_s == 10.0
 
 
 def test_monotone_energy_under_added_traffic(gs3):
