@@ -20,14 +20,20 @@ def integrate_energy(timeline: RadioTimeline, profile: PowerProfile,
     The timeline must cover [0, wall_time_s] exactly; a coverage gap is a
     modelling error and is rejected.
     """
+    return _integrate(timeline, profile, wall_time_s)[:2]
+
+
+def _integrate(timeline: RadioTimeline, profile: PowerProfile,
+               wall_time_s: float) -> tuple[float, float, dict[str, float]]:
+    """integrate_energy's figures, then the seconds per state, from one
+    pass over the timeline."""
     timeline.validate(wall_time_s)
+    residency, charge = timeline.totals()   # mA * s
     if wall_time_s <= 0:
-        return 0.0, 0.0
-    charge = sum(iv.current_ma * (iv.t_end_s - iv.t_start_s)
-                 for iv in timeline.intervals)   # mA * s
+        return 0.0, 0.0, residency
     avg_ma = charge / wall_time_s
     energy_j = (charge / 1000.0) * profile.nominal_voltage_v
-    return avg_ma, energy_j
+    return avg_ma, energy_j, residency
 
 
 class SessionSummary(MutableRecord):
@@ -97,7 +103,7 @@ def summarize(dlog: DeliveryLog, qoe: QoeReport, radio: RadioTimeline,
     Byte conservation is the delivery engine's to check: its log's figures
     are the ones reported here.  Radio coverage is integrate_energy's.
     """
-    avg_stream_ma, _ = integrate_energy(radio, profile, wall_time_s)
+    avg_stream_ma, _, residency = _integrate(radio, profile, wall_time_s)
     # The display is lit from the request on, so the playback constant
     # applies to the whole wall time, not just the post-join span.
     avg_playback_ma = profile.playback_ma if wall_time_s > 0 else 0.0
@@ -116,5 +122,5 @@ def summarize(dlog: DeliveryLog, qoe: QoeReport, radio: RadioTimeline,
         avg_total_current_ma=avg_total_ma,
         energy_j=energy_j,
         wall_time_s=wall_time_s,
-        state_residency=radio.residency(),
+        state_residency=residency,
     )

@@ -17,14 +17,18 @@ serving state's current before its first byte.  The chains:
   LTE    - continuous reception, connected-mode DRX cycling (on-period /
            sleep per cycle) and RRC idle, which is low.
 
+A walked timeline stores runs, a gap's whole DRX cycles as one periodic
+run, and reads its intervals out of them only when asked for.
+
 All functions are pure: they never mutate their inputs and are safe to run
 concurrently.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .profiles import PowerProfile
 from .streams import (ChunkTrain, MutableRecord, PacketEvent, Record, TickSeq,
@@ -137,7 +141,11 @@ class RadioInterval(Record):
 
 
 class RadioTimeline(MutableRecord):
-    """Contiguous, non-overlapping radio-state intervals covering a session."""
+    """Contiguous, non-overlapping radio-state intervals covering a session.
+
+    A walked timeline stores runs instead (see _spans) and builds its
+    intervals on first read; from then on they are the timeline.
+    """
     technology: str
     intervals: list[RadioInterval] = field(default_factory=list)
 
@@ -146,53 +154,114 @@ class RadioTimeline(MutableRecord):
         self.technology = technology
         self.intervals = [] if intervals is MISSING else intervals
 
+    @classmethod
+    def of_runs(cls, technology: str, runs: list,
+                end_s: float) -> RadioTimeline:
+        tl = cls.__new__(cls)
+        vars(tl).update(technology=technology, _runs=runs, _end=end_s)
+        return tl
+
+    def __getattr__(self, name):
+        if name != "intervals":
+            raise AttributeError(name)
+        self.intervals = [RadioInterval(*s) for s in self.spans()]
+        return self.intervals
+
+    def spans(self) -> list[tuple]:
+        """(state, t_start_s, t_end_s, current_ma) of each interval."""
+        if "intervals" in self.__dict__:
+            return [(iv.state, iv.t_start_s, iv.t_end_s, iv.current_ma)
+                    for iv in self.intervals]
+        if "_rows" not in self.__dict__:   # the summary and the CSV read them
+            self._rows = _spans(self._runs, self._end)
+        return self._rows
+
+    @property
+    def n_runs(self) -> int:
+        """Runs the walk stored, a periodic run's pattern once; for a
+        timeline built from intervals, the intervals."""
+        if "_runs" not in self.__dict__:
+            return len(self.intervals)
+        return sum(len(r[1]) if len(r) == 2 else 1 for r in self._runs)
+
     @property
     def end_s(self) -> float:
-        return self.intervals[-1].t_end_s if self.intervals else 0.0
+        if "intervals" in self.__dict__:
+            return self.intervals[-1].t_end_s if self.intervals else 0.0
+        return self._end if self._runs else 0.0
+
+    def totals(self) -> tuple[dict[str, float], float]:
+        """Seconds per state and the charge (mA * s), each summed in
+        interval order."""
+        out: dict[str, float] = {}
+        charge = []
+        for state, t0, t1, ma in self.spans():
+            d = t1 - t0
+            out[state] = out.get(state, 0.0) + d
+            charge.append(ma * d)
+        return out, sum(charge)
 
     def residency(self) -> dict[str, float]:
         """Seconds spent per state label."""
-        out: dict[str, float] = {}
-        for iv in self.intervals:
-            out[iv.state] = out.get(iv.state, 0.0) + (iv.t_end_s - iv.t_start_s)
-        return out
+        return self.totals()[0]
 
     def validate(self, session_end_s: Optional[float] = None) -> None:
         """Assert the coverage invariant: no gaps, no overlaps, full span."""
         prev = 0.0
-        for iv in self.intervals:
-            if iv.t_end_s < iv.t_start_s - _EPS:
-                raise AssertionError(f"negative interval {iv}")
-            if abs(iv.t_start_s - prev) > 1e-6:
-                raise AssertionError(f"coverage gap at t={prev:.6f} before {iv}")
-            prev = iv.t_end_s
+        spans = self.spans()
+        for state, t0, t1, ma in spans:
+            if t1 < t0 - _EPS:
+                raise AssertionError(
+                    f"negative interval {RadioInterval(state, t0, t1, ma)}")
+            if abs(t0 - prev) > 1e-6:
+                raise AssertionError(f"coverage gap at t={prev:.6f} before "
+                                     f"{RadioInterval(state, t0, t1, ma)}")
+            prev = t1
         if session_end_s is not None:
-            want = 0.0 if not self.intervals else session_end_s
+            want = 0.0 if not spans else session_end_s
             if abs(prev - want) > 1e-6:
                 raise AssertionError(
                     f"timeline ends at {prev:.6f}, session ends at {want:.6f}")
 
     def to_csv_rows(self) -> list[tuple]:
-        return [(iv.t_start_s, iv.t_end_s, iv.state, iv.current_ma)
-                for iv in self.intervals]
+        return [(t0, t1, state, ma) for state, t0, t1, ma in self.spans()]
+
+
+def _spans(runs: list, end: float) -> list[tuple]:
+    """(state, t_start_s, t_end_s, current_ma) of runs, each held until the
+    next starts and the last until end.  A run is (state, current_ma,
+    start), or a periodic run (js, pattern): for each j in js, pattern's
+    (state, current_ma, x, off, step, add) runs, starting at
+    (x + (j + off) * step) + add, as the walker computed them."""
+    rows = []
+    for run in runs:
+        if len(run) == 3:
+            rows.append(run)
+            continue
+        js, pattern = run
+        for j in js:
+            rows += [(state, ma, (x + (j + off) * step) + add)
+                     for state, ma, x, off, step, add in pattern]
+    if not rows:
+        return []
+    states, currents, starts = zip(*rows)
+    return list(zip(states, starts, starts[1:] + (end,), currents))
 
 
 def _bursts(events: Iterable[PacketEvent],
-            joins_burst: Callable[[float], bool],
-            big_bytes: float = _INF) -> list[list[float]]:
+            joins: tuple[float, float], big_bytes: float = _INF) -> list:
     """[first, last, big] per burst of back-to-back packets, in time order.
 
-    A packet, or a run of them, that starts within joins_burst of the
-    last burst's end extends it, so only a gap that fails joins_burst
-    splits two bursts.  big is the time of the burst's first packet of
-    at least big_bytes (inf if none): the one that promotes an HSPA
-    radio from FACH.  A transfer span whose tick spacing passes
-    joins_burst is one run, and any other span is walked tick by tick.
-    A chunk train whose cycle is one burst, and whose next repeat joins
-    it, is one burst; any other train repeats its cycle's bursts,
-    shifted by the period.
+    A packet, or a run of them, a gap dt after the last burst's end
+    extends it if dt < below and dt <= upto, for joins = (below, upto).
+    big is the time of the burst's first packet of at least big_bytes
+    (inf if none), which promotes an HSPA radio from FACH.  A span whose
+    tick spacing joins is one run; any other is walked tick by tick.  A
+    chunk train whose cycle is one burst joined by the next repeat is one
+    burst; any other repeats its cycle's bursts, shifted by the period.
     """
-    out: list[list[float]] = []
+    below, upto = joins
+    out: list = []
     prev = 0.0
     # a TickSeq's runs as they are, any other events one by one
     runs = events.items if isinstance(events, TickSeq) else events
@@ -203,17 +272,18 @@ def _bursts(events: Iterable[PacketEvent],
         if t < prev - _EPS:
             raise ValueError(
                 f"events not sorted: event {i} at t={t} after t={prev}")
-        span = isinstance(ev, TransferSpan)
-        if isinstance(ev, ChunkTrain):
-            cycle = _bursts(ev.cycle, joins_burst, big_bytes)
+        cls = ev.__class__
+        span = cls is TransferSpan
+        if cls is ChunkTrain:
+            cycle = _bursts(ev.cycle, joins, big_bytes)
             a, b, big = cycle[0]
             p = ev.period_s
-            if len(cycle) == 1 and joins_burst(a + p - b):
+            if len(cycle) == 1 and below > a + p - b <= upto:
                 new = ((a, ev.t_end_s, big),)
             else:   # each repeat's bursts are the first cycle's, shifted
                 new = [(a + j * p, b + j * p, big + j * p)
                        for j in range(ev.m) for a, b, big in cycle]
-        elif span and not (ev.n == 1 or joins_burst(ev.dt_s)):
+        elif span and not (ev.n == 1 or below > ev.dt_s <= upto):
             big = ev.bytes >= big_bytes
             new = [(tk, tk, tk if big else _INF)
                    for tk in map(ev.tick_t, range(ev.n))]
@@ -221,7 +291,7 @@ def _bursts(events: Iterable[PacketEvent],
             # a packet, or a span whose ticks join, is one run; its bytes
             # matter only while its burst has no large packet before it
             b = t + (ev.n - 1) * ev.dt_s if span else t   # its last tick
-            if out and joins_burst(t - out[-1][1]):
+            if out and below > t - out[-1][1] <= upto:
                 last = out[-1]
                 last[1] = b
                 if t < last[2] and ev.bytes >= big_bytes:
@@ -231,7 +301,7 @@ def _bursts(events: Iterable[PacketEvent],
             prev = b
             continue
         for a, b, big in new:
-            if out and joins_burst(a - out[-1][1]):
+            if out and below > a - out[-1][1] <= upto:
                 last = out[-1]
                 last[1] = b
                 if big < last[2]:
@@ -242,84 +312,94 @@ def _bursts(events: Iterable[PacketEvent],
     return out
 
 
-class _Builder:
-    """Accumulates (state, current) spans and merges adjacent equal ones."""
-
-    def __init__(self):
-        self.runs: list[list] = []   # [state, start, end, current_ma]
-        self.t = 0.0
-
-    def push(self, state: str, t_end: float, current_ma: float) -> None:
-        runs = self.runs
-        if t_end <= self.t + _EPS:
-            # a sliver goes to the last run, so the next starts where it ends
-            if runs and t_end > self.t:
-                runs[-1][2] = self.t = t_end
-            return
-        if runs and runs[-1][0] == state and runs[-1][3] == current_ma:
-            runs[-1][2] = t_end
-        else:
-            runs.append([state, self.t, t_end, current_ma])
-        self.t = t_end
+def _demotions(chains: dict[str, tuple]):
+    """gap() of a machine whose gaps are fixed chains: from the state a
+    burst ends in, each state of its chain held for its dwell, the last
+    for ever."""
+    def gap(state: str, t: float, cut: float) -> list:
+        return [(s, t := t + dwell) for s, dwell in chains[state]]
+    return gap
 
 
 def _walk(technology: str, cfg, events: Iterable[PacketEvent],
-          session_end_s: Optional[float], joins_burst: Callable[[float], bool],
+          session_end_s: Optional[float], joins: tuple[float, float],
           current: dict[str, float], rest: str, gap, serve, low=(),
           big_bytes: float = _INF) -> RadioTimeline:
     """The timeline of one radio machine over the bursts of events.
 
-    The radio rests in rest until the first burst.  After a burst that
-    ends in a state at t, gap(state, t) yields the (state, end) pieces
-    inactivity demotes it through, the last never ending.  A burst
-    arriving in a low state pays the promotion: the state that serves it
-    from max(t - promotion_latency, the entry into the first low state).
-    serve(state, big) yields the (state, until) pieces that serve a
-    burst arriving in state, big being its first large packet.
+    The radio rests in rest until the first burst.  After a burst ending
+    in a state at t, gap(state, t, cut) lists the (state, end) pieces
+    inactivity demotes it through, up to the one past the next burst at
+    cut; a piece whose state is a periodic run (see _spans) is whole DRX
+    cycles.  A burst arriving in a low state pays the promotion: the
+    state that serves it from max(t - promotion_latency, the entry into
+    the first low state).  serve(state, big) gives the (state, until)
+    pieces that serve a burst arriving in state, big being its first
+    large packet.
     """
-    runs = _bursts(events, joins_burst, big_bytes)
+    bursts = _bursts(events, joins, big_bytes)
     end = session_end_s if session_end_s is not None else (
-        runs[-1][1] if runs else 0.0)
-    if runs and runs[-1][1] > end + _EPS:
+        bursts[-1][1] if bursts else 0.0)
+    if bursts and bursts[-1][1] > end + _EPS:
         raise ValueError("events extend past session_end_s")
     latency = promotion_latency(technology, cfg)
-    b = _Builder()
-
-    def carve(pieces, cut: float) -> None:
-        for state, e in pieces:
-            if e >= cut:
-                b.push(state, cut, current[state])
-                return
-            b.push(state, e, current[state])
-
-    pieces, gap_start = iter(((rest, _INF),)), 0.0
-    for t_first, t_last, big in runs:
-        t = min(t_first, end)
+    runs = []
+    # where the last run ends, and its state and current
+    t_run, run_state, run_ma = 0.0, None, None
+    state, gap_start = None, 0.0   # before the first burst, the radio rests
+    resting = ((rest, _INF),)
+    # each burst, then the gap after the last one, up to the end
+    for t_first, t_last, big in bursts + [(end, None, _INF)]:
+        t = end if end < t_first else t_first   # min(), without the call
+        pieces = gap(state, gap_start, t) if state else resting
         # the gap's pieces up to the burst's, and where its low ones begin
-        walked, entry = [], gap_start
-        for piece in pieces:
-            walked.append(piece)
-            state, e = piece
-            if state not in low:
+        entry = gap_start
+        for s, e in pieces:
+            if s not in low:
                 entry = e
             # a timer counts as expired within _EPS: wall times carry round-off
             if t < e - _EPS:
                 break
-        served = tuple(serve(state, big))
-        top = served[0][0]
-        if state in low:   # the promotion, in the serving state, before t
-            carve(walked, max(t - latency, entry, b.t))
-            b.push(top, t, current[top])
-        else:
-            carve(walked, t)
-        gap_start = min(t_last, end)
-        for state, until in served:
-            b.push(state, min(until, gap_start), current[state])
-            if until > gap_start:
+        cut = t
+        if s in low and t_last is not None:
+            # the promotion, in the serving state, from max(t - latency,
+            # entry, t_run): the first of equals, as max() picks it
+            cut = t - latency
+            if entry > cut:
+                cut = entry
+            if t_run > cut:
+                cut = t_run
+        held = []   # the gap's pieces up to cut, then the burst's
+        for piece, e in pieces:
+            if e >= cut:
+                held.append((piece, cut))
                 break
-        pieces = gap(state, gap_start)
-    carve(pieces, end)
-    return RadioTimeline(technology, [RadioInterval(*r) for r in b.runs])
+            held.append((piece, e))
+        if t_last is not None:
+            served = serve(s, big)
+            if s in low:
+                held.append((served[0][0], t))
+            gap_start = end if end < t_last else t_last
+            for s, until in served:
+                held.append((s, gap_start if gap_start < until else until))
+                if until > gap_start:
+                    break
+            state = s
+        # hold each piece's state up to its end, merging a run into the
+        # last of one state and current
+        for s, e in held:
+            if s.__class__ is tuple:   # a periodic run
+                runs.append(s)
+                run_state, run_ma = s[1][-1][:2]
+            elif e <= t_run + _EPS:   # a sliver goes to the last run
+                if run_state and e > t_run:
+                    t_run = e
+                continue
+            elif s != run_state or current[s] != run_ma:
+                run_state, run_ma = s, current[s]
+                runs.append((s, run_ma, t_run))
+            t_run = e
+    return RadioTimeline.of_runs(technology, runs, t_run)
 
 
 # --------------------------------------------------------------------------
@@ -348,39 +428,15 @@ def simulate_wifi(events: Iterable[PacketEvent], cfg: WifiPsmConfig,
                "idle_tail": profile.wifi_idle_tail,
                "sleep": wifi_sleep_current(cfg, profile)}
     return _walk("wifi", cfg, events, session_end_s,
-                 lambda dt: dt <= tail_s + _EPS, current, sleep,
-                 lambda state, t: (("idle_tail", t + tail_s), (sleep, _INF)),
+                 (_INF, tail_s + _EPS), current, sleep,
+                 _demotions({"active": (("idle_tail", tail_s),
+                                        (sleep, _INF))}),
                  lambda state, big: (("active", _INF),))
 
 
 # --------------------------------------------------------------------------
 # WCDMA/HSPA RRC
 # --------------------------------------------------------------------------
-
-def _hspa_chain(cfg: HspaRrcConfig, from_state: str, t: float):
-    """The demotion chain after a burst ending in from_state at t:
-    (state, end) pieces, the terminal state's ending at inf."""
-    if from_state == "fach":
-        chain = [("fach", cfg.t2_s), ("pch", cfg.t3_s)]
-    elif cfg.fd_timer_s is None:
-        chain = [("dch", cfg.t1_s), ("fach", cfg.t2_s), ("pch", cfg.t3_s)]
-    elif cfg.fd_target == "idle":
-        chain = [("dch", cfg.fd_timer_s)]
-    else:
-        chain = [("dch", cfg.fd_timer_s), ("pch", cfg.t3_s)]
-    for state, dwell in chain:
-        t += dwell
-        yield state, t
-    yield "idle", _INF
-
-
-def _hspa_serve(state: str, big: float):
-    """FACH serves a burst up to its first large packet, which promotes
-    the radio to DCH; DCH serves any other burst."""
-    if state == "fach":
-        yield "fach", big
-    yield "dch", _INF
-
 
 def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
                   profile: PowerProfile,
@@ -392,19 +448,32 @@ def simulate_hspa(events: Iterable[PacketEvent], cfg: HspaRrcConfig,
     A packet arriving in CELL_PCH or IDLE promotes to CELL_DCH, charging
     promotion_latency_s at DCH current before the packet time.  Packets
     smaller than fach_max_bytes that arrive while in CELL_FACH are served
-    there without promotion.
+    there without promotion: FACH serves a burst up to its first large
+    packet, which promotes the radio to DCH.
     """
     shortest = min(cfg.t1_s, cfg.t2_s, cfg.t3_s,
                    cfg.fd_timer_s if cfg.fd_timer_s is not None else cfg.t1_s)
-    if cfg.fd_timer_s is not None and cfg.fd_target == "idle":
-        import logging   # only here: a cold import costs milliseconds
-        logging.getLogger(__name__).debug(
-            "fast dormancy targets IDLE; T3 never applies")
+    # the demotion chain after a burst that ends in DCH, and in FACH
+    if cfg.fd_timer_s is None:
+        dch = (("dch", cfg.t1_s), ("fach", cfg.t2_s), ("pch", cfg.t3_s))
+    elif cfg.fd_target == "idle":
+        dch = (("dch", cfg.fd_timer_s),)
+        # logging is not imported for this note: unless the caller has
+        # imported and set it up, the record would be dropped anyway
+        if "logging" in sys.modules:
+            sys.modules["logging"].getLogger(__name__).debug(
+                "fast dormancy targets IDLE; T3 never applies")
+    else:
+        dch = (("dch", cfg.fd_timer_s), ("pch", cfg.t3_s))
+    chains = {"dch": dch + (("idle", _INF),),
+              "fach": (("fach", cfg.t2_s), ("pch", cfg.t3_s), ("idle", _INF))}
     current = {"dch": profile.hspa_dch, "fach": profile.hspa_fach,
                "pch": profile.hspa_pch, "idle": profile.hspa_idle}
     return _walk("hspa", cfg, events, session_end_s,
-                 lambda dt: dt < shortest - _EPS, current, "idle",
-                 lambda state, t: _hspa_chain(cfg, state, t), _hspa_serve,
+                 (shortest - _EPS, _INF), current, "idle",
+                 _demotions(chains),
+                 lambda state, big: ((("fach", big), ("dch", _INF))
+                                     if state == "fach" else (("dch", _INF),)),
                  ("pch", "idle"), cfg.fach_max_bytes)
 
 
@@ -427,27 +496,47 @@ def simulate_lte(events: Iterable[PacketEvent], cfg: LteDrxConfig,
     inact = cfg.drx_inactivity_ms / 1000.0
     cycle = cfg.drx_cycle_ms / 1000.0
     on_s = min(profile.drx_on_overstay_ms, cfg.drx_cycle_ms) / 1000.0
-
-    def gap(state: str, t: float):
-        anchor, idle_at = t + inact, t + cfg.rrc_idle_s
-        yield "rx", anchor
-        if not cfg.drx_enabled:
-            yield "rx", idle_at
-        else:
-            e, k = anchor, 0
-            while e + _EPS < idle_at:
-                c0 = anchor + k * cycle
-                yield "drx_on", min(idle_at, c0 + on_s)
-                e = min(idle_at, c0 + cycle)
-                yield "drx_sleep", e
-                k += 1
-        yield "idle", _INF
-
     current = {"rx": profile.lte_rx, "drx_on": profile.lte_drx_on,
                "drx_sleep": profile.lte_drx_sleep, "idle": profile.lte_idle}
+
+    def gap(state: str, t: float, cut: float) -> list:
+        anchor, idle_at = t + inact, t + cfg.rrc_idle_s
+        out = [("rx", anchor)]
+        if not cfg.drx_enabled:
+            out.append(("rx", idle_at))
+        else:   # DRX cycles up to the one past the cut, as _walk reads them
+            e, k = anchor, 0
+            while e + _EPS < idle_at and not cut < e - _EPS:
+                c0 = anchor + k * cycle
+                out.append(("drx_on", min(idle_at, c0 + on_s)))
+                e = min(idle_at, c0 + cycle)
+                out.append(("drx_sleep", e))
+                k += 1
+                n = drx_cycles(anchor, idle_at, cut) if k == 1 else 0
+                if n > 2:   # cycles 1 to n - 1 as one periodic run
+                    e, k = (anchor + (n - 1) * cycle) + cycle, n
+                    out.append(((range(1, n), (
+                        ("drx_on", current["drx_on"], anchor, -1, cycle,
+                         cycle),
+                        ("drx_sleep", current["drx_sleep"], anchor, 0, cycle,
+                         on_s))), e))
+        out.append(("idle", _INF))
+        return out
+
+    def drx_cycles(anchor: float, idle_at: float, cut: float) -> int:
+        """The whole DRX cycles from anchor that end clear of the cut and
+        the release, if each piece outlasts round-off."""
+        margin = 2 * _EPS + 1e-12 * idle_at
+        if not margin < on_s < cycle - margin:
+            return 0
+        bound = min(cut, idle_at) - margin
+        n = int((bound - anchor) // cycle)
+        while n > 0 and (anchor + (n - 1) * cycle) + cycle > bound:
+            n -= 1
+        return n
+
     return _walk("lte", cfg, events, session_end_s,
-                 lambda dt: dt < cfg.rrc_idle_s - _EPS
-                 and (dt <= inact or not cfg.drx_enabled),
+                 (cfg.rrc_idle_s - _EPS, inact if cfg.drx_enabled else _INF),
                  current, "idle", gap, lambda state, big: (("rx", _INF),),
                  ("idle",))
 

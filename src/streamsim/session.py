@@ -54,7 +54,8 @@ class SessionResult(MutableRecord):
                              if isinstance(s, TransferSpan)),
                 "log_rows": sum(1 for _ in self.dlog.rows()),
                 "buffer_samples": len(self.buffer.samples),
-                "radio_intervals": len(self.radio.intervals),
+                "radio_intervals": len(self.radio.spans()),
+                "radio_runs": self.radio.n_runs,
                 "connections": self.dlog.connections_opened,
                 "quality_switches": len(self.dlog.quality_switches),
                 "notes": len(self.dlog.notes),

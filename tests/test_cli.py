@@ -61,7 +61,7 @@ def test_stats_leave_the_artifacts_unchanged(tmp_path):
         "stored_runs": 7, "ticks": 5_353,
         "log_rows": rows("delivery_log.csv"),
         "buffer_samples": rows("buffer.csv"),
-        "radio_intervals": rows("radio_timeline.csv"),
+        "radio_intervals": rows("radio_timeline.csv"), "radio_runs": 10,
         "connections": 5, "quality_switches": 0, "notes": 0}
 
 

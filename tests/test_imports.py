@@ -68,6 +68,27 @@ def test_import_loads_only_what_the_cli_runs():
         assert mod not in cli, mod
 
 
+_SESSION_PROBE = """
+import sys
+sys.path.insert(0, {src!r})
+from streamsim.scenario import load_scenario
+from streamsim.session import run_session
+run_session(load_scenario({scn!r}))
+print("logging" in sys.modules)
+"""
+
+
+def test_an_hspa_session_leaves_logging_unloaded():
+    """The bundled HSPA scenario has fast dormancy to IDLE, whose DEBUG
+    note goes to logging only if the caller has loaded it; the session
+    does not load it."""
+    scn = str(Path(SRC, "streamsim", "scenarios", "youtube_onoffm_hspa.scn"))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", _SESSION_PROBE.format(src=SRC, scn=scn)],
+        capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False"]
+
+
 _RECORDS_PROBE = """
 import json, sys
 sys.path.insert(0, {src!r})

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import tick_reference
 from oracles import lte_energy, quantize_events, step_lte
 from streamsim import LteDrxConfig, PacketEvent, simulate_lte
 
@@ -142,3 +143,26 @@ def test_oracle_energy_agreement_random(gs3):
         tl.validate(end)
         ref = lte_energy(step_lte(evs, cfg, gs3, end), gs3)
         assert _energy(tl) == pytest.approx(ref, rel=1e-3)
+
+
+def test_drx_stage_is_one_periodic_run_up_to_any_burst(gs3):
+    """Bursts that land anywhere in a gap's DRX stage, from its first
+    cycles to the release, cut it as walking every cycle does: the
+    on-periods and sleeps before the cut are one periodic run each gap,
+    and they read out as the per-packet walk's intervals."""
+    rng = random.Random(5)
+    cfg = LteDrxConfig(drx_cycle_ms=80.0, rrc_idle_s=10.0)
+    t, events = 0.0, []
+    for _ in range(40):
+        events.append(PacketEvent(t, 16000, 0))
+        t += rng.choice([0.35, 0.5, 1.0, 2.37, 4.0, 7.99, 9.95, 12.0])
+    tl = simulate_lte(events, cfg, gs3, t + 3.0)
+    want = tick_reference.simulate_radio_per_packet("lte", events, cfg, gs3,
+                                                    t + 3.0)
+    assert [iv.state for iv in tl.intervals] == [
+        iv.state for iv in want.intervals]
+    for a, b in zip(tl.intervals, want.intervals):
+        assert a.t_start_s == pytest.approx(b.t_start_s, abs=1e-9)
+        assert a.t_end_s == pytest.approx(b.t_end_s, abs=1e-9)
+    assert len(tl.spans()) > 10 * tl.n_runs
+    tl.validate(t + 3.0)

@@ -1,6 +1,7 @@
 """Transfer spans: the cost model and the per-tick views built on them."""
 
 import functools
+import hashlib
 import importlib.resources as ir
 import random
 from dataclasses import replace
@@ -15,6 +16,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        compute_buffer, delivery, preset, radio,
                        simulate_radio, simulate_session)
 from streamsim.delivery import LogRecord, _data_record
+from streamsim.energy import integrate_energy
 from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
@@ -486,6 +488,106 @@ def test_lte_carves_every_drx_cycle(technique, counts):
     for iv in res.radio.intervals:
         got[iv.state] = got.get(iv.state, 0) + 1
     assert got == counts
+
+
+def _base_scenario_on(technique, technology):
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text().replace(
+        "technique.preset = youtube_onoffm", technique).replace(
+        "radio.technology = hspa", f"radio.technology = {technology}")
+    return run_session(parse_scenario_text(text))
+
+
+@pytest.mark.parametrize("technique,technology,rows,digest,residency", [
+    ("technique.kind = throttling", "lte", 8611,
+     "9a110696f2fb20578c94f3d69a83862b27d9682338e08dedfcff5db0b0f8a1b8",
+     {"rx": 254.6702400000145, "drx_on": 129.2703488000056,
+      "drx_sleep": 77.46393919997985, "idle": 139.78547200000008}),
+    ("technique.preset = youtube_onoffm", "lte", 1260,
+     "f046dbfe7107c936373402c5e0a5fd6ae0a697bb7f1ef52c875a3b0482042e31",
+     {"rx": 268.23, "drx_on": 28.000000000001467,
+      "drx_sleep": 21.59999999999844, "idle": 283.3599999999999}),
+    ("technique.kind = mss", "hspa", 2,
+     "5478dd0af36b8a2dbb817a1896962738f4621cc40f80b1d302f8396db3cd1520",
+     {"dch": 548.2700000000003, "idle": 53.999999999999886}),
+    ("technique.kind = hls", "hspa", 102,
+     "9278f635959418a57b80a5650b17f0197ad360ad286caf2026c3037c268b42a7",
+     {"dch": 513.2699999999994, "idle": 90.00000000000044}),
+    ("technique.preset = vimeo_onoffs", "hspa", 2,
+     "bfaa48f68b2aa7d66391e2337f1cb6a1be8df2d3dc8b91f9b035d60b564924ff",
+     {"dch": 569.5852, "idle": 33.48479999999995})],
+    ids=["throttling_lte", "onoff_lte", "mss_hspa", "hls_hspa",
+         "vimeo_onoffs_hspa"])
+def test_radio_outputs_are_pinned(technique, technology, rows, digest,
+                                  residency):
+    """The radio_timeline.csv rows (as written, without the header) and
+    the exact state residency of five sessions, so that a change to how
+    a timeline is stored or read moves neither."""
+    res = _base_scenario_on(technique, technology)
+    lines = [f"{t0:.6f},{t1:.6f},{state},{ma:.3f}"
+             for t0, t1, state, ma in res.radio.to_csv_rows()]
+    assert len(lines) == rows
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
+    assert res.summary.state_residency == residency
+    assert res.radio.residency() == residency
+
+
+@pytest.mark.parametrize("technique,technology,intervals,runs", [
+    ("technique.kind = throttling", "lte", 8611, 8369),
+    ("technique.preset = youtube_onoffm", "lte", 1260, 50),
+    ("technique.kind = mss", "hspa", 2, 2),
+    ("technique.kind = hls", "hspa", 102, 102),
+    ("technique.preset = vimeo_onoffs", "hspa", 2, 2)],
+    ids=["throttling_lte", "onoff_lte", "mss_hspa", "hls_hspa",
+         "vimeo_onoffs_hspa"])
+def test_radio_stores_runs_not_drx_cycles(technique, technology, intervals,
+                                          runs):
+    """A gap's whole DRX cycles are one periodic run: the ON/OFF
+    session's 124 DRX cycles per 10 s RRC tail are stored as 50 runs,
+    not 1,260 intervals.  A train's repeats are walked one by one, so the
+    throttling session, about two DRX cycles per repeat, stores 8,369.
+    Pinned, so that a change to how runs are stored moves them only on
+    purpose; the run report counts both."""
+    res = _base_scenario_on(technique, technology)
+    assert res.radio.n_runs == runs
+    counts = res.stats["counts"]
+    assert (counts["radio_intervals"], counts["radio_runs"]) == (intervals,
+                                                                 runs)
+    assert len(res.radio.intervals) == intervals
+
+
+def test_radio_runs_do_not_grow_with_drx_cycles():
+    """ON/OFF on LTE carves four times the DRX intervals with the default
+    80 ms DRX cycle as with a 320 ms one, and stores as many runs."""
+    fast = _base_scenario_on("technique.preset = youtube_onoffm", "lte")
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text().replace(
+        "radio.technology = hspa",
+        "radio.technology = lte\nradio.drx_cycle_ms = 320")
+    slow = run_session(parse_scenario_text(text))
+    assert len(fast.radio.spans()) > 3 * len(slow.radio.spans())
+    assert fast.radio.n_runs == slow.radio.n_runs
+
+
+@pytest.mark.parametrize("name", ["buffer_c2_10", "buffer_c4_10",
+                                  "buffer_c8_10"])
+@pytest.mark.parametrize("radio_tech,cfg", RADIO_CONFIGS)
+def test_radio_on_sweep_trains_equals_the_per_packet_walk(radio_tech, cfg,
+                                                          name, gs3):
+    """The sweep points with the longest ON/OFF trains (19 to 21 cycles,
+    each gap long enough for every timer): the stored runs give the
+    per-packet walk's states and times, and its residency and energy to
+    1e-9."""
+    res = run_session({sc.name: sc for sc in _sweep_points()}[name])
+    end = res.summary.wall_time_s
+    got = simulate_radio(radio_tech, res.events, cfg, gs3, end)
+    want = ref.simulate_radio_per_packet(radio_tech, res.events, cfg, gs3,
+                                         end)
+    _assert_same_timeline(got, want)
+    residency = got.residency()
+    assert residency.keys() == want.residency().keys()
+    for state, seconds in want.residency().items():
+        assert residency[state] == pytest.approx(seconds, rel=1e-9)
+    assert integrate_energy(got, gs3, end) == pytest.approx(
+        integrate_energy(want, gs3, end), rel=1e-9)
 
 
 def test_link_boundaries_on_the_tick_grid_leave_no_slivers():
