@@ -374,11 +374,9 @@ class _Engine:
                  abandon_at_s: Optional[float],
                  start_threshold_s: float = START_THRESHOLD_S,
                  resume_threshold_s: float = RESUME_THRESHOLD_S,
-                 tick_s: float = EVENT_TICK_S, seed: int = 0,
-                 start_delay_s: float = 0.0):
+                 seed: int = 0, start_delay_s: float = 0.0):
         self.stream = stream
         self.link = link
-        self.tick_s = tick_s
         self.start_threshold_s = start_threshold_s
         self.resume_threshold_s = resume_threshold_s
         self.start_delay_s = start_delay_s
@@ -525,6 +523,14 @@ class _Engine:
         self._record("open", self._conn_seq, 0.0)
         return self._conn_seq
 
+    def request(self) -> int:
+        """Open a connection and wait one round trip for its first byte:
+        delivery is ON from then."""
+        conn = self.open_connection()
+        self.wait_until(self.t + self.link.rtt_s)
+        self.mark_on()
+        return conn
+
     def close_connection(self, conn: int) -> None:
         self._record("close", conn, 0.0)
 
@@ -646,7 +652,7 @@ class _Engine:
                     start, bw = segs[i + 1]
                     if not (hides and bw >= rate_cap_bps and start < math.inf
                             and abs(math.remainder(start - self.t,
-                                                   self.tick_s)) <= TIE_S):
+                                                   EVENT_TICK_S)) <= TIE_S):
                         boundary = start
                         break
                     i += 1
@@ -660,8 +666,8 @@ class _Engine:
                 self.advance(boundary)
                 continue
             buffered = 1.0 if enter_buffer else 0.0   # share of step buffered
-            dt = min(self.tick_s, boundary - self.t)
-            if dt == self.tick_s:
+            dt = min(EVENT_TICK_S, boundary - self.t)
+            if dt == EVENT_TICK_S:
                 step = rate * dt / 8.0
                 dt = step * 8.0 / rate
                 n = self._whole_ticks(step, dt, buffered * step, crate,
@@ -671,7 +677,7 @@ class _Engine:
                     self._jump(conn, n, step, dt, buffered * step, crate)
                     moved += n * step
                     continue
-            dt = min(self.tick_s, boundary - self.t)
+            dt = min(EVENT_TICK_S, boundary - self.t)
             step = rate * dt / 8.0
             if enter_buffer:
                 step = min(step, self.stream.bytes_for_content(
@@ -1024,9 +1030,7 @@ class _Engine:
 # --------------------------------------------------------------------------
 
 def _run_encoding_rate(eng: _Engine, tech: EncodingRate) -> None:
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request()
     eng.deliver(conn, math.inf, stop_s=tech.faststart_target_s)
     # Receive window closed at the target: the sender is clocked to the
     # consumption rate; any deficit reopens the window fully.
@@ -1036,17 +1040,13 @@ def _run_encoding_rate(eng: _Engine, tech: EncodingRate) -> None:
 
 
 def _run_fast_caching(eng: _Engine, tech: FastCaching) -> None:
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request()
     eng.deliver(conn, math.inf)
     eng.close_connection(conn)
 
 
 def _run_throttling(eng: _Engine, tech: Throttling) -> None:
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request()
     eng.deliver(conn, math.inf, stop_s=tech.faststart_target_s)
     if math.isinf(tech.factor):
         eng.deliver(conn, math.inf)
@@ -1102,9 +1102,7 @@ def _off_with_probes(eng: _Engine, conn: int, tech: OnOffS) -> None:
 
 
 def _run_onoff_s(eng: _Engine, tech: OnOffS) -> None:
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request()
     # the client stops reading at its upper threshold, so the fast start
     # can never overshoot it
     eng.deliver(conn, math.inf, stop_s=tech.faststart_target_s,
@@ -1125,67 +1123,49 @@ def _run_onoff_s(eng: _Engine, tech: OnOffS) -> None:
 
 
 def _run_onoff_m(eng: _Engine, tech: OnOffM) -> None:
-    if tech.chunk_bytes is not None:
-        _run_onoff_m_chunked(eng, tech)
-        return
-    r = eng.stream.encoding_rate_bps
-    on_rate = tech.on_rate_factor * r
-    degenerate = tech.upper_s - tech.lower_s <= 1.0
-    if degenerate:
+    """Refills on a new connection each: up to upper_s once the buffer
+    drains to lower_s or after a fixed OFF period, or, in the fixed-chunk
+    mode, chunk_bytes at full speed once the buffer drains by a chunk."""
+    chunk = tech.chunk_bytes
+    if chunk is None and tech.upper_s - tech.lower_s <= 1.0:
         eng.log.notes.append("upper==lower: continuous window-clocked delivery")
-
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
-    # The initial fill runs at fast-start speed all the way to the upper
-    # threshold; only refill connections see the server's throttled rate.
-    eng.deliver(conn, math.inf, stop_s=tech.upper_s)
-    if degenerate:
-        eng.deliver(conn, r, window_s=tech.upper_s - 0.5)
-        eng.close_connection(conn)
+        _run_encoding_rate(eng, EncodingRate(tech.upper_s))
         return
+    on_rate = tech.on_rate_factor * eng.stream.encoding_rate_bps
+
+    conn = eng.request()
+    # The initial fill runs at fast-start speed all the way to the upper
+    # threshold, or its fast-start bytes; only threshold refills see the
+    # server's throttled rate.
+    if chunk is None:
+        eng.deliver(conn, math.inf, stop_s=tech.upper_s)
+    else:
+        eng.deliver(conn, math.inf, nbytes=tech.faststart_bytes or chunk)
     eng.close_connection(conn)
 
     def cycle() -> tuple[None, float]:
         t0 = eng.t
         eng.mark_off()
-        if tech.off_fixed_s is not None:
+        if chunk is not None:
+            eng.wait_drain_to_seconds(max(
+                eng.buf.seconds - chunk / eng.stream.bytes_per_second, 0.0))
+        elif tech.off_fixed_s is not None:
             eng.wait_until(eng.t + tech.off_fixed_s)
         else:
             eng.wait_drain_to_seconds(tech.lower_s)
         if not eng.finished:
-            conn = eng.open_connection()
-            eng.wait_until(eng.t + eng.link.rtt_s)
-            eng.mark_on()
-            eng.deliver(conn, on_rate, stop_s=tech.upper_s)
+            conn = eng.request()
+            if chunk is None:
+                eng.deliver(conn, on_rate, stop_s=tech.upper_s)
+            else:
+                eng.deliver(conn, math.inf, nbytes=chunk)
             eng.close_connection(conn)
         return None, eng.t - t0
 
     # the next refill comes at lower_s, or at any level after a fixed OFF
-    eng.repeat_cycles(cycle, tech.lower_s if tech.off_fixed_s is None
-                      else math.inf)
-
-
-def _run_onoff_m_chunked(eng: _Engine, tech: OnOffM) -> None:
-    """Fixed-chunk mode: a large fast start, then one connection per chunk."""
-    bps = eng.stream.bytes_per_second
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
-    fs = tech.faststart_bytes or tech.chunk_bytes
-    eng.deliver(conn, math.inf, nbytes=fs)
-    eng.close_connection(conn)
-    while not eng.finished and not eng.content_done and not eng.starved:
-        eng.mark_off()
-        target = max(eng.buf.seconds - tech.chunk_bytes / bps, 0.0)
-        eng.wait_drain_to_seconds(target)
-        if eng.finished:
-            break
-        conn = eng.open_connection()
-        eng.wait_until(eng.t + eng.link.rtt_s)
-        eng.mark_on()
-        eng.deliver(conn, math.inf, nbytes=tech.chunk_bytes)
-        eng.close_connection(conn)
+    # period or a chunk's drain
+    eng.repeat_cycles(cycle, tech.lower_s if chunk is None
+                      and tech.off_fixed_s is None else math.inf)
 
 
 def _measured_bandwidth(eng: _Engine, nbytes: float, t0: float) -> float:
@@ -1282,9 +1262,7 @@ def _run_mss(eng: _Engine, tech: Mss) -> None:
     ladder = list(tech.ladder)
     state = {"rung": 0, "pos": 0}   # pos: video chunks since the audio
     measured: list[float] = []    # the first three chunks' bandwidths
-    conn = eng.open_connection()
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request()
 
     def fetch_video() -> None:
         dur = min(tech.video_chunk_s, eng.content_remaining_s)
@@ -1432,9 +1410,7 @@ def simulate_multi_connection_waste(
     size = stream.size_bytes
     first = True
     while not eng.finished and not eng.starved and pos < size - 1.0:
-        conn = eng.open_connection()
-        eng.wait_until(eng.t + eng.link.rtt_s)
-        eng.mark_on()
+        conn = eng.request()
         resume_from = math.floor(pos / kf) * kf
         waste = pos - resume_from
         if waste > 1.0:

@@ -99,6 +99,11 @@ class OnOffM(Record):
             raise ValueError("on_rate_factor must be > 1")
         if self.off_fixed_s is not None:
             check_finite("off_fixed_s", self.off_fixed_s)
+        # a refill of less than a byte moves nothing, while each request
+        # still costs a round trip
+        if self.chunk_bytes is not None and not self.chunk_bytes >= 1.0:
+            raise ValueError("chunk_bytes must be at least 1 byte, "
+                             f"not {self.chunk_bytes!r}")
 
 
 class FastCaching(Record):

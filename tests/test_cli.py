@@ -313,6 +313,14 @@ def _scenario_with(tmp_path, *lines):
     # a full buffer (20 MiB, 83.9 s at 2 Mbps) below lower_s: no OFF
     # period ends above it, so delivery used to repeat empty turns
     ("technique.kind = on_off_s; technique.lower_s = 90", "technique.lower_s"),
+    # a chunk of under a byte moved nothing while each request cost a
+    # round trip, so delivery never ended
+    ("technique.preset = vimeo_iphone5; technique.chunk_bytes = 0",
+     "technique.chunk_bytes"),
+    ("technique.kind = on_off_m; technique.chunk_bytes = -5",
+     "technique.chunk_bytes"),
+    ("technique.kind = on_off_m; technique.chunk_bytes = 0.4",
+     "technique.chunk_bytes"),
     # continuous reception held past the 10 s RRC release
     ("radio.technology = lte; radio.drx_inactivity_ms = 20000",
      "radio.drx_inactivity_ms"),

@@ -27,9 +27,10 @@ import pytest
 import tick_reference as ref
 from test_acceptance import _random_scenario
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
-                       LinkModel, Mss, PacketEvent, StreamSpec, Throttling,
-                       analysis, delivery, detect_stalls, get_profile,
-                       playback, simulate_radio, summarize)
+                       LinkModel, LteDrxConfig, Mss, OnOffM, PacketEvent,
+                       StreamSpec, Throttling, WifiPsmConfig, analysis,
+                       delivery, detect_stalls, get_profile, playback,
+                       simulate_radio, summarize)
 from streamsim.delivery import THRESHOLD_TOL_S
 from streamsim.playback import JOIN_FAILURE_S, playback_report
 from streamsim.radio import promotion_latency
@@ -495,6 +496,10 @@ ONOFF_CASES = {
     "onoffm_link_drop": ("on_off_m", {**LINK_DROP, "technique.lower_s": 90}),
     "onoffm_abandon": ("on_off_m", {**LINK_DROP, "technique.lower_s": 90,
                                     "abandon_at_s": 333}),
+    # fixed 5 MiB chunks, each once the buffer drains by one, until a
+    # drain would empty it
+    "onoffm_fixed_chunks": ("on_off_m",
+                            {"technique.preset": "vimeo_iphone5"}),
     # probes only: the OFF period's one persist timer doubles to its cap
     "onoffs_no_keepalive": ("on_off_s",
                             {"technique.keepalive_interval_s": 0}),
@@ -529,6 +534,38 @@ def test_onoff_trains_match_tick_engine(name, monkeypatch):
     for t in [s.t_s for s in stepped + b.buffer.samples]:
         assert _reads(b.buffer.samples, t) == pytest.approx(
             _reads(stepped, t), rel=1e-9, abs=1e-6), t
+
+
+def _fixed_chunk_case(rng):
+    """A seeded fixed-chunk OnOffM session: chunks of 0.5-2 s of content
+    after a 2-5 s fast start, on a link at 1.5-8x the encoding rate, on
+    one of the three radios."""
+    rate = rng.choice([400_000.0, 1_000_000.0, 2_000_000.0])
+    stream = StreamSpec(duration_s=rng.uniform(20.0, 60.0),
+                        encoding_rate_bps=rate)
+    link = LinkModel.constant(rate * rng.uniform(1.5, 8.0), rtt_ms=70)
+    tech = OnOffM(chunk_bytes=rng.uniform(0.5, 2.0) * rate / 8.0,
+                  faststart_bytes=rng.uniform(2.0, 5.0) * rate / 8.0)
+    radio_tech, cfg = rng.choice([("wifi", WifiPsmConfig()),
+                                  ("hspa", HspaRrcConfig()),
+                                  ("lte", LteDrxConfig())])
+    return stream, link, tech, radio_tech, cfg
+
+
+def test_onoff_m_fixed_chunks_match_tick_engine():
+    """60 seeded fixed-chunk sessions, tick for tick.  A cycle drains a
+    chunk's content and refills it, losing the request and transfer time
+    to playback; its trains run while a drain ends above an empty buffer,
+    and the stalls that follow cut them."""
+    rng = random.Random(20)
+    with_trains = stalled = 0
+    for _ in range(60):
+        stream, link, tech, radio_tech, cfg = _fixed_chunk_case(rng)
+        a, b = _both(stream, link, tech, radio_tech, cfg)
+        assert _compare(a, b, tech, stream)
+        with_trains += bool(_trains(b[0]))
+        stalled += bool(b[3].stall_events)
+    assert with_trains >= 40 and stalled == 60
 
 
 _STEPPED_CASES = ([(sc.name, sc) for sc in _sweep_points()]

@@ -93,6 +93,27 @@ def test_onoff_steady_state_is_a_train():
     assert len(res.dlog.to_csv_lines()) <= 130
 
 
+def test_fixed_chunk_refills_are_a_train():
+    """The base scenario with vimeo_iphone5: after its 30 MiB fast start,
+    each 5 MiB chunk's OFF drain, request and transfer repeats the one
+    before while the buffer stays above empty (57 stored runs and 176 log
+    rows when each was stepped).  With 1,000-byte chunks (118,544
+    connections, 111 stalls), a train runs while playing and another
+    while stalled between each two stalls: under 500 stored runs, where
+    stepping each chunk stored 118,546."""
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text(encoding="utf-8")
+    text = text.replace("technique.preset = youtube_onoffm",
+                        "technique.preset = vimeo_iphone5")
+    counts = run_session(parse_scenario_text(text)).stats["counts"]
+    assert counts["connections"] == 24
+    assert counts["stored_runs"] <= 28
+    assert counts["log_rows"] <= 79
+    res = run_session(parse_scenario_text(
+        text + "technique.chunk_bytes = 1000\n"))
+    assert res.dlog.connections_opened == 118_544
+    assert res.stats["counts"]["stored_runs"] < 500
+
+
 def _turn(t0, conn, probe_at=15.0):
     """An OnOffM-like turn from t0: OFF, a request on conn, ON, a refill
     span, a persist probe, close."""
