@@ -143,57 +143,56 @@ def cmd_profiles(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="streamsim",
-        description="Mobile video streaming QoE and energy simulator")
-    sub = ap.add_subparsers(dest="command", required=True)
+# command -> (help, handler, ((flag, add_argument keywords), ...))
+_SWEEP = (("--scenario", {"required": True}), ("--out", {"default": "out"}))
+_COMMANDS = {
+    "simulate": ("run one scenario", cmd_simulate, (
+        ("--scenario", {"required": True, "help": "scenario file path"}),
+        ("--out", {"default": "out", "help": "output directory"}),
+        ("--stats", {"action": "store_true", "help": "also write run_stats"
+                     ".json: per-layer compute times and counts"}))),
+    "sweep-abandon": ("abandonment-penalty sweep", cmd_sweep_abandon, _SWEEP + (
+        ("--grid", {"default": "0.2,0.4,0.6,0.8,1.0",
+                    "help": "watched fractions, comma separated"}),)),
+    "sweep-buffer": ("buffer-size/power sweep", cmd_sweep_buffer, _SWEEP + (
+        ("--grid", {"default": "10,20,30,40,50,100,150,200",
+                    "help": "dynamic buffer sizes in seconds"}),
+        ("--ratios", {"default": "", "help": "bandwidth/encoding-rate "
+                      "ratios (default 2,4,8)"}))),
+    "analyze": ("classify a flow-record CSV", cmd_analyze, (
+        ("trace", {"help": "CSV with t_s,bytes,connection_id,direction,flags"}),
+        ("--rate", {"type": float, "default": None,
+                    "help": "encoding rate in bps, enables factor estimation"}),
+        ("--format", {"choices": ("json", "csv"), "default": "json"}))),
+    "profiles": ("list built-in power profiles", cmd_profiles, (
+        ("--format", {"choices": ("text", "json"), "default": "text"}),)),
+}
 
-    sim = sub.add_parser("simulate", help="run one scenario")
-    sim.add_argument("--scenario", required=True, help="scenario file path")
-    sim.add_argument("--out", default="out", help="output directory")
-    sim.add_argument("--stats", action="store_true",
-                     help="also write run_stats.json: per-layer compute "
-                          "times and counts")
-    sim.set_defaults(func=cmd_simulate)
 
-    swa = sub.add_parser("sweep-abandon", help="abandonment-penalty sweep")
-    swa.add_argument("--scenario", required=True)
-    swa.add_argument("--out", default="out")
-    swa.add_argument("--grid", default="0.2,0.4,0.6,0.8,1.0",
-                     help="watched fractions, comma separated")
-    swa.set_defaults(func=cmd_sweep_abandon)
-
-    swb = sub.add_parser("sweep-buffer", help="buffer-size/power sweep")
-    swb.add_argument("--scenario", required=True)
-    swb.add_argument("--out", default="out")
-    swb.add_argument("--grid", default="10,20,30,40,50,100,150,200",
-                     help="dynamic buffer sizes in seconds")
-    swb.add_argument("--ratios", default="",
-                     help="bandwidth/encoding-rate ratios (default 2,4,8)")
-    swb.set_defaults(func=cmd_sweep_buffer)
-
-    an = sub.add_parser("analyze", help="classify a flow-record CSV")
-    an.add_argument("trace", help="CSV with t_s,bytes,connection_id,direction,flags")
-    an.add_argument("--rate", type=float, default=None,
-                    help="encoding rate in bps, enables factor estimation")
-    an.add_argument("--format", choices=("json", "csv"), default="json")
-    an.set_defaults(func=cmd_analyze)
-
-    pr = sub.add_parser("profiles", help="list built-in power profiles")
-    pr.add_argument("--format", choices=("text", "json"), default="text")
-    pr.set_defaults(func=cmd_profiles)
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command alone if it names one."""
+    ap = argparse.ArgumentParser(prog="streamsim", description="Mobile video "
+                                 "streaming QoE and energy simulator")
+    names = (command,) if command in _COMMANDS else tuple(_COMMANDS)
+    # one command's usage line still lists all five; the full parser keeps
+    # no metavar, so its errors name the action "command"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(_COMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        help_text, handler, arguments = _COMMANDS[name]
+        cmd = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            cmd.add_argument(flag, **options)
+        cmd.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

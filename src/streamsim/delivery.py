@@ -1140,7 +1140,8 @@ def _run_onoff_m(eng: _Engine, tech: OnOffM) -> None:
     if chunk is None:
         eng.deliver(conn, math.inf, stop_s=tech.upper_s)
     else:
-        eng.deliver(conn, math.inf, nbytes=tech.faststart_bytes or chunk)
+        fill = tech.faststart_bytes
+        eng.deliver(conn, math.inf, nbytes=chunk if fill is None else fill)
     eng.close_connection(conn)
 
     def cycle() -> tuple[None, float]:

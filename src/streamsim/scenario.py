@@ -178,12 +178,13 @@ def _number(raw, field: str) -> float:
 def _checked(value, kind: str, field: str):
     """value, if a field declared kind may hold it: a float, int or
     Optional[float] field takes a number, never NaN (None only when
-    Optional), and an int field a whole one."""
+    Optional), and an int field a whole one, which it gets as an int."""
     if kind in ("float", "int") or (kind == "Optional[float]"
                                     and value is not None):
         number = _number(value, field)
         if kind == "int" and not number.is_integer():
             raise ConfigError(field, f"must be a whole number, not {value!r}")
+        return int(number) if kind == "int" else value
     return value
 
 
@@ -198,7 +199,7 @@ def _build(base, fields: dict, prefix: str):
         if k not in kinds:
             raise ConfigError(f"{prefix}.{k}",
                               f"unknown field for {cls.__name__}")
-        _checked(v, kinds[k], f"{prefix}.{k}")
+        fields[k] = _checked(v, kinds[k], f"{prefix}.{k}")
     if "ladder" in fields:
         fields["ladder"] = _parse_ladder(fields["ladder"], f"{prefix}.ladder")
     try:
@@ -291,12 +292,11 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
     profile = _build(BUILTIN_PROFILES[prof_name], prof_section, "profile")
     cfg = _build(default_radio_config(radio_tech, prof_name), ra, "radio")
 
-    seed = _checked(table.get("seed", 0) or 0, "int", "seed")
     return Scenario(
         stream=stream, link=link, technique=tech, radio_tech=radio_tech,
         radio_cfg=cfg, profile=profile,
         abandon_at_s=_checked(table.get("abandon_at_s"), "Optional[float]",
                               "abandon_at_s"),
-        seed=int(seed),
+        seed=_checked(table.get("seed", 0) or 0, "int", "seed"),
         name=str(table.get("name", name)),
     )

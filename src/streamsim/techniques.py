@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Union
 
-from .streams import Record, check_finite
+from .streams import Record
 
 # Shared client-side constants.
 FASTSTART_TARGET_S = 40.0   # content buffered at full rate before steady state
@@ -17,6 +17,13 @@ def _check_audio_rate(bps: float) -> None:
     if not 0 < bps < math.inf:
         raise ValueError(
             f"audio_rate_bps must be a finite number > 0, not {bps!r}")
+
+
+def _check_off_fixed(seconds: Optional[float]) -> None:
+    # with no OFF time between them, ON periods find the buffer full
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ValueError(
+            f"off_fixed_s must be a finite number > 0, not {seconds!r}")
 
 
 class EncodingRate(Record):
@@ -70,8 +77,7 @@ class OnOffS(Record):
             raise ValueError("persist_cap_s must be > 0")
         if self.keepalive_interval_s < 0 or self.lower_s < 0:
             raise ValueError("intervals must be >= 0")
-        if self.off_fixed_s is not None:
-            check_finite("off_fixed_s", self.off_fixed_s)
+        _check_off_fixed(self.off_fixed_s)
 
 
 class OnOffM(Record):
@@ -97,13 +103,14 @@ class OnOffM(Record):
                 raise ValueError("need lower_s <= upper_s")
         if self.on_rate_factor <= 1.0:
             raise ValueError("on_rate_factor must be > 1")
-        if self.off_fixed_s is not None:
-            check_finite("off_fixed_s", self.off_fixed_s)
+        _check_off_fixed(self.off_fixed_s)
         # a refill of less than a byte moves nothing, while each request
         # still costs a round trip
-        if self.chunk_bytes is not None and not self.chunk_bytes >= 1.0:
-            raise ValueError("chunk_bytes must be at least 1 byte, "
-                             f"not {self.chunk_bytes!r}")
+        for name in ("chunk_bytes", "faststart_bytes"):
+            nbytes = getattr(self, name)
+            if nbytes is not None and not nbytes >= 1.0:
+                raise ValueError(
+                    f"{name} must be at least 1 byte, not {nbytes!r}")
 
 
 class FastCaching(Record):

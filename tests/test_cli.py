@@ -1,3 +1,4 @@
+import argparse
 import importlib.resources as ir
 import json
 import os
@@ -6,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
-from streamsim.cli import main
+from streamsim import cli
+from streamsim.cli import build_parser, main
 
 BUNDLED = str(ir.files("streamsim") / "scenarios" / "youtube_onoffm_hspa.scn")
 GOLDEN = Path(__file__).parent / "golden" / "youtube_onoffm_hspa_summary.json"
 ARTIFACTS = ("session_summary.json", "buffer.csv", "radio_timeline.csv",
              "delivery_log.csv")
+COMMANDS = ("simulate", "sweep-abandon", "sweep-buffer", "analyze", "profiles")
 
 
 def test_simulate_bundled_scenario_end_to_end(tmp_path, capsys):
@@ -324,6 +327,21 @@ def _scenario_with(tmp_path, *lines):
     # continuous reception held past the 10 s RRC release
     ("radio.technology = lte; radio.drx_inactivity_ms = 20000",
      "radio.drx_inactivity_ms"),
+    # an OFF period of no time: OnOffS repeated empty turns, OnOffM ran
+    # unchecked
+    ("technique.kind = on_off_s; technique.off_fixed_s = 0",
+     "technique.off_fixed_s"),
+    ("technique.kind = on_off_s; technique.off_fixed_s = -5",
+     "technique.off_fixed_s"),
+    ("technique.preset = youtube_onoffm; technique.off_fixed_s = 0",
+     "technique.off_fixed_s"),
+    ("technique.preset = youtube_onoffm; technique.off_fixed_s = -5",
+     "technique.off_fixed_s"),
+    # a first fill of under a byte, by chunk_bytes' rule
+    ("technique.preset = vimeo_iphone5; technique.faststart_bytes = -5",
+     "technique.faststart_bytes"),
+    ("technique.preset = vimeo_iphone5; technique.faststart_bytes = 0",
+     "technique.faststart_bytes"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario",
@@ -376,3 +394,85 @@ def test_scenario_key_given_twice_exits_2_naming_it(tmp_path, capsys):
     assert rc == 2
     assert "stream.duration_s" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_a_whole_float_reaches_an_int_field_as_an_int(tmp_path):
+    """1e300 is a whole number: the record gets int(1e300), which range()
+    takes, where the float crashed it."""
+    from streamsim.scenario import load_scenario
+    scn = _scenario_with(tmp_path, "technique.kind = hls",
+                         "technique.initial_chunks = 1e300", "seed = 7.0")
+    sc = load_scenario(scn)
+    assert type(sc.technique.initial_chunks) is int
+    assert sc.technique.initial_chunks == int(1e300)
+    assert type(sc.seed) is int
+    assert main(["simulate", "--scenario", scn,
+                 "--out", str(tmp_path / "o")]) == 0
+
+
+def _exit(run, argv, capsys):
+    """(exit code, stdout, stderr) of run(argv), which argparse ends."""
+    with pytest.raises(SystemExit) as stop:
+        run(argv)
+    out = capsys.readouterr()
+    return stop.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("tail", [["--help"], ["--no-such-flag"]])
+def test_a_command_prints_what_the_full_parser_prints(monkeypatch, capsys,
+                                                      command, tail):
+    """A command's own parser prints the full parser's help and usage
+    errors; an unknown flag of profiles is reported by the main parser,
+    whose usage line lists every command."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _exit(build_parser().parse_args, [command, *tail], capsys)
+    assert _exit(main, [command, *tail], capsys) == full
+    assert full[0] == (0 if tail == ["--help"] else 2)
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _exit(main, ["--help"], capsys) == (0, """\
+usage: streamsim [-h]
+                 {simulate,sweep-abandon,sweep-buffer,analyze,profiles} ...
+
+Mobile video streaming QoE and energy simulator
+
+positional arguments:
+  {simulate,sweep-abandon,sweep-buffer,analyze,profiles}
+    simulate            run one scenario
+    sweep-abandon       abandonment-penalty sweep
+    sweep-buffer        buffer-size/power sweep
+    analyze             classify a flow-record CSV
+    profiles            list built-in power profiles
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+
+def test_an_unknown_command_exits_2_listing_every_command(capsys):
+    code, out, err = _exit(main, ["bogus"], capsys)
+    assert code == 2 and out == ""
+    assert "argument command: invalid choice: 'bogus'" in err
+    assert all(name in err.split("choose from", 1)[1] for name in COMMANDS)
+
+
+def test_a_command_builds_only_its_own_subparser(tmp_path, monkeypatch):
+    """Each main call builds a fresh parser holding one subcommand."""
+    built = []
+
+    def spy(command=None):
+        built.append(real(command))
+        return built[-1]
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for _ in range(2):
+        assert main(["simulate", "--scenario", BUNDLED,
+                     "--out", str(tmp_path / "o")]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
+    for ap in built:
+        [sub] = [a for a in ap._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == ["simulate"]
