@@ -14,44 +14,36 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .streams import Record, check_finite_fields
+from .streams import Record, domain
 
 
 class PowerProfile(Record):
     """One handset's current draw in mA per radio state, plus playback."""
     name: str
     # Wi-Fi
-    wifi_active: float
-    wifi_idle_tail: float
-    wifi_sleep: float
+    wifi_active: float = domain(ge=0)
+    wifi_idle_tail: float = domain(ge=0)
+    wifi_sleep: float = domain(ge=0)
     # HSPA RRC states
-    hspa_dch: float
-    hspa_fach: float
-    hspa_pch: float
-    hspa_idle: float
+    hspa_dch: float = domain(ge=0)
+    hspa_fach: float = domain(ge=0)
+    hspa_pch: float = domain(ge=0)
+    hspa_idle: float = domain(ge=0)
     # LTE
-    lte_rx: float
-    lte_drx_on: float
-    lte_drx_sleep: float
-    lte_idle: float
-    drx_on_overstay_ms: float   # actual awake time per DRX on-period
+    lte_rx: float = domain(ge=0)
+    lte_drx_on: float = domain(ge=0)
+    lte_drx_sleep: float = domain(ge=0)
+    lte_idle: float = domain(ge=0)
+    drx_on_overstay_ms: float = domain(ge=0)  # awake time per DRX on-period
     # Non-radio
-    playback_ma: float          # decode + display constant
-    nominal_voltage_v: float = 3.8
+    playback_ma: float = domain(ge=0)   # decode + display constant
+    nominal_voltage_v: float = domain(3.8, gt=0)
 
     def __post_init__(self):
-        check_finite_fields(self)
-        currents = (self.wifi_active, self.wifi_idle_tail, self.wifi_sleep,
-                    self.hspa_dch, self.hspa_fach, self.hspa_pch,
-                    self.hspa_idle, self.lte_rx, self.lte_drx_on,
-                    self.lte_drx_sleep, self.lte_idle, self.playback_ma)
-        if any(c < 0 for c in currents):
-            raise ValueError(f"profile {self.name}: currents must be >= 0")
-        if not self.hspa_dch >= self.hspa_fach >= self.hspa_pch >= 0:
+        if not self.hspa_dch >= self.hspa_fach >= self.hspa_pch:
             raise ValueError(
-                f"profile {self.name}: require hspa_dch >= hspa_fach >= hspa_pch >= 0")
-        if self.drx_on_overstay_ms < 0:
-            raise ValueError(f"profile {self.name}: drx_on_overstay_ms must be >= 0")
+                f"hspa_fach must lie between hspa_pch ({self.hspa_pch!r}) and"
+                f" hspa_dch ({self.hspa_dch!r}), not {self.hspa_fach!r}")
 
 
 _GS3_LTE = PowerProfile(

@@ -32,7 +32,7 @@ from typing import Iterable, Optional
 
 from .profiles import PowerProfile
 from .streams import (ChunkTrain, MutableRecord, PacketEvent, Record, TickSeq,
-                      TransferSpan, check_finite_fields)
+                      TransferSpan, domain)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
 FACH_MAX_BYTES = 1024
@@ -46,60 +46,41 @@ _INF = float("inf")
 
 class WifiPsmConfig(Record):
     """Adaptive power-save parameters for an 802.11 interface."""
-    listen_interval_ms: float = 100.0   # TIM beacon period
-    tail_ms: float = 200.0              # idle hold after the last packet
-    sleep_current_applies: bool = True  # False: interface never sleeps
-
-    def __post_init__(self):
-        check_finite_fields(self)
-        if self.listen_interval_ms <= 0:
-            raise ValueError("listen_interval_ms must be > 0")
-        if self.tail_ms < 0:
-            raise ValueError("tail_ms must be >= 0")
+    listen_interval_ms: float = domain(100.0, gt=0)  # TIM beacon period
+    tail_ms: float = domain(200.0, ge=0)  # idle hold after the last packet
+    sleep_current_applies: bool = True    # False: interface never sleeps
 
 
 class HspaRrcConfig(Record):
     """RRC inactivity timers and fast-dormancy settings for HSPA."""
-    t1_s: float = 8.0                   # DCH -> FACH inactivity
-    t2_s: float = 3.0                   # FACH -> PCH inactivity
-    t3_s: float = 1740.0                # PCH -> IDLE inactivity
-    fd_timer_s: Optional[float] = 5.0   # fast-dormancy inactivity, None = off
+    t1_s: float = domain(8.0, gt=0)         # DCH -> FACH inactivity
+    t2_s: float = domain(3.0, gt=0)         # FACH -> PCH inactivity
+    t3_s: float = domain(1740.0, gt=0)      # PCH -> IDLE inactivity
+    # fast-dormancy inactivity, None = off
+    fd_timer_s: Optional[float] = domain(5.0, ge=0)
     fd_target: str = "idle"             # "pch" (network FD) or "idle" (RRC release)
-    promotion_latency_s: float = 2.0    # IDLE/PCH -> DCH
-    fach_max_bytes: int = FACH_MAX_BYTES
+    promotion_latency_s: float = domain(2.0, ge=0)  # IDLE/PCH -> DCH
+    fach_max_bytes: int = domain(FACH_MAX_BYTES, ge=0)
 
     def __post_init__(self):
-        check_finite_fields(self)
-        for name in ("t1_s", "t2_s", "t3_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
         if self.fd_timer_s is not None and self.fd_timer_s > self.t1_s:
             raise ValueError("fd_timer_s must not exceed t1_s")
-        if self.promotion_latency_s < 0:
-            raise ValueError("promotion_latency_s must be >= 0")
         if self.fd_target not in ("pch", "idle"):
             raise ValueError("fd_target must be 'pch' or 'idle'")
 
 
 class LteDrxConfig(Record):
     """Connected-mode DRX and RRC idle settings for LTE."""
-    rrc_idle_s: float = 10.0            # connected -> idle inactivity
-    drx_inactivity_ms: float = 100.0    # continuous rx -> DRX cycling
-    drx_cycle_ms: float = 80.0
-    drx_on_ms: float = 10.0
-    promotion_latency_ms: float = 120.0  # IDLE -> CONNECTED
+    rrc_idle_s: float = domain(10.0, gt=0)  # connected -> idle inactivity
+    drx_inactivity_ms: float = domain(100.0, ge=0)  # continuous rx -> DRX
+    drx_cycle_ms: float = domain(80.0, ge=20, le=5000)
+    drx_on_ms: float = domain(10.0, ge=0)
+    promotion_latency_ms: float = domain(120.0, ge=0)  # IDLE -> CONNECTED
     drx_enabled: bool = True
 
     def __post_init__(self):
-        check_finite_fields(self)
-        if self.rrc_idle_s <= 0:
-            raise ValueError("rrc_idle_s must be > 0")
-        if not 20.0 <= self.drx_cycle_ms <= 5000.0:
-            raise ValueError("drx_cycle_ms must lie in [20, 5000] ms")
         if self.drx_on_ms >= self.drx_cycle_ms:
             raise ValueError("drx_on_ms must be < drx_cycle_ms")
-        if self.drx_inactivity_ms < 0 or self.promotion_latency_ms < 0:
-            raise ValueError("DRX timers must be >= 0")
         # continuous reception ends before the RRC release, as HSPA's
         # fast-dormancy timer ends before T1
         if self.drx_inactivity_ms > self.rrc_idle_s * 1000.0:

@@ -155,21 +155,24 @@ def _pop_required(section: dict, key: str, prefix: str):
 
 
 def _field_error(exc: Exception, cls, prefix: str) -> ConfigError:
-    """A dataclass's validation error, naming the field it starts with
+    """A record's validation error, naming the field it starts with
     ("rtt_ms must be ..." in link.segments is link.rtt_ms), else prefix."""
     words = str(exc).split(" ", 2)
-    if (len(words) > 1 and words[1] == "must"
-            and words[0] in {f.name for f in dataclasses.fields(cls)}):
+    if len(words) > 1 and words[1] == "must" and words[0] in cls._names:
         return ConfigError(f"{prefix.split('.', 1)[0]}.{words[0]}", str(exc))
     return ConfigError(prefix, str(exc))
 
 
 def _number(raw, field: str) -> float:
-    """raw as a float, naming field if it is no number or NaN."""
+    """raw as a float, naming field if it is no number, NaN or an integer
+    past the largest float."""
     try:
         value = float(raw)
     except (TypeError, ValueError):
         raise ConfigError(field, f"not a number: {raw!r}") from None
+    except OverflowError:
+        raise ConfigError(field, "must be finite, not an integer of "
+                          f"{len(str(raw))} digits") from None
     if value != value:
         raise ConfigError(field, "must be a number, not NaN")
     return value

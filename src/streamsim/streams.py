@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from typing import Callable, ClassVar, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
@@ -17,18 +17,36 @@ PROBE_BYTES = 60
 FLOW_CONTROL_BYTES = 60
 
 
-def check_finite(name: str, value: float) -> None:
-    """Reject NaN and infinities in a numeric input, naming the field."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, not {value!r}")
+def domain(default=MISSING, *, gt=None, ge=None, le=None, inf=False):
+    """A numeric config field's legal values, declared beside it: above gt
+    (or at least ge), at most le when given, and finite unless inf lets
+    +inf through.  As its annotation says, an Optional field also takes
+    None, and an int field takes ints only.  Record checks the domain on
+    every build."""
+    return field(default=default, metadata={"domain": (
+        ge if gt is None else gt, gt is None,
+        math.inf if le is None else le, le is not None or inf)})
 
 
-def check_finite_fields(cfg) -> None:
-    """Reject a NaN or infinite float field of a config, naming it."""
-    for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, float):
-            check_finite(f.name, value)
+def _least_most(lo, lo_closed, hi, hi_closed) -> tuple[float, float]:
+    """A domain's least and greatest legal value, so that one chained
+    comparison checks a value: > lo is >= the float after lo, and < inf
+    is <= the largest float."""
+    return (lo if lo_closed else math.nextafter(lo, math.inf),
+            hi if hi_closed else math.nextafter(hi, -math.inf))
+
+
+def _out_of_domain(f, v) -> str:
+    """What f's value v breaks, in a message that starts with f's name."""
+    name, (lo, lo_closed, hi, hi_closed) = f.name, f.metadata["domain"]
+    if f.type == "int" and not isinstance(v, int):
+        return f"{name} must be an int, not {v!r}"
+    if (isinstance(v, float) and not math.isfinite(v)
+            and not (hi == math.inf and hi_closed)):
+        return f"{name} must be finite, not {v!r}"
+    if not (lo <= v if lo_closed else lo < v):
+        return f"{name} must be {'>=' if lo_closed else '>'} {lo:g}, not {v!r}"
+    return f"{name} must be {'<=' if hi_closed else '<'} {hi:g}, not {v!r}"
 
 
 class Record:
@@ -47,6 +65,13 @@ class Record:
     field with a default factory defaults to MISSING, which stands for a
     fresh value.  Every record class needs a docstring: without one,
     dataclass() builds one through inspect.signature.
+
+    A numeric config field declares its domain with domain(), and the
+    shared __init__ checks every domain before __post_init__, so presets,
+    replace() and library callers all pass through it.  __post_init__
+    keeps the rules that tie fields together.  Each error starts with the
+    field it names, as in "factor must be > 1, not 1.0".  The config
+    modules postpone annotations, so a field's type is its text.
     """
 
     def __init_subclass__(cls):
@@ -57,6 +82,10 @@ class Record:
                          if f.default is not MISSING}
         cls._factories = {f.name: f.default_factory for f in fs
                           if f.default_factory is not MISSING}
+        cls._domains = tuple(
+            (f.name, *_least_most(*f.metadata["domain"]),
+             f.type.startswith("Optional["), f.type == "int")
+            for f in fs if "domain" in f.metadata)
 
     def __init__(self, *args, **kwargs):
         names = self._names
@@ -85,6 +114,12 @@ class Record:
                 raise TypeError(f"{type(self).__qualname__}() missing "
                                 f"required argument {name!r}")
             set_field(self, name, value)
+        for name, least, most, optional, whole in self._domains:
+            v = getattr(self, name)
+            if not (v is None and optional or least <= v <= most
+                    and (not whole or isinstance(v, int))):
+                raise ValueError(_out_of_domain(
+                    self.__dataclass_fields__[name], v))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -340,23 +375,19 @@ class StreamSpec(Record):
     as (t_s, instantaneous_rate_bps) breakpoints, its integral over the
     duration must match size_bytes within 1%.
     """
-    duration_s: float
-    encoding_rate_bps: float
-    size_bytes: Optional[float] = None
+    duration_s: float = domain(gt=0)
+    encoding_rate_bps: float = domain(gt=0)
+    size_bytes: Optional[float] = domain(None, gt=0)
     vbr_trace: Optional[list[tuple[float, float]]] = None
-    keyframe_interval_bytes: Optional[float] = None
+    keyframe_interval_bytes: Optional[float] = domain(None, gt=0, inf=True)
 
     def __post_init__(self):
-        check_finite("duration_s", self.duration_s)
-        check_finite("encoding_rate_bps", self.encoding_rate_bps)
-        if self.duration_s <= 0 or self.encoding_rate_bps <= 0:
-            raise ValueError("duration_s and encoding_rate_bps must be > 0")
         if self.size_bytes is None:
-            object.__setattr__(self, "size_bytes",
-                               self.duration_s * self.encoding_rate_bps / 8.0)
-        check_finite("size_bytes", self.size_bytes)
-        if self.size_bytes <= 0:
-            raise ValueError("size_bytes must be > 0")
+            size = self.duration_s * self.encoding_rate_bps / 8.0
+            if size == math.inf:
+                raise ValueError("size_bytes must be finite, not "
+                                 "duration_s * encoding_rate_bps / 8 = inf")
+            object.__setattr__(self, "size_bytes", size)
         if self.vbr_trace is not None:
             for i, (t, rate) in enumerate(self.vbr_trace):
                 if not math.isfinite(t):
@@ -460,12 +491,9 @@ class StreamSpec(Record):
 class LinkModel(Record):
     """Piecewise-constant available bandwidth plus a round-trip time."""
     segments: tuple[tuple[float, float], ...]  # (t_start_s, bandwidth_bps)
-    rtt_ms: float = 70.0
+    rtt_ms: float = domain(70.0, ge=0)
 
     def __post_init__(self):
-        check_finite("rtt_ms", self.rtt_ms)
-        if self.rtt_ms < 0:
-            raise ValueError(f"rtt_ms must be >= 0, not {self.rtt_ms!r}")
         segs = tuple(self.segments)
         if not segs:
             raise ValueError("link needs at least one segment")

@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Union
 
-from .streams import Record
+from .streams import Record, domain
 
 # Shared client-side constants.
 FASTSTART_TARGET_S = 40.0   # content buffered at full rate before steady state
@@ -13,23 +12,10 @@ START_THRESHOLD_S = 4.0     # content needed before playback starts
 RESUME_THRESHOLD_S = 4.0    # content needed to resume after a stall
 
 
-def _check_audio_rate(bps: float) -> None:
-    if not 0 < bps < math.inf:
-        raise ValueError(
-            f"audio_rate_bps must be a finite number > 0, not {bps!r}")
-
-
-def _check_off_fixed(seconds: Optional[float]) -> None:
-    # with no OFF time between them, ON periods find the buffer full
-    if seconds is not None and not 0 < seconds < math.inf:
-        raise ValueError(
-            f"off_fixed_s must be a finite number > 0, not {seconds!r}")
-
-
 class EncodingRate(Record):
     """Receive-window clocked delivery: after the fast start the small client
     buffer back-pressures the sender to exactly the consumption rate."""
-    faststart_target_s: float = FASTSTART_TARGET_S
+    faststart_target_s: float = domain(FASTSTART_TARGET_S, ge=0, inf=True)
 
 
 class Throttling(Record):
@@ -40,16 +26,10 @@ class Throttling(Record):
     (some handsets see variable chunk sizes); the session seed makes the
     draw reproducible.
     """
-    factor: float = 1.25
-    chunk_bytes: float = 64 * 1024
-    faststart_target_s: float = FASTSTART_TARGET_S
+    factor: float = domain(1.25, gt=1, inf=True)   # inf: no throttling
+    chunk_bytes: float = domain(64 * 1024, gt=0, inf=True)
+    faststart_target_s: float = domain(FASTSTART_TARGET_S, ge=0, inf=True)
     chunk_jitter: bool = False
-
-    def __post_init__(self):
-        if not self.factor > 1.0:
-            raise ValueError("throttle factor must be > 1")
-        if self.chunk_bytes <= 0:
-            raise ValueError("chunk_bytes must be > 0")
 
 
 class OnOffS(Record):
@@ -62,22 +42,14 @@ class OnOffS(Record):
     The OFF period ends after off_fixed_s when set, otherwise when the
     buffer drains to lower_s of content.
     """
-    upper_bytes: float = 20 * 1024 * 1024
-    keepalive_interval_s: float = 16.0   # 0 disables keepalives
-    keepalive_bytes: float = 64 * 1024
-    persist_cap_s: float = 5.0
-    lower_s: float = 2.0
-    off_fixed_s: Optional[float] = None
-    faststart_target_s: float = FASTSTART_TARGET_S
-
-    def __post_init__(self):
-        if self.upper_bytes <= 0:
-            raise ValueError("upper_bytes must be > 0")
-        if self.persist_cap_s <= 0:
-            raise ValueError("persist_cap_s must be > 0")
-        if self.keepalive_interval_s < 0 or self.lower_s < 0:
-            raise ValueError("intervals must be >= 0")
-        _check_off_fixed(self.off_fixed_s)
+    upper_bytes: float = domain(20 * 1024 * 1024, gt=0, inf=True)
+    keepalive_interval_s: float = domain(16.0, ge=0, inf=True)  # 0: none
+    keepalive_bytes: float = domain(64 * 1024, ge=0, inf=True)
+    persist_cap_s: float = domain(5.0, gt=0, inf=True)
+    lower_s: float = domain(2.0, ge=0)
+    # with no OFF time, ON periods find the buffer full
+    off_fixed_s: Optional[float] = domain(None, gt=0)
+    faststart_target_s: float = domain(FASTSTART_TARGET_S, ge=0, inf=True)
 
 
 class OnOffM(Record):
@@ -90,27 +62,20 @@ class OnOffM(Record):
     When chunk_bytes is set, each connection instead downloads exactly that
     many bytes (the fixed-chunk mode) after a faststart_bytes initial fill.
     """
-    upper_s: float = 100.0
-    lower_s: float = 40.0
-    off_fixed_s: Optional[float] = None
-    chunk_bytes: Optional[float] = None
-    on_rate_factor: float = 2.0
-    faststart_bytes: Optional[float] = None   # only for the fixed-chunk mode
+    upper_s: float = domain(100.0, ge=0, inf=True)
+    lower_s: float = domain(40.0, ge=0)
+    off_fixed_s: Optional[float] = domain(None, gt=0)
+    # a refill of less than a byte moves nothing, while each request still
+    # costs a round trip
+    chunk_bytes: Optional[float] = domain(None, ge=1, inf=True)
+    on_rate_factor: float = domain(2.0, gt=1, inf=True)
+    # only for the fixed-chunk mode
+    faststart_bytes: Optional[float] = domain(None, ge=1, inf=True)
 
     def __post_init__(self):
-        if self.chunk_bytes is None and not self.lower_s < self.upper_s:
-            if self.lower_s != self.upper_s:
-                raise ValueError("need lower_s <= upper_s")
-        if self.on_rate_factor <= 1.0:
-            raise ValueError("on_rate_factor must be > 1")
-        _check_off_fixed(self.off_fixed_s)
-        # a refill of less than a byte moves nothing, while each request
-        # still costs a round trip
-        for name in ("chunk_bytes", "faststart_bytes"):
-            nbytes = getattr(self, name)
-            if nbytes is not None and not nbytes >= 1.0:
-                raise ValueError(
-                    f"{name} must be at least 1 byte, not {nbytes!r}")
+        if self.chunk_bytes is None and not self.upper_s >= self.lower_s:
+            raise ValueError(f"upper_s must be >= lower_s ({self.lower_s!r}),"
+                             f" not {self.upper_s!r}")
 
 
 class FastCaching(Record):
@@ -125,43 +90,34 @@ class Hls(Record):
     below the current rung's rate.  With discard_on_upswitch the buffered
     lower-quality seconds are dropped and re-fetched at the new quality.
     """
-    chunk_s: float = 10.0
-    initial_chunks: int = 7
+    chunk_s: float = domain(10.0, gt=0, inf=True)
+    # the start-up level is initial_chunks - 1 chunks
+    initial_chunks: int = domain(7, ge=1)
     ladder: tuple[tuple[str, float], ...] = (
         ("ld", 400_000.0), ("sd", 1_000_000.0), ("hd", 2_000_000.0))
     discard_on_upswitch: bool = True
     audio_video_split: bool = False
-    av_offset_s: float = 5.0
-    audio_rate_bps: float = 64_000.0
-    up_consecutive: int = 3
+    av_offset_s: float = domain(5.0, ge=0, inf=True)
+    audio_rate_bps: float = domain(64_000.0, gt=0)
+    up_consecutive: int = domain(3, ge=1)
 
     def __post_init__(self):
-        if self.chunk_s <= 0:
-            raise ValueError("chunk_s must be > 0")
         if not self.ladder:
             raise ValueError("ladder must not be empty")
         rates = [r for _, r in self.ladder]
         if rates != sorted(rates):
             raise ValueError("ladder must be ordered by rate")
-        _check_audio_rate(self.audio_rate_bps)
 
 
 class Mss(Record):
     """Smooth-streaming style delivery: short video chunks on one connection
     with an audio chunk interleaved after every N video chunks."""
-    video_chunk_s: float = 4.0
-    audio_every_n_video_chunks: int = 4
-    startup_buffer_s: float = 60.0
+    video_chunk_s: float = domain(4.0, gt=0, inf=True)
+    audio_every_n_video_chunks: int = domain(4, ge=1)
+    startup_buffer_s: float = domain(60.0, ge=0, inf=True)
     ladder: tuple[tuple[str, float], ...] = (
         ("ld", 400_000.0), ("sd", 1_000_000.0), ("hd", 2_000_000.0))
-    audio_rate_bps: float = 64_000.0
-
-    def __post_init__(self):
-        if self.audio_every_n_video_chunks < 1:
-            raise ValueError("audio_every_n_video_chunks must be >= 1")
-        if self.video_chunk_s <= 0:
-            raise ValueError("video_chunk_s must be > 0")
-        _check_audio_rate(self.audio_rate_bps)
+    audio_rate_bps: float = domain(64_000.0, gt=0)
 
 
 Technique = Union[EncodingRate, Throttling, OnOffS, OnOffM, FastCaching, Hls, Mss]

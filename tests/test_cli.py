@@ -342,6 +342,28 @@ def _scenario_with(tmp_path, *lines):
      "technique.faststart_bytes"),
     ("technique.preset = vimeo_iphone5; technique.faststart_bytes = 0",
      "technique.faststart_bytes"),
+    # an integer past the largest float, which float() overflowed on
+    pytest.param("technique.preset = youtube_onoffm; technique.upper_s = 1"
+                 + "0" * 400, "technique.upper_s",
+                 id="technique.upper_s = a 400-digit integer"),
+    # out of a field's declared domain, or of a cross-field rule, where the
+    # error named only its section or the value passed unchecked (a
+    # negative voltage gave -760 J)
+    ("profile.nominal_voltage_v = -5", "profile.nominal_voltage_v"),
+    ("technique.preset = youtube_onoffm; technique.upper_s = 0",
+     "technique.upper_s"),
+    ("technique.preset = youtube_onoffm; technique.lower_s = -5",
+     "technique.lower_s"),
+    ("technique.kind = throttling; technique.factor = 1", "technique.factor"),
+    ("technique.kind = on_off_s; technique.keepalive_interval_s = -5",
+     "technique.keepalive_interval_s"),
+    ("technique.kind = hls; technique.up_consecutive = 0",
+     "technique.up_consecutive"),
+    ("profile.hspa_fach = 1e300", "profile.hspa_fach"),
+    ("profile.playback_ma = -5", "profile.playback_ma"),
+    ("radio.fd_timer_s = -5", "radio.fd_timer_s"),
+    ("radio.technology = lte; radio.promotion_latency_ms = -5",
+     "radio.promotion_latency_ms"),
 ])
 def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     rc = main(["simulate", "--scenario",
