@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from dataclasses import MISSING, field
 from operator import attrgetter
@@ -59,12 +60,72 @@ DONE_TOL_S = 1e-6
 # ends delivery, holds the start and resume thresholds, and an empty buffer
 # then has played it all.
 CONTENT_DONE_S = 1e-3
+JOIN_FAILURE_S = math.inf   # sentinel: the session can never start
 
 
 class BufferSample(NamedTuple):
     t_s: float
     buffered_seconds: float
     buffered_bytes: float
+
+
+class BufferTimeline(MutableRecord):
+    """The playback buffer over a session: its samples, join and stalls.
+
+    The engine writes the one its playback drives.  samples are the
+    buffer's breakpoints: the first and last tick of each span, each
+    start, stall and end of playback, and each discard, for every cycle of
+    a drain-gated train; a clocked one (throttling) keeps its first and
+    last cycles', between which the buffer follows the trend.
+    """
+    joining_time_s: float          # JOIN_FAILURE_S: it never started
+    playback_end_s: float          # wall time playback finished (or horizon)
+    duration_s: float              # content seconds actually watched
+    samples: list[BufferSample] = field(default_factory=list)
+    resume_threshold_s: float = RESUME_THRESHOLD_S
+    completed: bool = True         # playback reached the watch end
+    # the stalls the playback recorded: (t_start_s, duration_s)
+    stall_events: list[tuple[float, float]] = field(default_factory=list)
+
+    CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
+
+    def __init__(self, joining_time_s: float, playback_end_s: float,
+                 duration_s: float, samples: list[BufferSample] = MISSING,
+                 resume_threshold_s: float = RESUME_THRESHOLD_S,
+                 completed: bool = True,
+                 stall_events: list[tuple[float, float]] = MISSING):
+        self.joining_time_s = joining_time_s
+        self.playback_end_s = playback_end_s
+        self.duration_s = duration_s
+        self.samples = [] if samples is MISSING else samples
+        self.resume_threshold_s = resume_threshold_s
+        self.completed = completed
+        self.stall_events = [] if stall_events is MISSING else stall_events
+
+    def to_csv_lines(self) -> list[str]:
+        lines = [self.CSV_HEADER]
+        for s in self.samples:
+            lines.append(f"{s.t_s:.6f},{s.buffered_seconds:.6f},"
+                         f"{s.buffered_bytes:.1f}")
+        return lines
+
+    def value_at(self, t_s: float) -> float:
+        """Buffered seconds at wall time t_s, interpolated linearly
+        between the samples around it."""
+        i = bisect_right(self.samples, t_s + TIE_S, key=lambda s: s.t_s)
+        if i == 0:
+            return 0.0
+        a = self.samples[i - 1]
+        if i == len(self.samples) or t_s <= a.t_s:
+            return a.buffered_seconds
+        b = self.samples[i]
+        w = (t_s - a.t_s) / (b.t_s - a.t_s)
+        return a.buffered_seconds + w * (b.buffered_seconds
+                                          - a.buffered_seconds)
+
+
+def _no_playback() -> BufferTimeline:
+    return BufferTimeline(JOIN_FAILURE_S, 0.0, 0.0, completed=False)
 
 
 class LogRecord(MutableRecord):
@@ -112,26 +173,15 @@ class DeliveryLog(MutableRecord):
     records holds one LogRecord per decision and per data tick; the data
     ticks are stored as TransferSpans, repeated cycles (with their
     decisions) as ChunkTrains, both expanded when read, and rows() writes
-    them one row per run.  buffer_samples are the buffer's breakpoints:
-    the first and last tick of each span, each start, stall and end of
-    playback, and each discard.  A drain-gated train (HLS, MSS, on/off)
-    keeps those of every cycle; a clocked one (throttling) those of its
-    first and last cycles, between which the buffer follows the trend,
-    without the ripple of less than a chunk.
+    them one row per run.  playback is the buffer timeline the engine's
+    playback wrote, the one a session reports.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
     off_spans: list[tuple[float, float]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     connections_opened: int = 0
-    playback_start_s: Optional[float] = None   # None: it never started
-    # when playback finished, or the horizon of a stall it never left
-    playback_end_s: float = 0.0
-    completed: bool = False           # playback reached the watch end
-    # the stalls, each decided to end at resume_threshold_s buffered
-    stall_events: list[tuple[float, float]] = field(default_factory=list)
-    resume_threshold_s: float = RESUME_THRESHOLD_S
-    buffer_samples: list[BufferSample] = field(default_factory=list)
+    playback: BufferTimeline = field(default_factory=_no_playback)
     bytes_delivered: float = 0.0      # data bytes on the wire (incl. re-requests)
     bytes_consumed: float = 0.0
     bytes_buffered_end: float = 0.0
@@ -147,11 +197,7 @@ class DeliveryLog(MutableRecord):
                  on_spans: list[tuple[float, float]] = MISSING,
                  off_spans: list[tuple[float, float]] = MISSING,
                  notes: list[str] = MISSING, connections_opened: int = 0,
-                 playback_start_s: Optional[float] = None,
-                 playback_end_s: float = 0.0, completed: bool = False,
-                 stall_events: list[tuple[float, float]] = MISSING,
-                 resume_threshold_s: float = RESUME_THRESHOLD_S,
-                 buffer_samples: list[BufferSample] = MISSING,
+                 playback: BufferTimeline = MISSING,
                  bytes_delivered: float = 0.0, bytes_consumed: float = 0.0,
                  bytes_buffered_end: float = 0.0, bytes_wasted: float = 0.0,
                  overhead_bytes: float = 0.0,
@@ -163,13 +209,7 @@ class DeliveryLog(MutableRecord):
         self.off_spans = [] if off_spans is MISSING else off_spans
         self.notes = [] if notes is MISSING else notes
         self.connections_opened = connections_opened
-        self.playback_start_s = playback_start_s
-        self.playback_end_s = playback_end_s
-        self.completed = completed
-        self.stall_events = [] if stall_events is MISSING else stall_events
-        self.resume_threshold_s = resume_threshold_s
-        self.buffer_samples = ([] if buffer_samples is MISSING
-                               else buffer_samples)
+        self.playback = _no_playback() if playback is MISSING else playback
         self.bytes_delivered = bytes_delivered
         self.bytes_consumed = bytes_consumed
         self.bytes_buffered_end = bytes_buffered_end
@@ -179,10 +219,6 @@ class DeliveryLog(MutableRecord):
         self.content_consumed_s = content_consumed_s
         self.quality_switches = ([] if quality_switches is MISSING
                                  else quality_switches)
-
-    @property
-    def stall_total_s(self) -> float:
-        return sum(d for _, d in self.stall_events)
 
     def rows(self) -> Iterator[LogRecord]:
         """The rows of delivery_log.csv, one per stored entry.
@@ -378,7 +414,6 @@ class _Engine:
         self.stream = stream
         self.link = link
         self.start_threshold_s = start_threshold_s
-        self.resume_threshold_s = resume_threshold_s
         self.start_delay_s = start_delay_s
         self.watch_end_s = stream.duration_s
         if abandon_at_s is not None:
@@ -389,7 +424,11 @@ class _Engine:
         self.t = 0.0
         # PacketEvents and TransferSpans, in emission order
         self.events: list = []
-        self.log = DeliveryLog(resume_threshold_s=resume_threshold_s)
+        # the playback this engine drives, as the session reports it
+        self.playback = BufferTimeline(JOIN_FAILURE_S, 0.0, self.watch_end_s,
+                                       resume_threshold_s=resume_threshold_s,
+                                       completed=False)
+        self.log = DeliveryLog(playback=self.playback)
         self.buf = _Buffer(stream)
         # the content rate of the stream's own bytes; None for VBR, whose
         # bytes enter the buffer through the stream's own trace
@@ -406,7 +445,7 @@ class _Engine:
         self.stall_since = 0.0
         self.finished = self.watch_end_s <= 0
         if self.finished:         # nothing to watch: done at once
-            self.playback_start = self.log.playback_start_s = 0.0
+            self.playback_start = self.playback.joining_time_s = 0.0
         self.starved = False      # link died with no recovery ahead
         self.seed, self._rng = seed, None   # _rng is built at the first draw
         self._conn_seq = -1
@@ -445,9 +484,9 @@ class _Engine:
         if (self.playback_start is None and self.start_at is not None
                 and self.start_at <= to_t):
             self.t = max(self.t, self.start_at)
-            self.playback_start = self.log.playback_start_s = self.t
+            self.playback_start = self.playback.joining_time_s = self.t
             # a start at an arrival's time shares that arrival's sample
-            if self.t > self.log.buffer_samples[-1].t_s:
+            if self.t > self.playback.samples[-1].t_s:
                 self._sample()
         buf, lg = self.buf, self.log
         while to_t > self.t + TIE_S:
@@ -462,7 +501,7 @@ class _Engine:
             if (lg.content_consumed_s >= self.watch_end_s - DONE_TOL_S
                     or (buf.seconds <= TIE_S and self.content_done)):
                 self.finished = True
-                lg.playback_end_s = self.t
+                self.playback.playback_end_s = self.t
                 self._sample()
             elif buf.seconds <= TIE_S and self.t < to_t - TIE_S:
                 self._stall()
@@ -475,8 +514,8 @@ class _Engine:
     def _stall(self) -> None:
         self.stalled = True
         self.stall_since = self.t
-        if self.log.buffer_samples[-1][:2] == (self.t, self.buf.seconds):
-            self.log.buffer_samples.pop()   # a discard's: the stall's now
+        if self.playback.samples[-1][:2] == (self.t, self.buf.seconds):
+            self.playback.samples.pop()   # a discard's: the stall's now
         self._sample()
 
     def _post_arrival(self) -> None:
@@ -487,15 +526,15 @@ class _Engine:
                 self.start_at = self.t + self.start_delay_s
                 self.advance(self.t)
         elif self.stalled and (
-                self.buf.seconds >= self.resume_threshold_s - TIE_S
+                self.buf.seconds >= self.playback.resume_threshold_s - TIE_S
                 or self.content_done):
             self.stalled = False
-            self.log.stall_events.append(
+            self.playback.stall_events.append(
                 (self.stall_since, self.t - self.stall_since))
 
     def _sample(self, tail: bool = False) -> None:
         """Keep the buffer now as a timeline sample."""
-        self.log.buffer_samples.append(
+        self.playback.samples.append(
             BufferSample(self.t, self.buf.seconds, self.buf.bytes))
         self._tail = tail
 
@@ -585,14 +624,14 @@ class _Engine:
                 sp.dbuffer_s = d
                 self.t = sp.t_s + (sp.n - 1) * dt   # its last tick
                 if self._tail:
-                    self.log.buffer_samples.pop()
+                    self.playback.samples.pop()
                 self._sample(tail=True)
                 return
         sp = TransferSpan(t_first, dt, n, conn, nbytes, buffer_s, dbuffer_s)
         self.events.append(sp)
         self.log.records.items.append(sp)
         self._open_span = sp
-        self.log.buffer_samples.append(first)
+        self.playback.samples.append(first)
         self.t = t_first + (n - 1) * dt
         if n > 1:
             self._sample(tail=True)
@@ -739,7 +778,7 @@ class _Engine:
                         if self.start_at is None
                         else (self.start_at - self.t) / dt - n)
             elif self.stalled:
-                x = min(x, _ticks_to(self.resume_threshold_s - b, up))
+                x = min(x, _ticks_to(self.playback.resume_threshold_s - b, up))
             else:
                 watch_left = (self.watch_end_s - self.log.content_consumed_s
                               - n * played)
@@ -836,15 +875,15 @@ class _Engine:
 
     def _marks(self) -> SimpleNamespace:
         """The state a loop turn may change; fixed: lists no repeat adds to."""
-        lg = self.log
+        lg, pb = self.log, self.playback
         return SimpleNamespace(
             events=len(self.events), records=len(lg.records.items),
-            samples=len(lg.buffer_samples), on_spans=len(lg.on_spans),
+            samples=len(pb.samples), on_spans=len(lg.on_spans),
             off_spans=len(lg.off_spans), conn=self._conn_seq,
             since=(self._on_since, self._off_since),
             overhead=lg.overhead_bytes,
             rates={seg[2] for seg in self.buf.segments},
-            fixed=(len(lg.quality_switches), len(lg.stall_events),
+            fixed=(len(lg.quality_switches), len(pb.stall_events),
                    len(lg.notes)))
 
     def _close_cycle(self, c: _Cycle) -> Optional[float]:
@@ -911,7 +950,7 @@ class _Engine:
             x = min(x, _ticks_to(self.start_threshold_s - b - hi, c.dbuffer_s)
                     if self.start_at is None else (self.start_at - self.t) / p)
         elif self.stalled:
-            x = min(x, _ticks_to(self.resume_threshold_s - b - hi,
+            x = min(x, _ticks_to(self.playback.resume_threshold_s - b - hi,
                                  c.dbuffer_s))
         else:
             watch_left = self.watch_end_s - self.log.content_consumed_s
@@ -925,14 +964,14 @@ class _Engine:
         each opens c's connections, sends its control bytes and adds its
         on and off spans, and a gated loop's its buffer samples, shifted
         (the sawtooth)."""
-        lg, p, d = self.log, trains[0].period_s, c.dbuffer_s
+        lg, pb, p, d = self.log, self.playback, trains[0].period_s, c.dbuffer_s
         shifts = range(1, m + 1)
         delivered = sum(s.n * s.nbytes for s in c.spans)
         if lower_s is not None:
-            lg.buffer_samples += [
+            pb.samples += [
                 BufferSample(s.t_s + j * p, s.buffered_seconds + j * d,
                              s.buffered_bytes + j * d * crate / 8.0)
-                for j in shifts for s in lg.buffer_samples[c.marks.samples:]]
+                for j in shifts for s in pb.samples[c.marks.samples:]]
         for spans, k in ((lg.on_spans, c.marks.on_spans),
                          (lg.off_spans, c.marks.off_spans)):
             if len(spans) > k:    # a long train of no on or off costs nothing
@@ -999,7 +1038,7 @@ class _Engine:
         else:
             # a join failure: one stall over the whole watch
             self._end_stalled(0.0, self.watch_end_s)
-        self.log.completed = self.finished
+        self.playback.completed = self.finished
         self.log.bytes_buffered_end = self.buf.bytes
         delivered = self.log.bytes_delivered
         accounted = (self.log.bytes_consumed + self.log.bytes_buffered_end
@@ -1018,10 +1057,10 @@ class _Engine:
 
     def _end_stalled(self, since: float, end: float) -> None:
         """Close the timeline with a stall from since to end."""
-        self.log.stall_events.append((since, end - since))
-        self.log.playback_end_s = end
-        if end > self.log.buffer_samples[-1].t_s + TIE_S:
-            self.log.buffer_samples.append(
+        self.playback.stall_events.append((since, end - since))
+        self.playback.playback_end_s = end
+        if end > self.playback.samples[-1].t_s + TIE_S:
+            self.playback.samples.append(
                 BufferSample(end, self.buf.seconds, self.buf.bytes))
 
 
@@ -1333,7 +1372,8 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
     """Simulate one streaming session and return its wire events and log.
 
     The events are a sorted sequence of per-tick PacketEvents, stored as
-    transfer spans and expanded when read.
+    transfer spans and expanded when read.  The log's playback is the
+    buffer timeline the session's playback wrote.
 
     Events end when the content is fully delivered or the viewer walks away
     after abandon_at_s seconds of watched content; a link slower than the

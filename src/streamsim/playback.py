@@ -1,86 +1,24 @@
 """Client-side playback modelling: joining time, buffer occupancy, stalls.
 
-A simulated session's playback is the delivery engine's: the buffer that
-drove its feedback loop, with its start, stalls and samples, is the one
-reported.  This module holds the report's types, the closed-form joining
-time, and the buffer timeline of data arrivals alone, such as a flow
-trace's, which replays them through that same engine buffer and clock.
-Either way a timeline carries the stalls that playback recorded: each
-runs from an empty buffer until resume_threshold_s is buffered again.
+A simulated session's playback is the delivery engine's: the engine
+writes the BufferTimeline of the buffer that drove its feedback loop, with
+its start, stalls and samples, as DeliveryLog.playback, and that record is
+the one reported.  This module holds the QoE report, the closed-form
+joining time, and the buffer timeline of data arrivals alone, such as a
+flow trace's, which replays them through that same engine buffer and
+clock.  Either way a timeline carries the stalls that playback recorded:
+each runs from an empty buffer until resume_threshold_s is buffered again.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import MISSING, field
 from typing import Iterable, Optional
 
-from .delivery import TIE_S, BufferSample, replay_arrivals
+from .delivery import JOIN_FAILURE_S, BufferTimeline, replay_arrivals
 from .radio import promotion_latency
 from .streams import LinkModel, MutableRecord, PacketEvent, StreamSpec
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
-
-JOIN_FAILURE_S = math.inf   # sentinel: the session can never start
-
-
-class BufferTimeline(MutableRecord):
-    """The playback buffer over a session: its samples, join and stalls."""
-    joining_time_s: float
-    playback_end_s: float          # wall time playback finished (or horizon)
-    duration_s: float              # content seconds actually watched
-    samples: list[BufferSample] = field(default_factory=list)
-    resume_threshold_s: float = RESUME_THRESHOLD_S
-    completed: bool = True         # playback reached the watch end
-    # the stalls the playback recorded: (t_start_s, duration_s)
-    stall_events: list[tuple[float, float]] = field(default_factory=list)
-
-    CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
-
-    def __init__(self, joining_time_s: float, playback_end_s: float,
-                 duration_s: float, samples: list[BufferSample] = MISSING,
-                 resume_threshold_s: float = RESUME_THRESHOLD_S,
-                 completed: bool = True,
-                 stall_events: list[tuple[float, float]] = MISSING):
-        self.joining_time_s = joining_time_s
-        self.playback_end_s = playback_end_s
-        self.duration_s = duration_s
-        self.samples = [] if samples is MISSING else samples
-        self.resume_threshold_s = resume_threshold_s
-        self.completed = completed
-        self.stall_events = [] if stall_events is MISSING else stall_events
-
-    @classmethod
-    def from_log(cls, dlog, watched_s: float, joining_time_s=None):
-        """The timeline of a delivery log's playback, its stalls included
-        and labelled with the resume threshold they were decided at, from
-        joining_time_s (by default the log's start; inf if none)."""
-        join = (dlog.playback_start_s if joining_time_s is None
-                else joining_time_s)
-        return cls(JOIN_FAILURE_S if join is None else join,
-                   dlog.playback_end_s, watched_s, dlog.buffer_samples,
-                   dlog.resume_threshold_s, dlog.completed, dlog.stall_events)
-
-    def to_csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for s in self.samples:
-            lines.append(f"{s.t_s:.6f},{s.buffered_seconds:.6f},"
-                         f"{s.buffered_bytes:.1f}")
-        return lines
-
-    def value_at(self, t_s: float) -> float:
-        """Buffered seconds at wall time t_s, interpolated linearly
-        between the samples around it."""
-        i = bisect_right(self.samples, t_s + TIE_S, key=lambda s: s.t_s)
-        if i == 0:
-            return 0.0
-        a = self.samples[i - 1]
-        if i == len(self.samples) or t_s <= a.t_s:
-            return a.buffered_seconds
-        b = self.samples[i]
-        w = (t_s - a.t_s) / (b.t_s - a.t_s)
-        return a.buffered_seconds + w * (b.buffered_seconds
-                                          - a.buffered_seconds)
 
 
 class QoeReport(MutableRecord):
@@ -98,14 +36,6 @@ class QoeReport(MutableRecord):
     @property
     def stall_total_s(self) -> float:
         return sum(d for _, d in self.stall_events)
-
-
-def playback_report(dlog, watched_s: float
-                    ) -> tuple[BufferTimeline, QoeReport]:
-    """The buffer timeline and QoE of the playback a delivery log records;
-    watched_s is the content the viewer meant to watch."""
-    tl = BufferTimeline.from_log(dlog, watched_s)
-    return tl, detect_stalls(tl)
 
 
 def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
@@ -137,13 +67,15 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     playback clock (delivery.replay_arrivals), as content of the stream,
     with playback starting at joining_time_s: the same start, stall,
     resume and end rules and tolerances as a simulated session, and its
-    stalls.  watch_end_s bounds consumption for abandoned sessions.
+    stalls.  watch_end_s bounds consumption for abandoned sessions.  The
+    timeline is the replay's own, labelled with joining_time_s.
     """
     watched = stream.duration_s if watch_end_s is None else min(
         watch_end_s, stream.duration_s)
-    dlog = replay_arrivals(arrivals, stream, joining_time_s,
-                           resume_threshold_s, watched)
-    return BufferTimeline.from_log(dlog, watched, joining_time_s)
+    tl = replay_arrivals(arrivals, stream, joining_time_s,
+                         resume_threshold_s, watched).playback
+    tl.joining_time_s = joining_time_s
+    return tl
 
 
 def detect_stalls(buffer: BufferTimeline,

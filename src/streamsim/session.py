@@ -5,9 +5,8 @@ from __future__ import annotations
 import time
 from dataclasses import MISSING, field
 
-from . import delivery
+from . import delivery, playback
 from .energy import SessionSummary, summarize
-from .playback import BufferTimeline, QoeReport, playback_report
 from .radio import RadioTimeline, promotion_latency, simulate_radio
 from .scenario import Scenario
 from .streams import ChunkTrain, MutableRecord, TickSeq, TransferSpan
@@ -19,16 +18,17 @@ class SessionResult(MutableRecord):
     scenario: Scenario
     events: TickSeq
     dlog: delivery.DeliveryLog
-    buffer: BufferTimeline
-    qoe: QoeReport
+    buffer: delivery.BufferTimeline
+    qoe: playback.QoeReport
     radio: RadioTimeline
     summary: SessionSummary
     # host milliseconds spent in each layer of run_session
     compute_ms: dict[str, float] = field(default_factory=dict)
 
     def __init__(self, scenario: Scenario, events: TickSeq,
-                 dlog: delivery.DeliveryLog, buffer: BufferTimeline,
-                 qoe: QoeReport, radio: RadioTimeline, summary: SessionSummary,
+                 dlog: delivery.DeliveryLog, buffer: delivery.BufferTimeline,
+                 qoe: playback.QoeReport, radio: RadioTimeline,
+                 summary: SessionSummary,
                  compute_ms: dict[str, float] = MISSING):
         self.scenario = scenario
         self.events = events
@@ -66,8 +66,8 @@ class SessionResult(MutableRecord):
 def run_session(sc: Scenario) -> SessionResult:
     """Run one scenario through every layer and fuse the summary.
 
-    The playback reported is the delivery engine's: its start, stalls and
-    buffer samples.
+    The playback reported is the delivery engine's: the buffer timeline
+    it wrote as the log's playback, with its start, stalls and samples.
     """
     t0 = time.perf_counter()
     events, dlog = delivery.simulate_session(
@@ -75,11 +75,10 @@ def run_session(sc: Scenario) -> SessionResult:
         seed=sc.seed,
         start_delay_s=promotion_latency(sc.radio_tech, sc.radio_cfg))
     t1 = time.perf_counter()
-    buffer, qoe = playback_report(dlog, sc.stream.duration_s
-                                  if sc.abandon_at_s is None else
-                                  min(sc.abandon_at_s, sc.stream.duration_s))
+    buffer = dlog.playback
+    qoe = playback.detect_stalls(buffer)
     t2 = time.perf_counter()
-    wall_end = max(dlog.playback_end_s, events[-1].t_s if events else 0.0)
+    wall_end = max(buffer.playback_end_s, events[-1].t_s if events else 0.0)
     radio = simulate_radio(sc.radio_tech, events, sc.radio_cfg, sc.profile,
                            session_end_s=wall_end)
     t3 = time.perf_counter()

@@ -22,8 +22,7 @@ import statistics
 from dataclasses import field
 from typing import Iterable, Optional
 
-from . import playback
-from .delivery import replay_arrivals
+from .delivery import BufferTimeline, replay_arrivals
 from .streams import MutableRecord, PacketEvent, Record, StreamSpec
 
 log = logging.getLogger(__name__)
@@ -260,7 +259,7 @@ def classify(records: list[FlowRecord],
 
 def estimate_buffer(records: list[FlowRecord], encoding_rate_bps: float,
                     joining_time_s: Optional[float] = None
-                    ) -> playback.BufferTimeline:
+                    ) -> BufferTimeline:
     """Reconstruct playback-buffer occupancy from a flow trace: its data
     arrivals, as a stream of their total size, played through the
     delivery engine's buffer.  Playback starts at joining_time_s or, by
@@ -271,5 +270,4 @@ def estimate_buffer(records: list[FlowRecord], encoding_rate_bps: float,
         raise ValueError("trace has no downlink data records")
     stream = StreamSpec(duration_s=total * 8.0 / encoding_rate_bps,
                         encoding_rate_bps=encoding_rate_bps)
-    dlog = replay_arrivals(arrivals, stream, joining_time_s)
-    return playback.BufferTimeline.from_log(dlog, stream.duration_s)
+    return replay_arrivals(arrivals, stream, joining_time_s).playback

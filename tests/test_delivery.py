@@ -290,7 +290,7 @@ def test_waste_ends_when_the_link_dies():
     link = LinkModel(((0.0, 8e6), (5.0, 0.0)), rtt_ms=70)
     _, dlog = simulate_multi_connection_waste(stream, link)
     assert "link starved with no recovery" in dlog.notes
-    assert not dlog.completed
+    assert not dlog.playback.completed
     assert_conservation(dlog)
 
 
@@ -438,7 +438,8 @@ def test_mss_ends_when_the_link_dies_before_its_startup_buffer(hd_stream):
     _, dlog = simulate_session(hd_stream, link, Mss())
     assert "link starved with no recovery" in dlog.notes
     assert dlog.notes[-1] == "session ends stalled: content underrun"
-    assert not dlog.completed and len(dlog.stall_events) == 1
+    assert not dlog.playback.completed
+    assert len(dlog.playback.stall_events) == 1
 
 
 def test_mss_switches_to_max_sustainable_within_first_chunks(hd_stream):
@@ -514,5 +515,27 @@ def test_onoff_m_fixed_off_longer_than_buffer_stalls_downstream(ld_stream):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     tech = OnOffM(upper_s=50.0, lower_s=10.0, off_fixed_s=80.0)
     events, dlog = simulate_session(ld_stream, link, tech)
-    assert dlog.stall_total_s > 10.0
+    assert sum(d for _, d in dlog.playback.stall_events) > 10.0
     assert_conservation(dlog)
+
+
+# --------------------------------------------------------------------------
+# engine guards
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("tech,abandon_at_s,message", [
+    # 0.4 s of buffer never reaches the 4 s start: each turn records only
+    # an off and an on, and sends nothing
+    (OnOffS(upper_bytes=1e5, lower_s=0.1), None, "moved neither the clock"),
+    (Hls(chunk_s=1e-9), None, "moved neither the clock"),
+    (OnOffS(off_fixed_s=1e-9), None, "moved neither the clock"),
+    (EncodingRate(), 601.0, "abandon_at_s exceeds the stream duration"),
+], ids=["onoff_s_below_start", "hls_1e-9_chunks", "onoff_s_1e-9_off",
+        "abandon_past_the_end"])
+def test_engine_guards_raise(tech, abandon_at_s, message):
+    """A loop turn that moves neither the clock nor a byte, and a watch
+    longer than the stream, are errors, not a hang or a silent clip."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    with pytest.raises(ValueError, match=message):
+        simulate_session(stream, LinkModel.constant(8e6), tech,
+                         abandon_at_s=abandon_at_s)

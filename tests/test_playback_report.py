@@ -20,9 +20,8 @@ import pytest
 import tick_reference as ref
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
                        PacketEvent, StreamSpec, Throttling, compute_buffer,
-                       detect_stalls, simulate_session)
+                       detect_stalls, playback, simulate_session)
 from streamsim.cli import main
-from streamsim.playback import playback_report
 from streamsim.scenario import default_radio_config, parse_scenario_text
 from streamsim.session import run_session
 from streamsim.streams import TickSeq
@@ -43,9 +42,10 @@ def assert_engine_playback(tech, stream, events, dlog, watched,
                            model=ref.compute_buffer):
     """Assert the playback a delivery log reports is the engine's own and,
     for the stream's own bytes, the per-event model's."""
-    got, qoe = playback_report(dlog, watched)
-    assert qoe.stall_events == dlog.stall_events
-    assert got.samples == dlog.buffer_samples
+    got = dlog.playback
+    qoe = detect_stalls(got)
+    assert qoe.stall_events == got.stall_events
+    assert got.duration_s == watched
     if isinstance(tech, (Hls, Mss)):
         # the engine's buffer after every tick and decision peaks where
         # the report does
@@ -90,9 +90,11 @@ def assert_session_playback(res):
         sc.abandon_at_s, sc.stream.duration_s)
     assert_engine_playback(sc.technique, sc.stream, res.events, res.dlog,
                            watched)
-    assert res.summary.joining_time_s == res.dlog.playback_start_s
-    assert res.summary.stall_total_s == res.dlog.stall_total_s
-    assert res.summary.wall_time_s == max(res.dlog.playback_end_s,
+    assert res.buffer is res.dlog.playback
+    assert res.summary.joining_time_s == res.dlog.playback.joining_time_s
+    assert res.summary.stall_total_s == sum(
+        d for _, d in res.dlog.playback.stall_events)
+    assert res.summary.wall_time_s == max(res.dlog.playback.playback_end_s,
                                           res.events[-1].t_s)
 
 
@@ -230,8 +232,8 @@ def test_short_stream_starts_once_delivered(hd_stream, link4):
     stream = replace(hd_stream, duration_s=3.0, size_bytes=None)
     events, dlog = simulate_session(stream, link4, FastCaching(),
                                     start_delay_s=2.0)
-    assert dlog.playback_start_s == pytest.approx(events[-1].t_s + 2.0)
-    assert dlog.completed and dlog.stall_events == []
+    assert dlog.playback.joining_time_s == pytest.approx(events[-1].t_s + 2.0)
+    assert dlog.playback.completed and dlog.playback.stall_events == []
 
 
 def test_stall_at_the_end_of_the_content_resumes_once_it_is_delivered():
@@ -243,22 +245,23 @@ def test_stall_at_the_end_of_the_content_resumes_once_it_is_delivered():
     stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
     events, dlog = simulate_session(stream, LinkModel.constant(1.9e6),
                                     FastCaching(), start_delay_s=2.0)
-    assert dlog.completed and dlog.notes == []
-    assert len(dlog.stall_events) == 7
-    since, duration = dlog.stall_events[-1]
+    played = dlog.playback
+    assert played.completed and dlog.notes == []
+    assert len(played.stall_events) == 7
+    since, duration = played.stall_events[-1]
     assert since == pytest.approx(628.4675, abs=1e-9)
     assert since + duration == pytest.approx(events[-1].t_s, abs=1e-9)
     assert duration == pytest.approx(3.1814, abs=1e-4)
-    assert dlog.playback_end_s == pytest.approx(since + duration + 3.0675,
-                                                abs=1e-6)
+    assert played.playback_end_s == pytest.approx(since + duration + 3.0675,
+                                                  abs=1e-6)
     assert dlog.bytes_buffered_end == 0.0
     # the per-event model and the stall detector resume by the same rule
     replay = compute_buffer(exact_ticks(events), stream,
-                            dlog.playback_start_s)
+                            played.joining_time_s)
     assert replay.completed
     stalls = detect_stalls(replay).stall_events
-    assert len(stalls) == len(dlog.stall_events)
-    for got, want in zip(stalls, dlog.stall_events):
+    assert len(stalls) == len(played.stall_events)
+    for got, want in zip(stalls, played.stall_events):
         assert got == pytest.approx(want, abs=1e-6)
 
 
@@ -272,10 +275,11 @@ def test_content_within_a_millisecond_of_its_end_plays_out():
     _, dlog = simulate_session(stream, LinkModel.constant(16e6), tech,
                                start_threshold_s=1.0, resume_threshold_s=1.0)
     assert 0 < stream.duration_s - dlog.content_delivered_s <= 1e-3
-    assert dlog.completed and dlog.stall_events == []
+    played = dlog.playback
+    assert played.completed and played.stall_events == []
     assert "session ends stalled: content underrun" not in dlog.notes
-    assert dlog.playback_end_s == pytest.approx(
-        dlog.playback_start_s + dlog.content_consumed_s, abs=1e-9)
+    assert played.playback_end_s == pytest.approx(
+        played.joining_time_s + dlog.content_consumed_s, abs=1e-9)
 
 
 def test_report_is_labelled_with_the_engine_resume_threshold():
@@ -285,9 +289,40 @@ def test_report_is_labelled_with_the_engine_resume_threshold():
     stream = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
     _, dlog = simulate_session(stream, LinkModel.constant(1.8e6, rtt_ms=70),
                                EncodingRate(), resume_threshold_s=1.0)
-    tl, qoe = playback_report(dlog, stream.duration_s)
-    assert tl.resume_threshold_s == dlog.resume_threshold_s == 1.0
+    tl = dlog.playback
+    qoe = detect_stalls(tl)
+    assert tl.resume_threshold_s == 1.0
     assert detect_stalls(tl, resume_threshold_s=1.0) == qoe
     assert len(qoe.stall_events) == 3
     with pytest.raises(ValueError, match="resume threshold of 1.0 s"):
         detect_stalls(tl, resume_threshold_s=4.0)
+
+
+@pytest.mark.parametrize("join", [0.0, 2.0, 7.5, playback.JOIN_FAILURE_S])
+def test_compute_buffer_reports_the_join_it_was_given(join):
+    """compute_buffer returns its replay's own timeline, labelled with the
+    start it was given, a join failure included."""
+    stream = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
+    events, _ = simulate_session(stream, LinkModel.constant(4e6),
+                                 FastCaching())
+    tl = compute_buffer(exact_ticks(events), stream, joining_time_s=join)
+    assert tl.joining_time_s == join
+    assert tl.duration_s == stream.duration_s
+
+
+def test_run_session_calls_detect_stalls_once_through_its_module(
+        monkeypatch):
+    """run_session looks detect_stalls up on the playback module, as a
+    timing wrapper set on that attribute sees it, and calls it once, on
+    the timeline it reports."""
+    calls = []
+    real = playback.detect_stalls
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(playback, "detect_stalls", counting)
+    res = run_session(_base_with())
+    assert len(calls) == 1
+    assert calls[0][0] is res.buffer is res.dlog.playback

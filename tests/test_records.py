@@ -162,9 +162,10 @@ RUNTIME = [
      "buffer_s_after=2.5)"),
     (DeliveryLog(),
      "DeliveryLog(records=TickSeq(0 ticks in 0 runs), on_spans=[], "
-     "off_spans=[], notes=[], connections_opened=0, playback_start_s=None, "
-     "playback_end_s=0.0, completed=False, stall_events=[], "
-     "resume_threshold_s=4.0, buffer_samples=[], bytes_delivered=0.0, "
+     "off_spans=[], notes=[], connections_opened=0, "
+     "playback=BufferTimeline(joining_time_s=inf, playback_end_s=0.0, "
+     "duration_s=0.0, samples=[], resume_threshold_s=4.0, completed=False, "
+     "stall_events=[]), bytes_delivered=0.0, "
      "bytes_consumed=0.0, bytes_buffered_end=0.0, bytes_wasted=0.0, "
      "overhead_bytes=0.0, content_delivered_s=0.0, content_consumed_s=0.0, "
      "quality_switches=[])"),

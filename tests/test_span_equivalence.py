@@ -32,7 +32,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        delivery, detect_stalls, get_profile, playback,
                        simulate_radio, summarize)
 from streamsim.delivery import THRESHOLD_TOL_S
-from streamsim.playback import JOIN_FAILURE_S, playback_report
+from streamsim.playback import JOIN_FAILURE_S
 from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.techniques import FASTSTART_TARGET_S, RESUME_THRESHOLD_S
@@ -91,6 +91,16 @@ def _same_records(ra, rb, tech, stream, t_tol=1e-9) -> bool:
     return True
 
 
+def _start_and_stalls(log) -> tuple:
+    """A log's playback start (None: it never started) and stall total:
+    the per-tick engine's log holds them, the engine's its playback."""
+    if not hasattr(log, "playback"):
+        return log.playback_start_s, log.stall_total_s
+    join = log.playback.joining_time_s
+    return (None if join == JOIN_FAILURE_S else join,
+            sum(d for _, d in log.playback.stall_events))
+
+
 def _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream,
                    t_tol=1e-9) -> bool:
     """Assert the events, records and log totals agree, times within
@@ -113,13 +123,15 @@ def _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream,
     for name in ("content_delivered_s", "content_consumed_s"):
         assert _close(getattr(log_a, name), getattr(log_b, name),
                       1e-6), name
-    assert (log_a.playback_start_s is None) == (log_b.playback_start_s is None)
-    if log_a.playback_start_s is not None:
-        assert _close(log_a.playback_start_s, log_b.playback_start_s, t_tol)
+    (start_a, stalled_a), (start_b, stalled_b) = map(_start_and_stalls,
+                                                     (log_a, log_b))
+    assert (start_a is None) == (start_b is None)
+    if start_a is not None:
+        assert _close(start_a, start_b, t_tol)
         # the per-tick engine counts a stall it never left up to its last
         # event, not to the watch's horizon
         if "session ends stalled: content underrun" not in log_a.notes:
-            assert _close(log_a.stall_total_s, log_b.stall_total_s, 1e-6)
+            assert _close(stalled_a, stalled_b, 1e-6)
     assert log_a.connections_opened == log_b.connections_opened
     assert log_a.notes == log_b.notes
     for name in ("on_spans", "off_spans", "quality_switches"):
@@ -175,7 +187,7 @@ def _replayed(dlog, stream, threshold_s=RESUME_THRESHOLD_S,
     # the timeline carries the replay's own stalls, which the frozen walk
     # over its samples finds too
     assert tl.stall_events == delivery.replay_arrivals(
-        ticks, stream, join, threshold_s, watch_end_s).stall_events
+        ticks, stream, join, threshold_s, watch_end_s).playback.stall_events
     assert qoe.stall_events == ref.detect_stalls(tl, threshold_s).stall_events
     return tl, qoe
 
@@ -191,7 +203,8 @@ def _pipeline(simulate, stream, link, tech, radio_tech, cfg, threshold_s=1.0,
     if simulate is ref.simulate_session:
         tl, qoe = _replayed(dlog, stream, threshold_s)
     else:
-        tl, qoe = playback_report(dlog, stream.duration_s)
+        tl = dlog.playback
+        qoe = detect_stalls(tl)
     radio = simulate_radio(radio_tech, events, cfg, get_profile("gs3-lte"),
                            wall or _wall(tl, events))
     return events, dlog, tl, qoe, radio
@@ -444,7 +457,7 @@ def test_throttling_train_before_playback_matches_tick_engine():
     a, b = _both(stream, link, tech, "hspa", HspaRrcConfig(),
                  threshold_s=45.0)
     assert _compare(a, b, tech, stream)
-    start = b[1].playback_start_s
+    start = b[1].playback.joining_time_s
     assert any(tr.t_s < tr.t_end_s < start for tr in _trains(b[0]))
 
 
@@ -697,7 +710,7 @@ def test_boundaries_the_cap_hides_on_the_tick_grid_are_no_decisions():
                                              LinkModel.constant(12e6))
     assert events.items == want_events.items
     assert dlog.records.items == want_log.records.items
-    assert dlog.buffer_samples == want_log.buffer_samples
+    assert dlog.playback.samples == want_log.playback.samples
     assert len(events.items) <= 4
     # an open receive window lifts the cap: each boundary is a decision
     events, _ = _capped_delivery(delivery, link, window_s=1e9)

@@ -1,4 +1,3 @@
-import math
 import random
 from itertools import accumulate
 
@@ -175,15 +174,14 @@ def test_replayed_records_add_no_stall_to_the_sessions_own():
         if isinstance(tech, (Hls, Mss)):
             continue    # a replay reads every byte at one rate
         events, dlog = simulate_session(stream, link, tech)
-        join = dlog.playback_start_s
+        played = dlog.playback
         tl = estimate_buffer(records_from_events(events),
-                             stream.encoding_rate_bps,
-                             math.inf if join is None else join)
+                             stream.encoding_rate_bps, played.joining_time_s)
         stalls = detect_stalls(tl).stall_events
         assert stalls == ref.detect_stalls(tl).stall_events, i
-        assert len(stalls) == len(dlog.stall_events), i
-        for (a, _), (b, _) in zip(stalls, dlog.stall_events):
+        assert len(stalls) == len(played.stall_events), i
+        for (a, _), (b, _) in zip(stalls, played.stall_events):
             assert a == pytest.approx(b, abs=1e-4), i
-        assert tl.completed == dlog.completed, i
+        assert tl.completed == played.completed, i
         replayed += 1
     assert replayed == 749

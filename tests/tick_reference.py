@@ -19,9 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from streamsim.delivery import TIE_S
-from streamsim.playback import (JOIN_FAILURE_S, BufferSample,
-                                BufferTimeline, QoeReport)
+from streamsim.delivery import TIE_S, BufferSample
+from streamsim.playback import JOIN_FAILURE_S, BufferTimeline, QoeReport
 from streamsim.profiles import PowerProfile
 from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
                              RadioTimeline, WifiPsmConfig, wifi_sleep_current)
