@@ -7,17 +7,20 @@ and the client playback-buffer feedback loop together.
 
 Data transfers are emitted as completion events every EVENT_TICK_S of
 transfer time, so downstream radio machines see transfer occupancy rather
-than lone points.  The engine does not walk those ticks one at a time: it
-applies the longest run of whole ticks that crosses no decision point (a
-link boundary, the byte budget, the end of the content or of the watch
-session, playback start, stall or resume, or a driver's buffer threshold)
-in closed form, as one TransferSpan.  A run reaches a link boundary, which
-it knows exactly, with its last tick; a boundary between two segments the
-rate cap holds to the same rate, on a tick edge, is no decision point.
-The other crossings are predicted, and only the ticks next to them are
-stepped singly, so every decision lands on the tick it would land on if
-every tick were stepped; a VBR run's prediction is refined from the exact
-state it reaches.  The drivers' periodic loops get the same treatment
+than lone points.  The engine does not walk those ticks one at a time:
+each turn of _Engine.deliver is one run step, which applies the longest
+run of whole ticks that crosses no decision point (a link boundary, the
+byte budget, the end of the content or of the watch session, playback
+start, stall or resume, or a driver's buffer threshold) in closed form.
+One _fill buffers the run, its first tick on its own so that the level
+after it is exact, and one TransferSpan stores it.  A run reaches a link
+boundary, which it knows exactly, with its last tick; a boundary between
+two segments the rate cap holds to the same rate, on a tick edge, is no
+decision point.  The other crossings are linear in the tick count: a run
+stops a tick short of the earliest, which the next step takes singly, so
+every decision lands on the tick it would land on if every tick were
+stepped.  A VBR run's prediction is refined from the exact state it
+reaches.  The drivers' periodic loops get the same treatment
 one level up (_Engine.repeat_cycles): a cycle that repeats the one before
 it makes the two a ChunkTrain, and whole runs of repeats are applied in
 closed form.  The event list and the delivery log expand spans and trains
@@ -34,7 +37,8 @@ import random
 from bisect import bisect_right
 from collections import deque
 from dataclasses import MISSING, field
-from operator import attrgetter
+from functools import partial
+from operator import attrgetter, methodcaller
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
@@ -67,6 +71,11 @@ class BufferSample(NamedTuple):
     t_s: float
     buffered_seconds: float
     buffered_bytes: float
+
+
+# BufferSample(*fields) without the NamedTuple's Python-level __new__: the
+# same tuple, built by tuple.__new__; the engine keeps one or two a run
+_new_sample = partial(tuple.__new__, BufferSample)
 
 
 class BufferTimeline(MutableRecord):
@@ -258,9 +267,9 @@ class _Buffer:
 
     Per-segment byte rates keep byte conservation exact for rate-adaptive
     sessions where buffered seconds were fetched at different rung rates.
-    Content pushed at the newest segment's rate joins that segment.  A VBR
-    stream's own content has rate None: its bytes are the stream's own, so
-    they are exact too.
+    Content enters through _Engine._fill, and joins the newest segment if
+    it has its rate.  A VBR stream's own content has rate None: its bytes
+    are the stream's own, so they are exact too.
     """
 
     def __init__(self, stream: StreamSpec):
@@ -269,18 +278,6 @@ class _Buffer:
         self.segments: deque[list] = deque()
         self.seconds = 0.0
         self.bytes = 0.0
-
-    def push(self, seconds: float, nbytes: float,
-             rate_bps: Optional[float]) -> None:
-        if seconds <= 0:
-            return
-        if self.segments and self.segments[-1][2] == rate_bps:
-            self.segments[-1][0] += seconds
-            self.segments[-1][1] += nbytes
-        else:
-            self.segments.append([seconds, nbytes, rate_bps])
-        self.seconds += seconds
-        self.bytes += nbytes
 
     def min_byte_rate(self) -> float:
         """Lowest bytes per content second among the buffered segments."""
@@ -496,7 +493,8 @@ class _Engine:
             dt = min(to_t - self.t, buf.seconds,
                      self.watch_end_s - lg.content_consumed_s)
             if dt > 0:
-                self._play(dt)
+                lg.bytes_consumed += buf.consume(dt, lg.content_consumed_s)
+                lg.content_consumed_s += dt
                 self.t += dt
             if (lg.content_consumed_s >= self.watch_end_s - DONE_TOL_S
                     or (buf.seconds <= TIE_S and self.content_done)):
@@ -505,11 +503,6 @@ class _Engine:
                 self._sample()
             elif buf.seconds <= TIE_S and self.t < to_t - TIE_S:
                 self._stall()
-
-    def _play(self, seconds: float) -> None:
-        self.log.bytes_consumed += self.buf.consume(
-            seconds, self.log.content_consumed_s)
-        self.log.content_consumed_s += seconds
 
     def _stall(self) -> None:
         self.stalled = True
@@ -532,26 +525,44 @@ class _Engine:
             self.playback.stall_events.append(
                 (self.stall_since, self.t - self.stall_since))
 
-    def _sample(self, tail: bool = False) -> None:
+    def _sample(self) -> None:
         """Keep the buffer now as a timeline sample."""
         self.playback.samples.append(
-            BufferSample(self.t, self.buf.seconds, self.buf.bytes))
-        self._tail = tail
+            _new_sample((self.t, self.buf.seconds, self.buf.bytes)))
+        self._tail = False
 
-    def _fill(self, nbytes: float, crate: Optional[float],
-              played: float) -> None:
-        """Buffer nbytes at content rate crate (None: the stream's own, by
-        its VBR trace) and play `played` seconds."""
-        if nbytes > 0:
-            secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
-                                                  nbytes)
-                    if crate is None else nbytes * 8.0 / crate)
-            self.buf.push(secs, nbytes, crate)
-            self._pushed += nbytes
-            self.delivered_content_s += secs
-            self.log.content_delivered_s += secs
-        if played:
-            self._play(played)
+    def _fill(self, nbytes: float, crate: Optional[float], played: float,
+              n: int = 1) -> tuple[float, float]:
+        """Apply n ticks that each buffer nbytes at content rate crate
+        (None: the stream's own, by its VBR trace) and play `played`
+        seconds: the first on its own, so the level after it is exact,
+        then the other n - 1 at once.  Returns the buffered seconds and
+        bytes after the first."""
+        buf, lg, segs, first = self.buf, self.log, self.buf.segments, None
+        for b, p in ((nbytes, played), ((n - 1) * nbytes, (n - 1) * played)):
+            if b > 0:
+                secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
+                                                      b)
+                        if crate is None else b * 8.0 / crate)
+                if secs > 0:
+                    if segs and segs[-1][2] == crate:
+                        segs[-1][0] += secs
+                        segs[-1][1] += b
+                    else:
+                        segs.append([secs, b, crate])
+                    buf.seconds += secs
+                    buf.bytes += b
+                self._pushed += b
+                self.delivered_content_s += secs
+                lg.content_delivered_s += secs
+            if p:
+                lg.bytes_consumed += buf.consume(p, lg.content_consumed_s)
+                lg.content_consumed_s += p
+            if first is None:
+                first = buf.seconds, buf.bytes
+                if n == 1:
+                    break
+        return first
 
     # -- wire --------------------------------------------------------------
 
@@ -562,10 +573,13 @@ class _Engine:
         self._record("open", self._conn_seq, 0.0)
         return self._conn_seq
 
-    def request(self) -> int:
-        """Open a connection and wait one round trip for its first byte:
-        delivery is ON from then."""
-        conn = self.open_connection()
+    def request(self, count: int = 1) -> int:
+        """Open count connections and wait one round trip for the first
+        byte: delivery is ON from then.  Returns the first one's id; the
+        others follow it."""
+        conn = self._conn_seq + 1
+        for _ in range(count):
+            self.open_connection()
         self.wait_until(self.t + self.link.rtt_s)
         self.mark_on()
         return conn
@@ -599,45 +613,6 @@ class _Engine:
         self.log.overhead_bytes += nbytes
         self._record(kind, conn, nbytes)
 
-    def _add_ticks(self, conn: int, nbytes: float, dt: float, n: int,
-                   first: BufferSample) -> None:
-        """Log n data ticks: the first leaves the buffer as in first, and
-        the last as it is now.
-
-        A run that continues the open span tick for tick joins it.  The
-        clock is set to the span's last tick time, so tick times do not
-        depend on how a transfer was cut into runs.  The buffer timeline
-        keeps the first and the last tick of each span.
-        """
-        t_first, buffer_s = first.t_s, first.buffered_seconds
-        dbuffer_s = (self.buf.seconds - buffer_s) / (n - 1) if n > 1 else 0.0
-        self.log.bytes_delivered += n * nbytes
-        sp = self._open_span
-        if (sp is not None and sp.connection_id == conn
-                and sp.nbytes == nbytes and sp.dt_s == dt
-                and abs(sp.t_s + sp.n * dt - t_first) <= TIE_S):
-            d = sp.dbuffer_s if sp.n > 1 else buffer_s - sp.buffer_s
-            last = buffer_s + (n - 1) * dbuffer_s
-            if (abs(sp.buffer_s + sp.n * d - buffer_s) <= TIE_S
-                    and abs(sp.buffer_s + (sp.n + n - 1) * d - last) <= TIE_S):
-                sp.n += n
-                sp.dbuffer_s = d
-                self.t = sp.t_s + (sp.n - 1) * dt   # its last tick
-                if self._tail:
-                    self.playback.samples.pop()
-                self._sample(tail=True)
-                return
-        sp = TransferSpan(t_first, dt, n, conn, nbytes, buffer_s, dbuffer_s)
-        self.events.append(sp)
-        self.log.records.items.append(sp)
-        self._open_span = sp
-        self.playback.samples.append(first)
-        self.t = t_first + (n - 1) * dt
-        if n > 1:
-            self._sample(tail=True)
-        else:
-            self._tail = False
-
     def emit_probe(self, conn: int) -> None:
         self._emit(conn, PROBE_BYTES, "persist_probe")
         self._emit(conn, FLOW_CONTROL_BYTES, "flow_control")
@@ -655,7 +630,8 @@ class _Engine:
 
         With window_s, rate_cap_bps applies only while the buffer holds at
         least window_s seconds, a receive window closed at the target;
-        below it the sender is unthrottled.  Returns the bytes moved.
+        below it the sender is unthrottled.  Returns the bytes moved.  Each
+        turn is one run step (see the module notes).
         """
         crate = content_rate_bps or self.own_rate
         moved = 0.0
@@ -666,17 +642,23 @@ class _Engine:
             stop_bytes -= THRESHOLD_TOL_S * self.stream.bytes_per_second
         if window_s is not None:
             window_s -= THRESHOLD_TOL_S
+        stream, buf, lg, samples = (self.stream, self.buf, self.log,
+                                    self.playback.samples)
+        duration, (lowest, highest) = stream.duration_s, buf.rates_bps
+        buffered = 1.0 if enter_buffer else 0.0   # share of a tick buffered
         segs = self.link.segments
         last = len(segs) - 1
         link_bps, boundary = 0.0, -math.inf   # the link segment holding t
         while not (self.finished or self.starved):
-            if budget - moved <= 0.5:
+            left = budget - moved
+            if left <= 0.5:
                 break
-            if (stop_s is not None and self.buf.seconds >= stop_s or
-                    stop_bytes is not None and self.buf.bytes >= stop_bytes):
+            if (stop_s is not None and buf.seconds >= stop_s or
+                    stop_bytes is not None and buf.bytes >= stop_bytes):
                 self._stopped = True
                 break
-            if enter_buffer and self.content_done:
+            if (enter_buffer
+                    and duration - self.delivered_content_s <= CONTENT_DONE_S):
                 break
             while self.t >= boundary - TIE_S:
                 # a boundary within TIE_S of the clock counts as reached;
@@ -695,113 +677,132 @@ class _Engine:
                         boundary = start
                         break
                     i += 1
-            window_open = window_s is not None and self.buf.seconds < window_s
+            window_open = window_s is not None and buf.seconds < window_s
             rate = min(link_bps, math.inf if window_open else rate_cap_bps)
             if rate <= 0:
                 if boundary is math.inf:
-                    self.log.notes.append("link starved with no recovery")
+                    lg.notes.append("link starved with no recovery")
                     self.starved = True
                     break
                 self.advance(boundary)
                 continue
-            buffered = 1.0 if enter_buffer else 0.0   # share of step buffered
-            dt = min(EVENT_TICK_S, boundary - self.t)
+            t, n = self.t, 0
+            dt = min(EVENT_TICK_S, boundary - t)
             if dt == EVENT_TICK_S:
                 step = rate * dt / 8.0
                 dt = step * 8.0 / rate
-                n = self._whole_ticks(step, dt, buffered * step, crate,
-                                      boundary, budget - moved, stop_s,
-                                      stop_bytes, window_s, window_open)
-                if n > 0:
-                    self._jump(conn, n, step, dt, buffered * step, crate)
-                    moved += n * step
-                    continue
-            dt = min(EVENT_TICK_S, boundary - self.t)
-            step = rate * dt / 8.0
-            if enter_buffer:
-                step = min(step, self.stream.bytes_for_content(
-                    self.delivered_content_s, self.stream.duration_s)
-                    if crate is None else self.content_remaining_s * crate / 8.0)
-            step = min(step, budget - moved)
-            dt = step * 8.0 / rate
-            self.advance(self.t + dt)
-            self._fill(buffered * step, crate, 0.0)
-            self._add_ticks(conn, step, dt, 1, BufferSample(
-                self.t, self.buf.seconds, self.buf.bytes))
-            self._post_arrival()
-            moved += step
-        return moved
-
-    def _whole_ticks(self, step: float, dt: float, nbytes: float,
-                     crate: Optional[float], boundary: float,
-                     budget_left: float, stop_s: Optional[float],
-                     stop_bytes: Optional[float], window_s: Optional[float],
-                     window_open: bool) -> int:
-        """Whole ticks of step bytes, nbytes of them buffered at content
-        rate crate, that can be applied in closed form.
-
-        The next link boundary is known exactly: the run takes every whole
-        tick up to it, within TIE_S.  Each other decision point is a linear
-        function of the tick count until it is crossed; the run stops short
-        of the earliest predicted crossing by a tick, so the crossing itself
-        is stepped singly.  A VBR stream's content per tick lies between
-        what its highest and its lowest rate bring, so its crossings are
-        bounded with those; the bound is then taken again from the exact
-        state at the run's end, until it gains less than a tick.
-        """
-        played = dt if self.playing else 0.0   # content seconds per tick
-        if crate is None:
-            lo, hi = (nbytes * 8.0 / r for r in reversed(self.buf.rates_bps))
-        else:
-            lo = hi = nbytes * 8.0 / crate
-        up, down = hi - played, lo - played    # most and least buffer gain
-        # ticks of less than CONTENT_DONE_S of content stop short of it, so
-        # the start and resume rules see it on a stepped tick
-        done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
-        to_link = (boundary - self.t + TIE_S) / dt
-        n, gained = 0, 0.0     # ticks taken, and the content they bring
-        while True:
-            b = self.buf.seconds + gained - n * played
-            x = budget_left / step - n
-            if nbytes > 0:
-                x = min(x, (self.content_remaining_s - gained - done_s) / hi)
-            if stop_s is not None:
-                x = min(x, _ticks_to(stop_s - b, up))
-            if stop_bytes is not None:
-                x = min(x, _ticks_to(stop_bytes - self.buf.bytes,
-                                     step - played * self.buf.min_byte_rate()))
-            if window_s is not None:
-                x = min(x, _ticks_to(window_s - b, up) if window_open
-                        else _ticks_to(b - window_s, -down))
-            if self.playback_start is None:
-                x = min(x, _ticks_to(self.start_threshold_s - b, up)
-                        if self.start_at is None
-                        else (self.start_at - self.t) / dt - n)
-            elif self.stalled:
-                x = min(x, _ticks_to(self.playback.resume_threshold_s - b, up))
+                held = buffered * step      # bytes a tick buffers
+                playing = self.playback_start is not None and not self.stalled
+                played = dt if playing else 0.0   # content seconds a tick
+                if crate is None:
+                    lo, hi = held * 8.0 / highest, held * 8.0 / lowest
+                else:
+                    lo = hi = held * 8.0 / crate
+                up, down = hi - played, lo - played  # most, least buffer gain
+                # ticks of less than CONTENT_DONE_S of content stop short of
+                # it, so the start and resume rules see it on a stepped tick
+                done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
+                to_link = (boundary - t + TIE_S) / dt
+                gained = 0.0     # the content the ticks taken bring
+                while True:
+                    b = buf.seconds + gained - n * played
+                    # the ticks to each crossing: x keeps the least, as min
+                    # would, without a call per crossing
+                    x = left / step - n
+                    if held > 0:
+                        y = (duration - self.delivered_content_s - gained
+                             - done_s) / hi
+                        if y < x:
+                            x = y
+                    if stop_s is not None:
+                        y = _ticks_to(stop_s - b, up)
+                        if y < x:
+                            x = y
+                    if stop_bytes is not None:
+                        y = _ticks_to(stop_bytes - buf.bytes, step
+                                      - played * buf.min_byte_rate())
+                        if y < x:
+                            x = y
+                    if window_s is not None:
+                        y = (_ticks_to(window_s - b, up) if window_open
+                             else _ticks_to(b - window_s, -down))
+                        if y < x:
+                            x = y
+                    if self.playback_start is None:
+                        y = (_ticks_to(self.start_threshold_s - b, up)
+                             if self.start_at is None
+                             else (self.start_at - t) / dt - n)
+                    elif self.stalled:
+                        y = _ticks_to(self.playback.resume_threshold_s - b, up)
+                    else:
+                        y = _ticks_to(b - dt - 1e-6, -down)
+                    if y < x:
+                        x = y
+                    if playing:
+                        y = (self.watch_end_s - lg.content_consumed_s
+                             - n * played - 1e-6) / dt
+                        if y < x:
+                            x = y
+                    x, y = x - 1.0, to_link - n
+                    more = int(y if y < x else x)
+                    if more < 1:
+                        break
+                    n += more
+                    if crate is not None or stop_bytes is not None:
+                        break
+                    gained += stream.seconds_for_bytes(
+                        self.delivered_content_s + gained, more * held)
+            stepped = n == 0
+            if stepped:
+                dt = min(EVENT_TICK_S, boundary - t)
+                step = rate * dt / 8.0
+                if enter_buffer:
+                    step = min(step, stream.bytes_for_content(
+                        self.delivered_content_s, duration)
+                        if crate is None
+                        else self.content_remaining_s * crate / 8.0)
+                step = min(step, left)
+                dt = step * 8.0 / rate
+                self.advance(t + dt)
+                n, t = 1, self.t
+                s0, b0 = self._fill(buffered * step, crate, 0.0)
             else:
-                watch_left = (self.watch_end_s - self.log.content_consumed_s
-                              - n * played)
-                x = min(x, _ticks_to(b - dt - 1e-6, -down),
-                        (watch_left - 1e-6) / dt)
-            more = int(min(x - 1.0, to_link - n))
-            if more < 1:
-                return n
-            n += more
-            if crate is not None or stop_bytes is not None:
-                return n
-            gained += self.stream.seconds_for_bytes(
-                self.delivered_content_s + gained, more * nbytes)
-
-    def _jump(self, conn: int, n: int, step: float, dt: float,
-              nbytes: float, crate: Optional[float]) -> None:
-        """Apply n whole ticks that cross no decision point: the first on
-        its own, so the span starts at its exact level, then the rest."""
-        played = dt if self.playing else 0.0
-        self._fill(nbytes, crate, played)
-        first = BufferSample(self.t + dt, self.buf.seconds, self.buf.bytes)
-        self._fill((n - 1) * nbytes, crate, (n - 1) * played)
-        self._add_ticks(conn, step, dt, n, first)
+                s0, b0 = self._fill(held, crate, played, n)
+                t += dt
+            # the n ticks, the first at t leaving s0 s and b0 B buffered;
+            # the clock goes to the span's last tick, however runs cut it
+            lg.bytes_delivered += n * step
+            dbuffer_s = (buf.seconds - s0) / (n - 1) if n > 1 else 0.0
+            sp = self._open_span
+            joins = (sp is not None and sp.connection_id == conn
+                     and sp.nbytes == step and sp.dt_s == dt
+                     and abs(sp.t_s + sp.n * dt - t) <= TIE_S)
+            if joins:
+                d = sp.dbuffer_s if sp.n > 1 else s0 - sp.buffer_s
+                joins = (abs(sp.buffer_s + sp.n * d - s0) <= TIE_S
+                         and abs(sp.buffer_s + (sp.n + n - 1) * d
+                                 - (s0 + (n - 1) * dbuffer_s)) <= TIE_S)
+            if joins:
+                sp.n += n
+                sp.dbuffer_s = d
+                self.t = sp.t_s + (sp.n - 1) * dt   # its last tick
+                if self._tail:
+                    samples.pop()
+            else:
+                sp = TransferSpan(t, dt, n, conn, step, s0, dbuffer_s)
+                self.events.append(sp)
+                lg.records.items.append(sp)
+                self._open_span = sp
+                samples.append(_new_sample((t, s0, b0)))
+                self.t = t + (n - 1) * dt
+            # the timeline keeps the first and the last tick of each span
+            self._tail = sp.n > 1
+            if self._tail:
+                samples.append(_new_sample((self.t, buf.seconds, buf.bytes)))
+            if stepped:
+                self._post_arrival()
+            moved += n * step
+        return moved
 
     def deliver_aux(self, conn: int, nbytes: float) -> float:
         """Move bytes that never enter the playback buffer (re-downloaded
@@ -932,7 +933,7 @@ class _Engine:
                       lower_s: Optional[float]) -> int:
         """Whole repeats of cycle c, from its end, that can be applied in
         closed form: the run stops a cycle short of the earliest predicted
-        decision point, as _whole_ticks does for ticks.  A gated loop's
+        decision point, as a run step does for ticks.  A gated loop's
         repeats keep their samples, so it runs up to the exact end of the
         content: the repeat that brings it within CONTENT_DONE_S."""
         p, b = c.period_s, self.buf.seconds
@@ -1052,7 +1053,7 @@ class _Engine:
         # tick is on the same or a newer connection.  So sorting runs by
         # their first tick sorts the ticks (a probe and its window update
         # share a time and swap), as in each train's cycle.
-        self.events.sort(key=lambda it: it.sort_key())
+        self.events.sort(key=methodcaller("sort_key"))
         return TickSeq(self.events, TransferSpan.event), self.log
 
     def _end_stalled(self, since: float, end: float) -> None:
@@ -1216,10 +1217,8 @@ def _measured_bandwidth(eng: _Engine, nbytes: float, t0: float) -> float:
 def _run_hls(eng: _Engine, tech: Hls) -> None:
     ladder = list(tech.ladder)
     state = {"rung": 0, "up": 0, "down": 0}
-    conn = eng.open_connection()
-    audio_conn = eng.open_connection() if tech.audio_video_split else conn
-    eng.wait_until(eng.link.rtt_s)
-    eng.mark_on()
+    conn = eng.request(2 if tech.audio_video_split else 1)
+    audio_conn = conn + 1 if tech.audio_video_split else conn
 
     def switch_up() -> None:
         eng.log.quality_switches.append(

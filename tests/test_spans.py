@@ -664,13 +664,16 @@ def _stored_runs(res):
 def test_long_link_costs_a_run_per_decision(seed, monkeypatch):
     """A run reaches each link boundary it crosses; a boundary the refill
     cap hides on the tick grid is no decision point at all, so it costs no
-    run of the engine either, even where the span would join up."""
-    jumps = []
-    jump = delivery._Engine._jump
-    monkeypatch.setattr(delivery._Engine, "_jump",
-                        lambda eng, *a: jumps.append(a) or jump(eng, *a))
+    run of the engine either, even where the span would join up.  Each
+    run step, a run of whole ticks or one stepped tick, buffers its ticks
+    through one _fill call, as does each jump of a train's repeats, so the
+    calls bound the steps."""
+    fills = []
+    fill = delivery._Engine._fill
+    monkeypatch.setattr(delivery._Engine, "_fill",
+                        lambda eng, *a: fills.append(a) or fill(eng, *a))
     res = run_session(_long_inputs(seed)[0])
-    assert len(jumps) <= 700
+    assert len(fills) <= 700
     assert _stored_runs(res) <= 700
     assert len(res.dlog.to_csv_lines()) <= 700
 
@@ -701,3 +704,35 @@ def test_long_vbr_costs_a_run_per_threshold(seed):
     res = run_session(_long_inputs(seed)[1])
     assert _stored_runs(res) <= 24
     assert len(res.dlog.to_csv_lines()) <= 50
+
+
+def _artifact_texts(res):
+    """The four artifacts, as `streamsim simulate` writes them: the
+    summary JSON, buffer.csv, radio_timeline.csv and delivery_log.csv."""
+    radio = ["t_start_s,t_end_s,state,current_mA"] + [
+        f"{t0:.6f},{t1:.6f},{state},{ma:.3f}"
+        for t0, t1, state, ma in res.radio.to_csv_rows()]
+    return [res.summary.to_json() + "\n"] + [
+        "\n".join(lines) + "\n" for lines in
+        (res.buffer.to_csv_lines(), radio, res.dlog.to_csv_lines())]
+
+
+@pytest.mark.parametrize("case,counts,digest", [
+    ("link3000", {"stored_runs": 651, "ticks": 5674, "log_rows": 675,
+                  "buffer_samples": 1295},
+     "8dd5007d24e2fbe84206b454bc9c950e7fd36dede8b616f82ec4c6d5095ddc0b"),
+    ("vbr600", {"stored_runs": 18, "ticks": 5354, "log_rows": 42,
+                "buffer_samples": 36},
+     "e87fa755a9d6e9840635b25deae0937f51b54d55088bdac15bc801e1dd6b7446")])
+def test_long_inputs_are_pinned(case, counts, digest):
+    """The seed-1 long inputs' run report counts and the SHA-256 of their
+    four artifacts, so that a change to how the engine applies a run
+    moves neither, down to the last digit written."""
+    res = _radio_session(case)
+    assert res.stats["counts"] == {
+        **counts, "radio_intervals": 10, "radio_runs": 10, "connections": 5,
+        "quality_switches": 0, "notes": 0}
+    h = hashlib.sha256()
+    for text in _artifact_texts(res):
+        h.update(text.encode())
+    assert h.hexdigest() == digest
