@@ -678,7 +678,8 @@ class _Engine:
                         break
                     i += 1
             window_open = window_s is not None and buf.seconds < window_s
-            rate = min(link_bps, math.inf if window_open else rate_cap_bps)
+            rate = (rate_cap_bps if not window_open and rate_cap_bps < link_bps
+                    else link_bps)
             if rate <= 0:
                 if boundary is math.inf:
                     lg.notes.append("link starved with no recovery")
@@ -687,8 +688,8 @@ class _Engine:
                 self.advance(boundary)
                 continue
             t, n = self.t, 0
-            dt = min(EVENT_TICK_S, boundary - t)
-            if dt == EVENT_TICK_S:
+            if boundary - t >= EVENT_TICK_S:   # a whole tick fits
+                dt = EVENT_TICK_S
                 step = rate * dt / 8.0
                 dt = step * 8.0 / rate
                 held = buffered * step      # bytes a tick buffers
@@ -714,8 +715,10 @@ class _Engine:
                              - done_s) / hi
                         if y < x:
                             x = y
-                    if stop_s is not None:
-                        y = _ticks_to(stop_s - b, up)
+                    if stop_s is not None:   # _ticks_to(stop_s - b, up)
+                        y = stop_s - b
+                        y = (0.0 if y <= 0 else y / up if up > 0
+                             else math.inf)
                         if y < x:
                             x = y
                     if stop_bytes is not None:
@@ -734,8 +737,10 @@ class _Engine:
                              else (self.start_at - t) / dt - n)
                     elif self.stalled:
                         y = _ticks_to(self.playback.resume_threshold_s - b, up)
-                    else:
-                        y = _ticks_to(b - dt - 1e-6, -down)
+                    else:   # _ticks_to(b - dt - 1e-6, -down)
+                        y = b - dt - 1e-6
+                        y = (0.0 if y <= 0 else y / -down if down < 0
+                             else math.inf)
                     if y < x:
                         x = y
                     if playing:

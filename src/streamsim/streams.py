@@ -340,6 +340,9 @@ class TickSeq(Sequence):
     def __len__(self) -> int:
         return sum(map(_size, self.items))
 
+    def __bool__(self) -> bool:   # no stored entry stands for zero ticks
+        return bool(self.items)
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             return list(self)[index]
@@ -407,28 +410,30 @@ class StreamSpec(Record):
                     f"size_bytes is {self.size_bytes:.0f} B (>1% apart)")
 
     def _index_vbr(self, tr: list[tuple[float, float]]) -> None:
-        """Index the sorted trace from t=0 for O(log n) lookups.
+        """Index the sorted trace from t=0 for lookups by bisection.
 
         Content starts at 0, so breakpoints at or before 0 collapse into
-        the rate in effect at 0.  The bytes in [0, times[k]] are
-        cum[k] + err[k]: each prefix sum carries its exact rounding error
-        (TwoSum), so the difference of two nearby prefixes deep into a long
-        trace keeps full relative precision.
+        the rate in effect at 0.  Segment k holds seg[k] bytes, and the
+        bytes in [0, times[k]] are cum[k] + err[k]: each prefix sum carries
+        its exact rounding error (TwoSum), so the difference of two nearby
+        prefixes deep into a long trace keeps full relative precision.
         """
         times = [t for t, _ in tr]
         k0 = bisect_right(times, 0.0) - 1
         times = [0.0] + times[k0 + 1:]
         rates = [rate for _, rate in tr[k0:]]
+        seg = [rates[k] * (times[k + 1] - times[k]) / 8.0
+               for k in range(len(times) - 1)]
         cum, err = [0.0], [0.0]
-        for k in range(1, len(times)):
+        for x in seg:
             a = cum[-1]
-            x = rates[k - 1] * (times[k] - times[k - 1]) / 8.0
             s = a + x
             bv = s - a
             err.append(err[-1] + ((a - (s - bv)) + (x - bv)))
             cum.append(s)
         object.__setattr__(self, "_vbr_times", times)
         object.__setattr__(self, "_vbr_rates", rates)
+        object.__setattr__(self, "_vbr_seg", seg)
         object.__setattr__(self, "_vbr_cum", cum)
         object.__setattr__(self, "_vbr_err", err)
 
@@ -470,22 +475,22 @@ class StreamSpec(Record):
         """Content seconds covered by nbytes starting at position from_pos_s."""
         if self.vbr_trace is None:
             return nbytes / self.bytes_per_second
-        left = nbytes
-        pos = from_pos_s
-        times, rates = self._vbr_times, self._vbr_rates
-        n = len(times)
-        for i in range(max(bisect_right(times, pos) - 1, 0), n):
-            t0, rate = times[i], rates[i]
-            t1 = times[i + 1] if i + 1 < n else math.inf
-            if t1 <= pos:
-                continue
-            lo = max(pos, t0)
-            span_bytes = rate * (t1 - lo) / 8.0
-            if span_bytes >= left or t1 is math.inf:
-                return (lo - from_pos_s) + left * 8.0 / rate
-            left -= span_bytes
-            pos = t1
-        return pos - from_pos_s
+        times, rates, seg = self._vbr_times, self._vbr_rates, self._vbr_seg
+        last = len(seg)   # the open-ended segment's index
+        i = max(bisect_right(times, from_pos_s) - 1, 0)
+        lo, left = max(from_pos_s, times[i]), nbytes
+        if i < last:
+            span = rates[i] * (times[i + 1] - lo) / 8.0   # the start's rest
+            if span < left:
+                left -= span
+                for i in range(i + 1, last):   # then whole segments
+                    if seg[i] >= left:
+                        break
+                    left -= seg[i]
+                else:
+                    i = last
+                lo = times[i]
+        return (lo - from_pos_s) + left * 8.0 / rates[i]
 
 
 class LinkModel(Record):

@@ -14,7 +14,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, Mss, OnOffM, OnOffS,
                        PacketEvent, StreamSpec, Throttling, WifiPsmConfig,
                        compute_buffer, delivery, preset, radio,
-                       simulate_radio, simulate_session)
+                       simulate_radio, simulate_session, streams)
 from streamsim.delivery import LogRecord, _data_record
 from streamsim.energy import integrate_energy
 from streamsim.radio import promotion_latency
@@ -228,6 +228,17 @@ def test_tick_seq_expands_trains_of_packets():
         seq[11]
     with pytest.raises(IndexError):
         seq[-12]
+
+
+def test_tick_seq_truth_sums_no_sizes(monkeypatch):
+    """A view is true when it stores any entry: none stands for zero
+    ticks, so its truth reads no entry's size."""
+    span = TransferSpan(1.0, 0.5, 3, 0, 1000.4)
+    train = ChunkTrain((span,), 2, 5.0, 0.0)
+    monkeypatch.setattr(streams, "_size", None)   # a size read would raise
+    assert not TickSeq([], TransferSpan.event)
+    assert TickSeq([span], TransferSpan.event)
+    assert TickSeq([train], TransferSpan.event)
 
 
 def test_delivery_log_rows_are_runs_and_decisions(hd_stream, link4):
@@ -704,6 +715,19 @@ def test_long_vbr_costs_a_run_per_threshold(seed):
     res = run_session(_long_inputs(seed)[1])
     assert _stored_runs(res) <= 24
     assert len(res.dlog.to_csv_lines()) <= 50
+
+
+def test_long_vbr_lookups_are_pinned(monkeypatch):
+    """The seed-1 VBR session's content lookups, counted, so a change that
+    adds lookups shows as a count."""
+    calls = {"seconds_for_bytes": 0, "bytes_for_content": 0}
+    for name in calls:
+        def counting(stream, *args, _name=name, _f=getattr(StreamSpec, name)):
+            calls[_name] += 1
+            return _f(stream, *args)
+        monkeypatch.setattr(StreamSpec, name, counting)
+    run_session(_long_inputs(1)[1])
+    assert calls == {"seconds_for_bytes": 124, "bytes_for_content": 82}
 
 
 def _artifact_texts(res):

@@ -205,6 +205,33 @@ def test_vbr_lookups_equal_linear_reference(seed, n, first):
         assert s.bytes_for_content(a, b) == pytest.approx(ref, rel=1e-12)
 
 
+# 1e5, 3e5 and 5e5 B/s to 30 s, with a zero-length segment at 20 s, then
+# 2e5 B/s: every byte count and time below is exact in binary
+EDGE_TRACE = [(0.0, 8e5), (10.0, 2.4e6), (20.0, 1.6e6), (20.0, 4e6),
+              (30.0, 1.6e6)]
+
+
+@pytest.mark.parametrize("trace, from_pos_s, nbytes, want", [
+    (EDGE_TRACE, 10.0, 6e5, 2.0),            # a start on a breakpoint
+    (EDGE_TRACE, 20.0, 5e5, 1.0),            # on the repeated one
+    (EDGE_TRACE, 35.0, 4e5, 2.0),            # a start past the last
+    (EDGE_TRACE, 15.0, 2e6, 6.0),            # over the zero-length segment
+    (EDGE_TRACE, 5.0, 3.5e6, 15.0),          # to a segment's end exactly
+    (EDGE_TRACE, 5.0, 8.5e6, 25.0),          # to the last breakpoint
+    (EDGE_TRACE, 5.0, 9e6, 27.5),            # and on past it
+    (EDGE_TRACE, 5.0, 0.0, 0.0),
+    (EDGE_TRACE, 0.0, 0.0, 0.0),
+    ([(0.0, 8e5)], 3.0, 2.5e5, 2.5),         # a one-breakpoint trace
+    ([(0.0, 8e5)], 3.0, 0.0, 0.0),
+])
+def test_vbr_seconds_for_bytes_edges(trace, from_pos_s, nbytes, want):
+    s = StreamSpec(duration_s=40.0, encoding_rate_bps=8e5, vbr_trace=trace,
+                   size_bytes=_ref_vbr_bytes_between(sorted(trace), 0.0, 40.0))
+    got = s.seconds_for_bytes(from_pos_s, nbytes)
+    assert got == _ref_seconds_for_bytes(s.vbr_trace, from_pos_s, nbytes)
+    assert got == want
+
+
 @pytest.mark.parametrize("field,value", [
     ("duration_s", math.inf), ("duration_s", math.nan),
     ("encoding_rate_bps", math.inf), ("encoding_rate_bps", math.nan),
