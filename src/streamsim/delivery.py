@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, MutableRecord, PacketEvent,
-                      StreamSpec, TickSeq, TransferSpan)
+                      StreamSpec, TickSeq, TransferSpan, fold_sum)
 from .techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM, OnOffS,
                          FASTSTART_TARGET_S, RESUME_THRESHOLD_S,
                          START_THRESHOLD_S, Technique, Throttling)
@@ -247,7 +247,7 @@ class DeliveryLog(MutableRecord):
             if train and it.m > 1:
                 *_, last = (e for e in it.repeats(it.m - 1)
                             if isinstance(e, TransferSpan))
-                yield _run_row(last, "repeat", (it.m - 1) * sum(
+                yield _run_row(last, "repeat", (it.m - 1) * fold_sum(
                     s.n * s.nbytes for s in it.cycle
                     if isinstance(s, TransferSpan)))
 
@@ -258,22 +258,18 @@ class DeliveryLog(MutableRecord):
                          f"{r.bytes:.1f},{r.buffer_s_after:.6f}")
         return lines
 
-    def steady_off_durations(self) -> list[float]:
-        return [b - a for a, b in self.off_spans]
-
 
 class _Buffer:
     """FIFO of buffered content segments [seconds, bytes, content rate].
 
     Per-segment byte rates keep byte conservation exact for rate-adaptive
     sessions where buffered seconds were fetched at different rung rates.
-    Content enters through _Engine._fill, and joins the newest segment if
-    it has its rate.  A VBR stream's own content has rate None: its bytes
-    are the stream's own, so they are exact too.
+    Content enters and leaves through _Engine._fill, and joins the newest
+    segment if it has its rate.  A VBR stream's own content has rate None:
+    its bytes are the stream's own, so they are exact too.
     """
 
     def __init__(self, stream: StreamSpec):
-        self.stream = stream
         self.rates_bps = stream.rate_range_bps()
         self.segments: deque[list] = deque()
         self.seconds = 0.0
@@ -283,38 +279,6 @@ class _Buffer:
         """Lowest bytes per content second among the buffered segments."""
         return min((seg[2] or self.rates_bps[0] for seg in self.segments),
                    default=0.0) / 8.0
-
-    def consume(self, seconds: float, pos_s: float) -> float:
-        """Remove seconds of content, the first at content position pos_s,
-        returning the bytes they held."""
-        taken = 0.0
-        left = seconds
-        while left > TIE_S and self.segments:
-            seg = self.segments[0]
-            if seg[0] <= left + TIE_S:
-                left -= seg[0]
-                pos_s += seg[0]
-                taken += seg[1]
-                self.seconds -= seg[0]
-                self.bytes -= seg[1]
-                self.segments.popleft()
-            else:
-                if seg[2] is None:
-                    b = min(self.stream.bytes_for_content(pos_s, pos_s + left),
-                            seg[1])
-                else:
-                    b = seg[1] * (left / seg[0])
-                seg[0] -= left
-                seg[1] -= b
-                self.seconds -= left
-                self.bytes -= b
-                taken += b
-                left = 0.0
-        if self.seconds < 0.0:
-            self.seconds = 0.0
-        if self.bytes < 0.0:
-            self.bytes = 0.0
-        return taken
 
     def drop_all(self) -> tuple[float, float]:
         """Discard everything buffered; returns (seconds, bytes)."""
@@ -493,8 +457,7 @@ class _Engine:
             dt = min(to_t - self.t, buf.seconds,
                      self.watch_end_s - lg.content_consumed_s)
             if dt > 0:
-                lg.bytes_consumed += buf.consume(dt, lg.content_consumed_s)
-                lg.content_consumed_s += dt
+                self._fill(0.0, None, dt)
                 self.t += dt
             if (lg.content_consumed_s >= self.watch_end_s - DONE_TOL_S
                     or (buf.seconds <= TIE_S and self.content_done)):
@@ -538,8 +501,9 @@ class _Engine:
         seconds: the first on its own, so the level after it is exact,
         then the other n - 1 at once.  Returns the buffered seconds and
         bytes after the first."""
-        buf, lg, segs, first = self.buf, self.log, self.buf.segments, None
-        for b, p in ((nbytes, played), ((n - 1) * nbytes, (n - 1) * played)):
+        buf, lg, segs = self.buf, self.log, self.buf.segments
+        b, p, first = nbytes, played, None
+        while True:
             if b > 0:
                 secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
                                                       b)
@@ -555,14 +519,39 @@ class _Engine:
                 self._pushed += b
                 self.delivered_content_s += secs
                 lg.content_delivered_s += secs
-            if p:
-                lg.bytes_consumed += buf.consume(p, lg.content_consumed_s)
-                lg.content_consumed_s += p
-            if first is None:
-                first = buf.seconds, buf.bytes
-                if n == 1:
+            if p:   # play p seconds from the oldest segments on
+                taken, left, pos = 0.0, p, lg.content_consumed_s
+                while left > TIE_S and segs:
+                    seg = segs[0]
+                    if seg[0] <= left + TIE_S:
+                        left -= seg[0]
+                        pos += seg[0]
+                        taken += seg[1]
+                        buf.seconds -= seg[0]
+                        buf.bytes -= seg[1]
+                        segs.popleft()
+                        continue
+                    part = (seg[1] * (left / seg[0]) if seg[2] is not None
+                            else min(self.stream.bytes_for_content(
+                                pos, pos + left), seg[1]))
+                    seg[0] -= left
+                    seg[1] -= part
+                    buf.seconds -= left
+                    buf.bytes -= part
+                    taken += part
                     break
-        return first
+                if buf.seconds < 0.0:
+                    buf.seconds = 0.0
+                if buf.bytes < 0.0:
+                    buf.bytes = 0.0
+                lg.bytes_consumed += taken
+                lg.content_consumed_s += p
+            if first is not None:
+                return first
+            first = buf.seconds, buf.bytes
+            if n == 1:
+                return first
+            b, p = (n - 1) * nbytes, (n - 1) * played
 
     # -- wire --------------------------------------------------------------
 
@@ -648,7 +637,8 @@ class _Engine:
         buffered = 1.0 if enter_buffer else 0.0   # share of a tick buffered
         segs = self.link.segments
         last = len(segs) - 1
-        link_bps, boundary = 0.0, -math.inf   # the link segment holding t
+        # the link segment holding t: sought once, then walked forward
+        i, link_bps, boundary = self.link.segment_index(self.t), 0.0, -math.inf
         while not (self.finished or self.starved):
             left = budget - moved
             if left <= 0.5:
@@ -662,8 +652,10 @@ class _Engine:
                 break
             while self.t >= boundary - TIE_S:
                 # a boundary within TIE_S of the clock counts as reached;
-                # a wait may have passed more, so seek
-                i = self.link.segment_index(max(self.t, boundary))
+                # a wait may have passed more: walk to max(t, boundary)
+                t = self.t if self.t > boundary else boundary
+                while i < last and segs[i + 1][0] <= t:
+                    i += 1
                 link_bps = segs[i][1]
                 # one the cap hides on a tick edge changes neither the
                 # rate nor the ticks: it is no decision point
@@ -972,7 +964,7 @@ class _Engine:
         (the sawtooth)."""
         lg, pb, p, d = self.log, self.playback, trains[0].period_s, c.dbuffer_s
         shifts = range(1, m + 1)
-        delivered = sum(s.n * s.nbytes for s in c.spans)
+        delivered = fold_sum(s.n * s.nbytes for s in c.spans)
         if lower_s is not None:
             pb.samples += [
                 BufferSample(s.t_s + j * p, s.buffered_seconds + j * d,

@@ -17,7 +17,8 @@ from typing import Iterable, Optional
 
 from .delivery import JOIN_FAILURE_S, BufferTimeline, replay_arrivals
 from .radio import promotion_latency
-from .streams import LinkModel, MutableRecord, PacketEvent, StreamSpec
+from .streams import (LinkModel, MutableRecord, PacketEvent, StreamSpec,
+                      fold_sum)
 from .techniques import RESUME_THRESHOLD_S, START_THRESHOLD_S, Technique
 
 
@@ -35,7 +36,7 @@ class QoeReport(MutableRecord):
 
     @property
     def stall_total_s(self) -> float:
-        return sum(d for _, d in self.stall_events)
+        return fold_sum(d for _, d in self.stall_events)
 
 
 def joining_time(tech: Technique, stream: StreamSpec, link: LinkModel,
@@ -86,6 +87,6 @@ def detect_stalls(buffer: BufferTimeline,
     if resume_threshold_s not in (None, buffer.resume_threshold_s):
         raise ValueError("the stalls were decided at a resume threshold of "
                          f"{buffer.resume_threshold_s} s")
-    total = sum(d for _, d in buffer.stall_events)
+    total = fold_sum(d for _, d in buffer.stall_events)
     ratio = total / buffer.duration_s if buffer.duration_s > 0 else 0.0
     return QoeReport(buffer.joining_time_s, buffer.stall_events, ratio)

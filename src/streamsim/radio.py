@@ -172,15 +172,15 @@ class RadioTimeline(MutableRecord):
         return self._end if self._runs else 0.0
 
     def totals(self) -> tuple[dict[str, float], float]:
-        """Seconds per state and the charge (mA * s), each summed in
-        interval order."""
+        """Seconds per state and the charge (mA * s), each added left to
+        right in interval order (as fold_sum does)."""
         out: dict[str, float] = {}
-        charge = []
+        charge = 0
         for state, t0, t1, ma in self.spans():
             d = t1 - t0
             out[state] = out.get(state, 0.0) + d
-            charge.append(ma * d)
-        return out, sum(charge)
+            charge += ma * d
+        return out, charge
 
     def residency(self) -> dict[str, float]:
         """Seconds spent per state label."""

@@ -6,7 +6,9 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
-from typing import Callable, ClassVar, Optional
+from functools import reduce
+from operator import add
+from typing import Callable, ClassVar, Iterable, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
 _KIND_ORDER = {k: i for i, k in enumerate(EVENT_KINDS)}
@@ -15,6 +17,12 @@ _KIND_ORDER = {k: i for i, k in enumerate(EVENT_KINDS)}
 REQUEST_BYTES = 500
 PROBE_BYTES = 60
 FLOW_CONTROL_BYTES = 60
+
+
+def fold_sum(values: Iterable) -> float:
+    """sum() as before CPython 3.12, which compensates float round-off:
+    left to right, each addition rounded, so the same on every CPython."""
+    return reduce(add, values, 0)
 
 
 def domain(default=MISSING, *, gt=None, ge=None, le=None, inf=False):
@@ -467,12 +475,16 @@ class StreamSpec(Record):
 
     def bytes_for_content(self, a_s: float, b_s: float) -> float:
         """Bytes of content between playback positions a_s and b_s."""
+        if math.isnan(a_s) or math.isnan(b_s):
+            raise ValueError("a content position cannot be NaN")
         if self.vbr_trace is None:
             return max(b_s - a_s, 0.0) * self.bytes_per_second
         return self._vbr_bytes_between(a_s, b_s)
 
     def seconds_for_bytes(self, from_pos_s: float, nbytes: float) -> float:
         """Content seconds covered by nbytes starting at position from_pos_s."""
+        if math.isnan(from_pos_s):
+            raise ValueError("a content position cannot be NaN")
         if self.vbr_trace is None:
             return nbytes / self.bytes_per_second
         times, rates, seg = self._vbr_times, self._vbr_rates, self._vbr_seg

@@ -38,3 +38,8 @@ def make_scenario(stream, link, tech, radio_tech="hspa", profile=None,
     return Scenario(stream=stream, link=link, technique=tech,
                     radio_tech=radio_tech, radio_cfg=cfg, profile=profile,
                     abandon_at_s=abandon_at_s)
+
+
+def steady_off_durations(dlog):
+    """The length of each OFF period in a delivery log."""
+    return [b - a for a, b in dlog.off_spans]

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import make_scenario
+from conftest import make_scenario, steady_off_durations
 from oracles import (hspa_energy, lte_energy, quantize_events, step_hspa,
                      step_lte, step_wifi, wifi_energy)
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
@@ -121,7 +121,7 @@ def test_criterion_06_onoff_mechanics():
     with criterion(6, "OFF=60+-1s fixed, refill at 40s, probe caps exactly "
                       "5s and 10s"):
         _, dlog = simulate_session(HD, LINK4, preset("youtube_onoffm"))
-        offs = dlog.steady_off_durations()
+        offs = steady_off_durations(dlog)
         assert offs and all(abs(o - 60.0) <= 1.0 for o in offs), offs
 
         _, dlog2 = simulate_session(HD, LINK4, OnOffM(upper_s=100, lower_s=40))

@@ -3,6 +3,7 @@ import statistics
 
 import pytest
 
+from conftest import steady_off_durations
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss, OnOffM,
                        OnOffS, PacketEvent, StreamSpec, Throttling, preset,
                        simulate_multi_connection_waste, simulate_session)
@@ -167,7 +168,7 @@ def test_onoff_s_netflix_probe_cap_exactly_10s(hd_stream, link4):
     events, dlog = simulate_session(hd_stream, link4, preset("netflix_onoffs"))
     gaps = _probe_timer_gaps(events)
     assert max(gaps) == pytest.approx(10.0, abs=1e-6)
-    offs = dlog.steady_off_durations()
+    offs = steady_off_durations(dlog)
     assert all(abs(o - 30.0) < 0.5 for o in offs[:-1])
 
 
@@ -186,7 +187,7 @@ def test_onoff_s_off_duration_tracks_upper(ld_stream):
     tech = OnOffS(upper_bytes=5 * 1024 * 1024, lower_s=0.5,
                   keepalive_interval_s=16.0)
     _, dlog = simulate_session(ld_stream, link, tech)
-    offs = dlog.steady_off_durations()[:-1]
+    offs = steady_off_durations(dlog)[:-1]
     want = 5 * 1024 * 1024 * 8 / ld_stream.encoding_rate_bps
     assert statistics.median(offs) == pytest.approx(want, rel=0.10)
 
@@ -204,7 +205,7 @@ def test_onoff_s_no_keepalives_in_netflix_mode(hd_stream, link4):
 
 def test_onoff_m_fixed_mode_off_is_60s(hd_stream, link4):
     _, dlog = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
-    offs = dlog.steady_off_durations()
+    offs = steady_off_durations(dlog)
     assert offs and all(abs(o - 60.0) <= 1.0 for o in offs)
     # 100 s upper and 40 s lower translate to a 60 s dynamic buffer
     closes = [r.buffer_s_after for r in dlog.records if r.event == "close"]
@@ -224,7 +225,7 @@ def test_onoff_m_steady_cycles_are_periodic(hd_stream, link4):
     event quantum."""
     _, dlog = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
     ons = [b - a for a, b in dlog.on_spans[1:-1]]
-    offs = dlog.steady_off_durations()[:-1]
+    offs = steady_off_durations(dlog)[:-1]
     for seq in (ons, offs):
         if len(seq) >= 2:
             assert max(seq) - min(seq) <= 5 * EVENT_TICK_S
@@ -232,7 +233,7 @@ def test_onoff_m_steady_cycles_are_periodic(hd_stream, link4):
 
 def test_onoff_m_chunked_vimeo_iphone5_off_duration(hd_stream, link4):
     events, dlog = simulate_session(hd_stream, link4, preset("vimeo_iphone5"))
-    offs = dlog.steady_off_durations()[:-1]
+    offs = steady_off_durations(dlog)[:-1]
     want = 5 * 1024 * 1024 * 8 / hd_stream.encoding_rate_bps
     assert statistics.median(offs) == pytest.approx(want, rel=0.05)
     # 30 MB fast start on the first connection

@@ -766,16 +766,21 @@ def _tick_grid_rates(cap_bps, n):
 
 def test_boundaries_the_cap_hides_are_never_sought(monkeypatch):
     """A capped transfer from t = 0 on a link whose boundaries are on the
-    tick grid: the engine seeks the link only at t = 0 and at boundaries
-    next to a segment below the cap.  Every other boundary, even one
-    next to a segment at exactly the cap, is a step to the next segment
-    inside the run, and the ticks are the per-tick engine's."""
+    tick grid: the engine seeks the link once, at t = 0, and walks on from
+    there.  Its runs start at t = 0 and at boundaries next to a segment
+    below the cap, besides the playback start's stepped ticks.  Every other
+    boundary, even one next to a segment at exactly the cap, is a step to
+    the next segment inside the run, and the ticks are the per-tick
+    engine's."""
     link = _tick_grid_link(_tick_grid_rates(GRID_CAP_BPS, 400), 0.0)
     ev_a, log_a = _capped_delivery(ref, link)
-    seeks = []
-    index = LinkModel.segment_index
+    seeks, runs = [], []
+    index, fill = LinkModel.segment_index, delivery._Engine._fill
     monkeypatch.setattr(LinkModel, "segment_index",
                         lambda lk, t: seeks.append(t) or index(lk, t))
+    # a run's _fill gets its tick count, n, with the clock at its start
+    monkeypatch.setattr(delivery._Engine, "_fill", lambda eng, *a: (
+        runs.append(eng.t) if len(a) == 4 else None) or fill(eng, *a))
     ev_b, log_b = _capped_delivery(delivery, link)
     assert _same_delivery(ev_a, log_a, ev_b, log_b, SimpleNamespace(),
                           GRID_STREAM)
@@ -783,8 +788,13 @@ def test_boundaries_the_cap_hides_are_never_sought(monkeypatch):
     segs = link.segments
     below = [t0 for (t0, bw), (_, prev) in zip(segs[1:], segs)
              if t0 < end and min(bw, prev) < GRID_CAP_BPS]
-    assert seeks[0] == 0.0
-    assert seeks[1:] == pytest.approx(below, abs=1e-9)
+    assert seeks == [0.0]
+    assert runs[0] == 0.0
+    on_boundaries = [t for t in runs
+                     if any(abs(t - t0) <= 1e-9 for t0, _ in segs)]
+    assert on_boundaries[1:] == pytest.approx(below, abs=1e-9)
+    # and one run after the playback start's stepped ticks
+    assert len(runs) == len(on_boundaries) + 1
     hidden = sum(1 for t0, _ in segs[1:] if t0 < end) - len(below)
     assert hidden > 100
 

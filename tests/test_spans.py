@@ -1,14 +1,21 @@
 """Transfer spans: the cost model and the per-tick views built on them."""
 
+import collections
 import functools
 import hashlib
+import importlib
 import importlib.resources as ir
+import math
+import operator
+import pkgutil
 import random
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
+import streamsim
 import tick_reference as ref
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, Mss, OnOffM, OnOffS,
@@ -661,8 +668,9 @@ def _long_inputs(seed):
                            enumerate(_levels(rng, 3000, 2e6, 12e6))),
                      base.link.rtt_ms)
     rate, w = base.stream.encoding_rate_bps, _levels(rng, 600, 0.5, 1.5)
+    total = functools.reduce(operator.add, w)   # left to right, as before 3.12
     stream = StreamSpec(600.0, rate, vbr_trace=[
-        (float(i), rate * x * len(w) / sum(w)) for i, x in enumerate(w)])
+        (float(i), rate * x * len(w) / total) for i, x in enumerate(w)])
     return replace(base, link=link), replace(base, stream=stream)
 
 
@@ -671,41 +679,77 @@ def _stored_runs(res):
                for it in res.events.items)
 
 
-@pytest.mark.parametrize("seed", [1, 3, 7])
-def test_long_link_costs_a_run_per_decision(seed, monkeypatch):
+@pytest.mark.parametrize("seed,steps,drains,runs", [
+    (1, 661, 23, 651), (3, 639, 24, 627), (7, 665, 24, 653)],
+    ids=["1", "3", "7"])
+def test_long_link_costs_a_run_per_decision(seed, steps, drains, runs,
+                                            monkeypatch):
     """A run reaches each link boundary it crosses; a boundary the refill
     cap hides on the tick grid is no decision point at all, so it costs no
     run of the engine either, even where the span would join up.  Each
     run step, a run of whole ticks or one stepped tick, buffers its ticks
-    through one _fill call, as does each jump of a train's repeats, so the
-    calls bound the steps."""
-    fills = []
+    through one _fill call from deliver, as does each jump of a train's
+    repeats, so those calls count the steps: pinned, a few more than the
+    stored runs and far fewer than the 3,000 segments.  A wait's playout
+    (advance) takes the same path, once per drain."""
+    callers = []
     fill = delivery._Engine._fill
-    monkeypatch.setattr(delivery._Engine, "_fill",
-                        lambda eng, *a: fills.append(a) or fill(eng, *a))
+    monkeypatch.setattr(delivery._Engine, "_fill", lambda eng, *a: (
+        callers.append(sys._getframe(1).f_code.co_name) or fill(eng, *a)))
     res = run_session(_long_inputs(seed)[0])
-    assert len(fills) <= 700
-    assert _stored_runs(res) <= 700
+    assert collections.Counter(callers) == {"deliver": steps,
+                                            "advance": drains}
+    assert _stored_runs(res) == runs
     assert len(res.dlog.to_csv_lines()) <= 700
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
-def test_long_link_is_sought_at_most_once_per_run(seed, monkeypatch):
-    """The engine keeps the link segment its clock is in and seeks the
-    link again only when the clock reaches that segment's end, so its
-    link lookups are bounded by its stored runs, not by the 3,000
-    segments; a boundary the cap hides is a step, not a lookup."""
-    seeks = []
-    index = LinkModel.segment_index
+def test_long_link_is_sought_once_per_deliver_call(seed, monkeypatch):
+    """The engine seeks the link once per deliver call, at the clock it
+    starts from, and walks forward from that segment as its clock reaches
+    each segment's end, so its link lookups are bounded by its deliver
+    calls, not by its runs or the 3,000 segments."""
+    seeks, calls = [], []
+    index, deliver = LinkModel.segment_index, delivery._Engine.deliver
     monkeypatch.setattr(LinkModel, "segment_index",
                         lambda link, t: seeks.append(t) or index(link, t))
+    monkeypatch.setattr(delivery._Engine, "deliver", lambda eng, *a, **kw: (
+        calls.append(eng.t) or deliver(eng, *a, **kw)))
     sc = _long_inputs(seed)[0]
     events, _ = simulate_session(
         sc.stream, sc.link, sc.technique, seed=sc.seed,
         start_delay_s=promotion_latency(sc.radio_tech, sc.radio_cfg))
     runs = sum(isinstance(it, (TransferSpan, ChunkTrain))
                for it in events.items)
-    assert len(seeks) <= runs <= 700
+    assert seeks == calls
+    assert len(calls) <= 10 < runs <= 700
+
+
+def test_long_link_run_step_makes_two_calls():
+    """A run step on the seeded link makes about two Python-level calls:
+    its _fill and its TransferSpan.  The link segment is walked to, not
+    sought, and _fill plays out in line; the rest are the rare decisions.
+    Counted by sys.setprofile call events inside deliver."""
+    code, inside, calls = delivery._Engine.deliver.__code__, 0, 0
+
+    def profile(frame, event, arg):
+        nonlocal inside, calls
+        if event == "call":
+            if frame.f_code is code:
+                inside += 1
+            elif inside:
+                calls += 1
+        elif event == "return" and frame.f_code is code:
+            inside -= 1
+
+    sc, old = _long_inputs(1)[0], sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        res = run_session(sc)
+    finally:
+        sys.setprofile(old)
+    assert _stored_runs(res) == 651
+    assert calls <= 2.5 * 651
 
 
 @pytest.mark.parametrize("seed", [1, 3, 7])
@@ -760,3 +804,29 @@ def test_long_inputs_are_pinned(case, counts, digest):
     for text in _artifact_texts(res):
         h.update(text.encode())
     assert h.hexdigest() == digest
+
+
+def _compensated_sum(values, start=0):
+    """sum() with float round-off compensated, as CPython 3.12's is (here
+    exactly rounded); ints in, the exact int out."""
+    values = [start, *values]
+    if all(isinstance(v, int) for v in values):
+        return functools.reduce(operator.add, values)
+    return math.fsum(values)
+
+
+def test_artifacts_do_not_depend_on_how_sum_rounds(monkeypatch):
+    """The bundled scenarios and both seed-1 long inputs write the same
+    four artifacts when every streamsim module's sum() compensates float
+    round-off: the outputs add floats in a stated order (fold_sum), so
+    they are the same bytes on every CPython, whichever sum() it has."""
+    scenarios = [load_scenario(str(p)) for p in sorted(
+        SCENARIOS.iterdir(), key=str) if p.name.endswith(".scn")]
+    scenarios += _long_inputs(1)
+    plain = [_artifact_texts(run_session(sc)) for sc in scenarios]
+    for info in pkgutil.iter_modules(streamsim.__path__):
+        module = importlib.import_module(f"streamsim.{info.name}")
+        monkeypatch.setattr(module, "sum", _compensated_sum, raising=False)
+    compensated = [_artifact_texts(run_session(sc)) for sc in scenarios]
+    assert len(scenarios) == 5
+    assert compensated == plain

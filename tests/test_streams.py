@@ -4,6 +4,7 @@ import random
 import pytest
 
 from streamsim import LinkModel, PacketEvent, StreamSpec
+from streamsim.streams import fold_sum
 
 
 def test_stream_defaults_size_from_rate():
@@ -265,3 +266,34 @@ def test_cbr_bytes_for_a_reversed_span_are_zero():
     assert s.bytes_for_content(10.0, 5.0) == 0.0
     assert s.bytes_for_content(5.0, 5.0) == 0.0
     assert s.bytes_for_content(5.0, 10.0) == pytest.approx(1_250_000)
+
+
+@pytest.mark.parametrize("vbr", [False, True], ids=["cbr", "vbr"])
+@pytest.mark.parametrize("call", [
+    lambda s: s.bytes_for_content(math.nan, 3.0),
+    lambda s: s.bytes_for_content(1.0, math.nan),
+    lambda s: s.bytes_for_content(math.nan, math.nan),
+    lambda s: s.seconds_for_bytes(math.nan, 1e5),
+], ids=["from_nan", "to_nan", "both_nan", "seconds_from_nan"])
+def test_a_nan_content_position_is_rejected(vbr, call):
+    """A NaN position has no answer: both stream kinds raise, where a VBR
+    stream raised IndexError for some and both returned NaN or a number
+    for others."""
+    s = StreamSpec(duration_s=40.0, encoding_rate_bps=8e5)
+    if vbr:
+        s = StreamSpec(duration_s=40.0, encoding_rate_bps=8e5,
+                       vbr_trace=EDGE_TRACE, size_bytes=_ref_vbr_bytes_between(
+                           EDGE_TRACE, 0.0, 40.0))
+    with pytest.raises(ValueError, match="content position cannot be NaN"):
+        call(s)
+    assert s.bytes_for_content(1.0, 3.0) > 0
+    assert s.seconds_for_bytes(1.0, 0.0) == 0.0
+
+
+def test_fold_sum_adds_left_to_right():
+    """Each addition rounded, in order, as sum() did before CPython 3.12,
+    whose compensated sum() gives 1.0 here; ints stay exact ints."""
+    assert fold_sum([0.1] * 10) == 0.9999999999999999
+    assert fold_sum(iter([1e16, 1.0, -1e16])) == 0.0
+    assert fold_sum([]) == 0 and type(fold_sum([])) is int
+    assert fold_sum([2**60, 1]) == 2**60 + 1
