@@ -38,13 +38,14 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import MISSING, field
 from functools import partial
-from operator import attrgetter, methodcaller
+from itertools import islice
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
                       ChunkTrain, LinkModel, MutableRecord, PacketEvent,
-                      StreamSpec, TickSeq, TransferSpan, fold_sum)
+                      StreamSpec, TickSeq, TransferSpan, event_order, fold_sum)
 from .techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM, OnOffS,
                          FASTSTART_TARGET_S, RESUME_THRESHOLD_S,
                          START_THRESHOLD_S, Technique, Throttling)
@@ -500,58 +501,65 @@ class _Engine:
         (None: the stream's own, by its VBR trace) and play `played`
         seconds: the first on its own, so the level after it is exact,
         then the other n - 1 at once.  Returns the buffered seconds and
-        bytes after the first."""
+        bytes after the first.  Both phases keep the level in s and q and
+        the oldest segment in hs, hb and hr (empty, at crate, if none)."""
         buf, lg, segs = self.buf, self.log, self.buf.segments
-        b, p, first = nbytes, played, None
+        s, q, b, p, first = buf.seconds, buf.bytes, nbytes, played, None
+        hs, hb, hr = segs.popleft() if segs else (0.0, 0.0, crate)
         while True:
             if b > 0:
                 secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
                                                       b)
                         if crate is None else b * 8.0 / crate)
                 if secs > 0:
-                    if segs and segs[-1][2] == crate:
+                    if hr == crate and not segs:
+                        hs += secs
+                        hb += b
+                    elif segs and segs[-1][2] == crate:
                         segs[-1][0] += secs
                         segs[-1][1] += b
                     else:
                         segs.append([secs, b, crate])
-                    buf.seconds += secs
-                    buf.bytes += b
+                    s += secs
+                    q += b
                 self._pushed += b
                 self.delivered_content_s += secs
                 lg.content_delivered_s += secs
             if p:   # play p seconds from the oldest segments on
                 taken, left, pos = 0.0, p, lg.content_consumed_s
-                while left > TIE_S and segs:
-                    seg = segs[0]
-                    if seg[0] <= left + TIE_S:
-                        left -= seg[0]
-                        pos += seg[0]
-                        taken += seg[1]
-                        buf.seconds -= seg[0]
-                        buf.bytes -= seg[1]
-                        segs.popleft()
+                while left > TIE_S and hs > 0:
+                    if hs <= left + TIE_S:
+                        left -= hs
+                        pos += hs
+                        taken += hb
+                        s -= hs
+                        q -= hb
+                        hs, hb, hr = (segs.popleft() if segs
+                                      else (0.0, 0.0, crate))
                         continue
-                    part = (seg[1] * (left / seg[0]) if seg[2] is not None
+                    part = (hb * (left / hs) if hr is not None
                             else min(self.stream.bytes_for_content(
-                                pos, pos + left), seg[1]))
-                    seg[0] -= left
-                    seg[1] -= part
-                    buf.seconds -= left
-                    buf.bytes -= part
+                                pos, pos + left), hb))
+                    hs -= left
+                    hb -= part
+                    s -= left
+                    q -= part
                     taken += part
                     break
-                if buf.seconds < 0.0:
-                    buf.seconds = 0.0
-                if buf.bytes < 0.0:
-                    buf.bytes = 0.0
+                if s < 0.0:
+                    s = 0.0
+                if q < 0.0:
+                    q = 0.0
                 lg.bytes_consumed += taken
                 lg.content_consumed_s += p
-            if first is not None:
-                return first
-            first = buf.seconds, buf.bytes
-            if n == 1:
-                return first
-            b, p = (n - 1) * nbytes, (n - 1) * played
+            if first is None and n > 1:
+                first = s, q
+                b, p = (n - 1) * nbytes, (n - 1) * played
+                continue
+            if hs > 0:
+                segs.appendleft([hs, hb, hr])
+            buf.seconds, buf.bytes = s, q
+            return first or (s, q)
 
     # -- wire --------------------------------------------------------------
 
@@ -635,10 +643,16 @@ class _Engine:
                                     self.playback.samples)
         duration, (lowest, highest) = stream.duration_s, buf.rates_bps
         buffered = 1.0 if enter_buffer else 0.0   # share of a tick buffered
-        segs = self.link.segments
-        last = len(segs) - 1
-        # the link segment holding t: sought once, then walked forward
-        i, link_bps, boundary = self.link.segment_index(self.t), 0.0, -math.inf
+        # the link's segments from the one holding t, sought once, then each
+        # read once; one the cap hides on a tick edge (no window lifts it)
+        # changes neither the rate nor the ticks: it is no decision point
+        segs = islice(self.link.segments, self.link.segment_index(self.t),
+                      None)
+        boundary, bw = next(segs)
+        hide_bps = rate_cap_bps if window_s is None else math.inf
+        # the playback phase and when a run may first underrun or end the
+        # watch (-inf: now): fixed again after each wait and stepped tick
+        playing, reach = self.playing, -math.inf
         while not (self.finished or self.starved):
             left = budget - moved
             if left <= 0.5:
@@ -650,42 +664,36 @@ class _Engine:
             if (enter_buffer
                     and duration - self.delivered_content_s <= CONTENT_DONE_S):
                 break
-            while self.t >= boundary - TIE_S:
-                # a boundary within TIE_S of the clock counts as reached;
-                # a wait may have passed more: walk to max(t, boundary)
-                t = self.t if self.t > boundary else boundary
-                while i < last and segs[i + 1][0] <= t:
-                    i += 1
-                link_bps = segs[i][1]
-                # one the cap hides on a tick edge changes neither the
-                # rate nor the ticks: it is no decision point
-                hides = window_s is None and link_bps >= rate_cap_bps
-                boundary = math.inf
-                while i < last:
-                    start, bw = segs[i + 1]
-                    if not (hides and bw >= rate_cap_bps and start < math.inf
-                            and abs(math.remainder(start - self.t,
-                                                   EVENT_TICK_S)) <= TIE_S):
+            # a boundary within TIE_S of the clock counts as reached, and
+            # a wait may have passed more than one
+            t = self.t
+            while t >= boundary - TIE_S:
+                link_bps, boundary = bw, math.inf
+                for start, bw in segs:
+                    if not (link_bps >= hide_bps and bw >= hide_bps
+                            and start < math.inf
+                            and abs(math.remainder(start - t, EVENT_TICK_S))
+                            <= TIE_S):
                         boundary = start
                         break
-                    i += 1
-            window_open = window_s is not None and buf.seconds < window_s
-            rate = (rate_cap_bps if not window_open and rate_cap_bps < link_bps
-                    else link_bps)
+                rate = rate_cap_bps if rate_cap_bps < link_bps else link_bps
+            if window_s is not None:   # the cap holds while the window is shut
+                window_open = buf.seconds < window_s
+                rate = (rate_cap_bps if not window_open
+                        and rate_cap_bps < link_bps else link_bps)
             if rate <= 0:
                 if boundary is math.inf:
                     lg.notes.append("link starved with no recovery")
                     self.starved = True
                     break
                 self.advance(boundary)
+                playing, reach = self.playing, -math.inf
                 continue
-            t, n = self.t, 0
+            n = 0
             if boundary - t >= EVENT_TICK_S:   # a whole tick fits
-                dt = EVENT_TICK_S
-                step = rate * dt / 8.0
+                step = rate * EVENT_TICK_S / 8.0
                 dt = step * 8.0 / rate
                 held = buffered * step      # bytes a tick buffers
-                playing = self.playback_start is not None and not self.stalled
                 played = dt if playing else 0.0   # content seconds a tick
                 if crate is None:
                     lo, hi = held * 8.0 / highest, held * 8.0 / lowest
@@ -696,9 +704,9 @@ class _Engine:
                 # it, so the start and resume rules see it on a stepped tick
                 done_s = CONTENT_DONE_S if hi <= CONTENT_DONE_S else 0.0
                 to_link = (boundary - t + TIE_S) / dt
-                gained = 0.0     # the content the ticks taken bring
+                # the content the ticks taken bring, and the level then
+                gained, b = 0.0, buf.seconds
                 while True:
-                    b = buf.seconds + gained - n * played
                     # the ticks to each crossing: x keeps the least, as min
                     # would, without a call per crossing
                     x = left / step - n
@@ -723,23 +731,26 @@ class _Engine:
                              else _ticks_to(b - window_s, -down))
                         if y < x:
                             x = y
-                    if self.playback_start is None:
-                        y = (_ticks_to(self.start_threshold_s - b, up)
+                    if not playing:   # the start or the resume rule
+                        y = (_ticks_to(self.playback.resume_threshold_s - b,
+                                       up) if self.playback_start is not None
+                             else _ticks_to(self.start_threshold_s - b, up)
                              if self.start_at is None
                              else (self.start_at - t) / dt - n)
-                    elif self.stalled:
-                        y = _ticks_to(self.playback.resume_threshold_s - b, up)
-                    else:   # _ticks_to(b - dt - 1e-6, -down)
-                        y = b - dt - 1e-6
-                        y = (0.0 if y <= 0 else y / -down if down < 0
-                             else math.inf)
-                    if y < x:
-                        x = y
-                    if playing:
-                        y = (self.watch_end_s - lg.content_consumed_s
-                             - n * played - 1e-6) / dt
                         if y < x:
                             x = y
+                    elif not boundary < reach:   # an underrun or the watch's
+                        y = b - dt - 1e-6        # end may be in reach
+                        y = (0.0 if y <= 0 else y / -down if down < 0
+                             else math.inf)
+                        if y < x:
+                            x = y
+                        w = self.watch_end_s - lg.content_consumed_s
+                        y = (w - n * played - 1e-6) / dt
+                        if y < x:
+                            x = y
+                        # the buffer drains, and playback plays, 1 s a second
+                        reach = t + (b if b < w else w) - 4 * EVENT_TICK_S
                     x, y = x - 1.0, to_link - n
                     more = int(y if y < x else x)
                     if more < 1:
@@ -749,6 +760,7 @@ class _Engine:
                         break
                     gained += stream.seconds_for_bytes(
                         self.delivered_content_s + gained, more * held)
+                    b = buf.seconds + gained - n * played
             stepped = n == 0
             if stepped:
                 dt = min(EVENT_TICK_S, boundary - t)
@@ -768,11 +780,12 @@ class _Engine:
                 t += dt
             # the n ticks, the first at t leaving s0 s and b0 B buffered;
             # the clock goes to the span's last tick, however runs cut it
-            lg.bytes_delivered += n * step
+            sent = n * step
+            lg.bytes_delivered += sent
             dbuffer_s = (buf.seconds - s0) / (n - 1) if n > 1 else 0.0
             sp = self._open_span
-            joins = (sp is not None and sp.connection_id == conn
-                     and sp.nbytes == step and sp.dt_s == dt
+            joins = (sp is not None and sp.nbytes == step
+                     and sp.connection_id == conn and sp.dt_s == dt
                      and abs(sp.t_s + sp.n * dt - t) <= TIE_S)
             if joins:
                 d = sp.dbuffer_s if sp.n > 1 else s0 - sp.buffer_s
@@ -798,7 +811,8 @@ class _Engine:
                 samples.append(_new_sample((self.t, buf.seconds, buf.bytes)))
             if stepped:
                 self._post_arrival()
-            moved += n * step
+                playing, reach = self.playing, -math.inf
+            moved += sent
         return moved
 
     def deliver_aux(self, conn: int, nbytes: float) -> float:
@@ -909,7 +923,7 @@ class _Engine:
         list's and the log's; without them, prev and cur become new ones."""
         if trains is None:
             # the event list's cycle is sorted as finalize sorts the list
-            events = tuple(sorted(prev.events, key=lambda e: e.sort_key()))
+            events = tuple(sorted(prev.events, key=event_order))
             trains = tuple(ChunkTrain(cycle, 1, prev.period_s, prev.dbuffer_s,
                                       cur.marks.conn - prev.marks.conn)
                            for cycle in (events, prev.records))
@@ -1050,7 +1064,7 @@ class _Engine:
         # tick is on the same or a newer connection.  So sorting runs by
         # their first tick sorts the ticks (a probe and its window update
         # share a time and swap), as in each train's cycle.
-        self.events.sort(key=methodcaller("sort_key"))
+        self.events.sort(key=event_order)
         return TickSeq(self.events, TransferSpan.event), self.log
 
     def _end_stalled(self, since: float, end: float) -> None:

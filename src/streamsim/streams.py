@@ -7,11 +7,14 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import reduce
-from operator import add
+from itertools import accumulate
+from operator import add, attrgetter, gt
 from typing import Callable, ClassVar, Iterable, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
-_KIND_ORDER = {k: i for i, k in enumerate(EVENT_KINDS)}
+# The event list's order: time, connection id, then kind (EVENT_KINDS is in
+# name order); it reads attributes, so a sort runs no Python code per entry
+event_order = attrgetter("t_s", "connection_id", "kind")
 
 # Wire sizes for control traffic.
 REQUEST_BYTES = 500
@@ -189,7 +192,7 @@ class PacketEvent(Record):
         set_field(self, "kind", kind)
 
     def sort_key(self):
-        return (self.t_s, self.connection_id, _KIND_ORDER[self.kind])
+        return event_order(self)
 
     def shifted(self, dt: float, dbuffer: float, dconn: int) -> "PacketEvent":
         return PacketEvent(self.t_s + dt, self.bytes,
@@ -241,9 +244,6 @@ class TransferSpan(MutableRecord):
     def event(self, k: int) -> PacketEvent:
         return PacketEvent(self.tick_t(k), self.bytes, self.connection_id)
 
-    def sort_key(self):
-        return (self.t_s, self.connection_id, _KIND_ORDER["data"])
-
     def shifted(self, dt: float, dbuffer: float, dconn: int) -> "TransferSpan":
         return TransferSpan(self.t_s + dt, self.dt_s, self.n,
                             self.connection_id + dconn, self.nbytes,
@@ -265,8 +265,6 @@ class ChunkTrain(MutableRecord):
     dbuffer_s: float
     dconn: int = 0
 
-    kind: ClassVar[str] = "data"
-
     def __init__(self, cycle: tuple, m: int, period_s: float,
                  dbuffer_s: float, dconn: int = 0):
         self.cycle = cycle
@@ -275,9 +273,18 @@ class ChunkTrain(MutableRecord):
         self.dbuffer_s = dbuffer_s
         self.dconn = dconn
 
+    # the first entry's time, connection and kind: the event list's order
     @property
     def t_s(self) -> float:
         return self.cycle[0].t_s
+
+    @property
+    def connection_id(self) -> int:
+        return self.cycle[0].connection_id
+
+    @property
+    def kind(self) -> str:
+        return self.cycle[0].kind
 
     @property
     def t_end_s(self) -> float:
@@ -304,9 +311,6 @@ class ChunkTrain(MutableRecord):
                 return e, k
             k -= _size(e)
         raise IndexError("tick index out of range")
-
-    def sort_key(self):
-        return self.cycle[0].sort_key()
 
 
 def _size(it) -> int:
@@ -400,12 +404,17 @@ class StreamSpec(Record):
                                  "duration_s * encoding_rate_bps / 8 = inf")
             object.__setattr__(self, "size_bytes", size)
         if self.vbr_trace is not None:
-            for i, (t, rate) in enumerate(self.vbr_trace):
-                if not math.isfinite(t):
-                    raise ValueError(f"vbr_trace[{i}]: time must be finite")
-                if not (math.isfinite(rate) and rate > 0):
-                    raise ValueError(
-                        f"vbr_trace[{i}]: rate must be finite and > 0")
+            # a finite sum holds no NaN or inf; only a failure walks the trace
+            rates = [rate for _, rate in self.vbr_trace]
+            if not (math.isfinite(sum([t for t, _ in self.vbr_trace])
+                                  + sum(rates)) and min(rates, default=1) > 0):
+                for i, (t, rate) in enumerate(self.vbr_trace):
+                    if not math.isfinite(t):
+                        raise ValueError(f"vbr_trace[{i}]: time must be "
+                                         "finite")
+                    if not (math.isfinite(rate) and rate > 0):
+                        raise ValueError(
+                            f"vbr_trace[{i}]: rate must be finite and > 0")
             tr = sorted(self.vbr_trace)
             if not tr or tr[0][0] > 0:
                 tr = [(0.0, self.encoding_rate_bps)] + tr
@@ -430,15 +439,12 @@ class StreamSpec(Record):
         k0 = bisect_right(times, 0.0) - 1
         times = [0.0] + times[k0 + 1:]
         rates = [rate for _, rate in tr[k0:]]
-        seg = [rates[k] * (times[k + 1] - times[k]) / 8.0
-               for k in range(len(times) - 1)]
-        cum, err = [0.0], [0.0]
-        for x in seg:
-            a = cum[-1]
-            s = a + x
+        seg = [r * (b - a) / 8.0 for r, a, b in zip(rates, times, times[1:])]
+        cum, e, err = list(accumulate(seg, initial=0.0)), 0.0, [0.0]
+        for a, s, x in zip(cum, cum[1:], seg):
             bv = s - a
-            err.append(err[-1] + ((a - (s - bv)) + (x - bv)))
-            cum.append(s)
+            e += (a - (s - bv)) + (x - bv)
+            err.append(e)
         object.__setattr__(self, "_vbr_times", times)
         object.__setattr__(self, "_vbr_rates", rates)
         object.__setattr__(self, "_vbr_seg", seg)
@@ -516,17 +522,21 @@ class LinkModel(Record):
             raise ValueError("link needs at least one segment")
         if segs[0][0] != 0.0:
             raise ValueError("first link segment must start at t=0")
-        starts, prev = [], -math.inf
-        for t0, bw in segs:
-            if not t0 > prev:   # a NaN start is in no order
-                raise ValueError("link segments must be strictly ordered")
-            if not 0 <= bw < math.inf:
-                raise ValueError(
-                    f"bandwidth must be a finite number >= 0, not {bw!r}")
-            starts.append(t0)
-            prev = t0
+        # C-level passes: starts rising (NaN is in no order), bandwidths of a
+        # finite sum, none below 0; a failure walks them to name the first
+        starts, bws = [t0 for t0, _ in segs], [bw for _, bw in segs]
+        if not (all(map(gt, starts[1:], starts)) and math.isfinite(sum(bws))
+                and min(bws) >= 0):
+            for i, (t0, bw) in enumerate(segs):
+                if not (i == 0 or t0 > starts[i - 1]):
+                    raise ValueError(f"segment {i} {segs[i]!r}: link "
+                                     "segments must be strictly ordered")
+                if not 0 <= bw < math.inf:
+                    raise ValueError(
+                        f"segment {i} {segs[i]!r}: bandwidth must be a "
+                        f"finite number >= 0, not {bw!r}")
         object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_starts", starts)
 
     @classmethod
     def constant(cls, bandwidth_bps: float, rtt_ms: float = 70.0) -> "LinkModel":
@@ -547,15 +557,6 @@ class LinkModel(Record):
     def next_change_after(self, t_s: float) -> float:
         i = self.segment_index(t_s) + 1
         return self._starts[i] if i < len(self._starts) else math.inf
-
-    def bytes_capacity(self, a_s: float, b_s: float) -> float:
-        """Maximum bytes the link can carry over [a_s, b_s]."""
-        total, t = 0.0, a_s
-        while t < b_s:
-            nxt = min(b_s, self.next_change_after(t))
-            total += self.bandwidth_at(t) * (nxt - t) / 8.0
-            t = nxt
-        return total
 
     def transfer_time(self, start_s: float, nbytes: float,
                       rate_cap_bps: float = math.inf) -> float:

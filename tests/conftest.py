@@ -43,3 +43,13 @@ def make_scenario(stream, link, tech, radio_tech="hspa", profile=None,
 def steady_off_durations(dlog):
     """The length of each OFF period in a delivery log."""
     return [b - a for a, b in dlog.off_spans]
+
+
+def link_capacity(link, a_s, b_s):
+    """The most bytes the link can carry over [a_s, b_s]."""
+    total, t = 0.0, a_s
+    while t < b_s:
+        nxt = min(b_s, link.next_change_after(t))
+        total += link.bandwidth_at(t) * (nxt - t) / 8.0
+        t = nxt
+    return total

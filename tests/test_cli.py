@@ -374,6 +374,24 @@ def test_non_finite_inputs_exit_2_naming_field(tmp_path, capsys, line, field):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("segments, message", [
+    ("0:5e6,1:-4", "segment 1 (1.0, -4.0): bandwidth must be a finite "
+     "number >= 0, not -4.0"),
+    ("0:5e6,0:4e6", "segment 1 (0.0, 4000000.0): link segments must be "
+     "strictly ordered"),
+    ("0:5e6,nan:3e6", "segment 1 (nan, 3000000.0): link segments must be "
+     "strictly ordered"),
+])
+def test_a_bad_link_segment_exits_2_naming_it(tmp_path, capsys, segments,
+                                              message):
+    rc = main(["simulate", "--scenario",
+               _scenario_with(tmp_path, f"link.segments = {segments}"),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"link.segments: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_an_infinite_throttle_factor_still_simulates(tmp_path):
     """technique.factor is the one field where inf means something: a
     server that does not throttle."""

@@ -3,7 +3,7 @@ import statistics
 
 import pytest
 
-from conftest import steady_off_durations
+from conftest import link_capacity, steady_off_durations
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss, OnOffM,
                        OnOffS, PacketEvent, StreamSpec, Throttling, preset,
                        simulate_multi_connection_waste, simulate_session)
@@ -490,7 +490,7 @@ def test_link_respected_per_segment(hd_stream):
         segs = list(link.segments) + [(math.inf, 0.0)]
         for (a, _bw), (b, _) in zip(segs, segs[1:]):
             got = sum(e.bytes for e in _data(events) if a < e.t_s <= b)
-            assert got <= link.bytes_capacity(a, min(b, 1e7)) + 64 * 1024, \
+            assert got <= link_capacity(link, a, min(b, 1e7)) + 64 * 1024, \
                 (type(tech).__name__, a)
 
 

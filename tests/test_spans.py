@@ -752,6 +752,54 @@ def test_long_link_run_step_makes_two_calls():
     assert calls <= 2.5 * 651
 
 
+def _line_events(names, run):
+    """sys.settrace line events in the named _Engine methods while run()
+    runs: a count of the Python work they do that reads the same on
+    CPython 3.10 to 3.13, unlike opcode counts or times."""
+    codes = {getattr(delivery._Engine, name).__code__ for name in names}
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg:
+                 local if frame.f_code in codes else None)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return count
+
+
+def test_long_link_run_step_line_events_are_pinned():
+    """The seed-1 link's run steps, counted in line events of deliver and
+    _fill and pinned, so work added to a run step shows as a count."""
+    sc = _long_inputs(1)[0]
+    assert _line_events(("deliver", "_fill"),
+                        lambda: run_session(sc)) == 99_985
+
+
+def test_sweeps_line_events_do_not_grow(tmp_path, capsys):
+    """One default sweep-buffer and sweep-abandon pass runs the same
+    deliver, _fill and advance as the long link, at about five runs a
+    session: its line events stay within the 79,696 they read when each
+    run step re-derived the playback phase, so work taken off long runs
+    is not moved onto short ones."""
+    from streamsim.cli import main
+    scn = str(SCENARIOS / "youtube_onoffm_hspa.scn")
+
+    def sweeps():
+        for command in ("sweep-buffer", "sweep-abandon"):
+            assert main([command, "--scenario", scn,
+                         "--out", str(tmp_path / command)]) == 0
+
+    assert _line_events(("deliver", "_fill", "advance"), sweeps) <= 79_696
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("seed", [1, 3, 7])
 def test_long_vbr_costs_a_run_per_threshold(seed):
     """A VBR run is refined to the tick before its crossing, so each

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+from conftest import link_capacity
 from streamsim import LinkModel, PacketEvent, StreamSpec
-from streamsim.streams import fold_sum
+from streamsim.streams import (EVENT_KINDS, ChunkTrain, TransferSpan,
+                               event_order, fold_sum)
 
 
 def test_stream_defaults_size_from_rate():
@@ -49,12 +51,40 @@ def test_link_segments_validation():
         LinkModel(((0.0, -5.0),))
 
 
+_LONG = tuple((0.2 * i, 5e6) for i in range(3000))
+
+
+@pytest.mark.parametrize("segments, message", [
+    (((0.0, 5e6), (1.0, -4.0)), "segment 1 (1.0, -4.0): bandwidth must be "
+     "a finite number >= 0, not -4.0"),
+    (((0.0, 5e6), (1.0, math.inf)), "segment 1 (1.0, inf): bandwidth must "
+     "be a finite number >= 0, not inf"),
+    (((0.0, 5e6), (1.0, math.nan)), "segment 1 (1.0, nan): bandwidth must "
+     "be a finite number >= 0, not nan"),
+    (((0.0, 5e6), (0.0, 4e6)), "segment 1 (0.0, 4000000.0): link segments "
+     "must be strictly ordered"),
+    (((0.0, 5e6), (math.nan, 3e6)), "segment 1 (nan, 3000000.0): link "
+     "segments must be strictly ordered"),
+    # the first bad one of many, in link order
+    (_LONG[:2000] + ((1.0, 5e6),) + _LONG[2001:-1] + ((600.0, -1.0),),
+     "segment 2000 (1.0, 5000000.0): link segments must be strictly "
+     "ordered"),
+    (_LONG[:-1] + ((600.0, -1.0),), "segment 2999 (600.0, -1.0): bandwidth "
+     "must be a finite number >= 0, not -1.0"),
+], ids=["negative", "inf", "nan", "tied", "nan_start", "first_of_two",
+        "last_of_3000"])
+def test_a_bad_link_segment_names_its_index(segments, message):
+    with pytest.raises(ValueError) as exc:
+        LinkModel(segments)
+    assert str(exc.value) == message
+
+
 def test_link_bandwidth_lookup_and_capacity():
     link = LinkModel(((0.0, 8e6), (10.0, 0.0), (20.0, 4e6)), rtt_ms=50)
     assert link.bandwidth_at(5) == 8e6
     assert link.bandwidth_at(10) == 0.0
     assert link.bandwidth_at(25) == 4e6
-    assert link.bytes_capacity(0, 30) == pytest.approx((8e6 * 10 + 4e6 * 10) / 8)
+    assert link_capacity(link, 0, 30) == pytest.approx((8e6 * 10 + 4e6 * 10) / 8)
 
 
 def test_link_transfer_time_piecewise():
@@ -77,6 +107,22 @@ def test_packet_event_invariants():
     assert e.sort_key() < PacketEvent(1.0, 100, 3, "data").sort_key()
 
 
+def test_event_order_reads_kinds_in_event_kinds_order():
+    """The event list sorts by time, connection id and kind, reading
+    attributes only, so the kinds' names must sort as EVENT_KINDS lists
+    them; a span is data, and a train sorts as its first entry."""
+    assert list(EVENT_KINDS) == sorted(EVENT_KINDS)
+    probe = PacketEvent(1.0, 50, 0, "persist_probe")
+    entries = [ChunkTrain((probe,), 2, 10.0, 0.0),
+               PacketEvent(1.0, 50, 0, "flow_control"),
+               TransferSpan(1.0, 0.05, 2, 0, 1000.0),
+               PacketEvent(1.0, 500, 0, "request"),
+               PacketEvent(0.5, 500, 1, "request")]
+    assert [event_order(e)[1:] for e in sorted(entries, key=event_order)] \
+        == [(1, "request"), (0, "data"), (0, "flow_control"),
+            (0, "persist_probe"), (0, "request")]
+
+
 def test_transfer_time_spans_more_than_100k_segments():
     # 1 ms segments at 8 Mbps carry 1000 B each; the transfer needs 100,000.5
     # of them, so it runs off the last segment start and finishes after it.
@@ -88,6 +134,9 @@ def test_transfer_time_spans_more_than_100k_segments():
     ([(0.0, 1_000_000.0), (100.0, 0.0)], r"vbr_trace\[1\]: rate"),
     ([(0.0, math.nan)], r"vbr_trace\[0\]: rate"),
     ([(0.0, 1_000_000.0), (math.inf, 1_000_000.0)], r"vbr_trace\[1\]: time"),
+    # the first bad breakpoint, in trace order, and its time before its rate
+    ([(0.0, 1e6), (1.0, -1.0), (math.nan, 1e6)], r"vbr_trace\[1\]: rate"),
+    ([(0.0, 1e6), (math.nan, -1.0)], r"vbr_trace\[1\]: time"),
 ])
 def test_vbr_trace_rejects_bad_breakpoints(trace, match):
     with pytest.raises(ValueError, match=match):
