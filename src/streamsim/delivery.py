@@ -38,7 +38,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import MISSING, field
 from functools import partial
-from itertools import islice
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -501,65 +500,58 @@ class _Engine:
         (None: the stream's own, by its VBR trace) and play `played`
         seconds: the first on its own, so the level after it is exact,
         then the other n - 1 at once.  Returns the buffered seconds and
-        bytes after the first.  Both phases keep the level in s and q and
-        the oldest segment in hs, hb and hr (empty, at crate, if none)."""
+        bytes after the first."""
         buf, lg, segs = self.buf, self.log, self.buf.segments
-        s, q, b, p, first = buf.seconds, buf.bytes, nbytes, played, None
-        hs, hb, hr = segs.popleft() if segs else (0.0, 0.0, crate)
+        b, p, first = nbytes, played, None
         while True:
             if b > 0:
                 secs = (self.stream.seconds_for_bytes(self.delivered_content_s,
                                                       b)
                         if crate is None else b * 8.0 / crate)
                 if secs > 0:
-                    if hr == crate and not segs:
-                        hs += secs
-                        hb += b
-                    elif segs and segs[-1][2] == crate:
+                    if segs and segs[-1][2] == crate:
                         segs[-1][0] += secs
                         segs[-1][1] += b
                     else:
                         segs.append([secs, b, crate])
-                    s += secs
-                    q += b
+                    buf.seconds += secs
+                    buf.bytes += b
                 self._pushed += b
                 self.delivered_content_s += secs
                 lg.content_delivered_s += secs
             if p:   # play p seconds from the oldest segments on
                 taken, left, pos = 0.0, p, lg.content_consumed_s
-                while left > TIE_S and hs > 0:
-                    if hs <= left + TIE_S:
-                        left -= hs
-                        pos += hs
-                        taken += hb
-                        s -= hs
-                        q -= hb
-                        hs, hb, hr = (segs.popleft() if segs
-                                      else (0.0, 0.0, crate))
+                while left > TIE_S and segs:
+                    seg = segs[0]
+                    if seg[0] <= left + TIE_S:
+                        left -= seg[0]
+                        pos += seg[0]
+                        taken += seg[1]
+                        buf.seconds -= seg[0]
+                        buf.bytes -= seg[1]
+                        segs.popleft()
                         continue
-                    part = (hb * (left / hs) if hr is not None
+                    part = (seg[1] * (left / seg[0]) if seg[2] is not None
                             else min(self.stream.bytes_for_content(
-                                pos, pos + left), hb))
-                    hs -= left
-                    hb -= part
-                    s -= left
-                    q -= part
+                                pos, pos + left), seg[1]))
+                    seg[0] -= left
+                    seg[1] -= part
+                    buf.seconds -= left
+                    buf.bytes -= part
                     taken += part
                     break
-                if s < 0.0:
-                    s = 0.0
-                if q < 0.0:
-                    q = 0.0
+                if buf.seconds < 0.0:
+                    buf.seconds = 0.0
+                if buf.bytes < 0.0:
+                    buf.bytes = 0.0
                 lg.bytes_consumed += taken
                 lg.content_consumed_s += p
-            if first is None and n > 1:
-                first = s, q
-                b, p = (n - 1) * nbytes, (n - 1) * played
-                continue
-            if hs > 0:
-                segs.appendleft([hs, hb, hr])
-            buf.seconds, buf.bytes = s, q
-            return first or (s, q)
+            if first is not None:
+                return first
+            first = buf.seconds, buf.bytes
+            if n == 1:
+                return first
+            b, p = (n - 1) * nbytes, (n - 1) * played
 
     # -- wire --------------------------------------------------------------
 
@@ -646,8 +638,9 @@ class _Engine:
         # the link's segments from the one holding t, sought once, then each
         # read once; one the cap hides on a tick edge (no window lifts it)
         # changes neither the rate nor the ticks: it is no decision point
-        segs = islice(self.link.segments, self.link.segment_index(self.t),
-                      None)
+        segs = self.link.segments
+        segs = map(segs.__getitem__,
+                   range(self.link.segment_index(self.t), len(segs)))
         boundary, bw = next(segs)
         hide_bps = rate_cap_bps if window_s is None else math.inf
         # the playback phase and when a run may first underrun or end the

@@ -8,7 +8,7 @@ from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import reduce
 from itertools import accumulate
-from operator import add, attrgetter, gt
+from operator import add, attrgetter
 from typing import Callable, ClassVar, Iterable, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
@@ -190,9 +190,6 @@ class PacketEvent(Record):
         set_field(self, "bytes", bytes)
         set_field(self, "connection_id", connection_id)
         set_field(self, "kind", kind)
-
-    def sort_key(self):
-        return event_order(self)
 
     def shifted(self, dt: float, dbuffer: float, dconn: int) -> "PacketEvent":
         return PacketEvent(self.t_s + dt, self.bytes,
@@ -404,17 +401,12 @@ class StreamSpec(Record):
                                  "duration_s * encoding_rate_bps / 8 = inf")
             object.__setattr__(self, "size_bytes", size)
         if self.vbr_trace is not None:
-            # a finite sum holds no NaN or inf; only a failure walks the trace
-            rates = [rate for _, rate in self.vbr_trace]
-            if not (math.isfinite(sum([t for t, _ in self.vbr_trace])
-                                  + sum(rates)) and min(rates, default=1) > 0):
-                for i, (t, rate) in enumerate(self.vbr_trace):
-                    if not math.isfinite(t):
-                        raise ValueError(f"vbr_trace[{i}]: time must be "
-                                         "finite")
-                    if not (math.isfinite(rate) and rate > 0):
-                        raise ValueError(
-                            f"vbr_trace[{i}]: rate must be finite and > 0")
+            for i, (t, rate) in enumerate(self.vbr_trace):
+                if not math.isfinite(t):
+                    raise ValueError(f"vbr_trace[{i}]: time must be finite")
+                if not (math.isfinite(rate) and rate > 0):
+                    raise ValueError(
+                        f"vbr_trace[{i}]: rate must be finite and > 0")
             tr = sorted(self.vbr_trace)
             if not tr or tr[0][0] > 0:
                 tr = [(0.0, self.encoding_rate_bps)] + tr
@@ -522,19 +514,17 @@ class LinkModel(Record):
             raise ValueError("link needs at least one segment")
         if segs[0][0] != 0.0:
             raise ValueError("first link segment must start at t=0")
-        # C-level passes: starts rising (NaN is in no order), bandwidths of a
-        # finite sum, none below 0; a failure walks them to name the first
-        starts, bws = [t0 for t0, _ in segs], [bw for _, bw in segs]
-        if not (all(map(gt, starts[1:], starts)) and math.isfinite(sum(bws))
-                and min(bws) >= 0):
-            for i, (t0, bw) in enumerate(segs):
-                if not (i == 0 or t0 > starts[i - 1]):
-                    raise ValueError(f"segment {i} {segs[i]!r}: link "
-                                     "segments must be strictly ordered")
-                if not 0 <= bw < math.inf:
-                    raise ValueError(
-                        f"segment {i} {segs[i]!r}: bandwidth must be a "
-                        f"finite number >= 0, not {bw!r}")
+        starts, prev = [], -math.inf
+        for i, (t0, bw) in enumerate(segs):
+            if not t0 > prev:   # a NaN start is in no order
+                raise ValueError(f"segment {i} {segs[i]!r}: link segments "
+                                 "must be strictly ordered")
+            if not 0 <= bw < math.inf:
+                raise ValueError(
+                    f"segment {i} {segs[i]!r}: bandwidth must be a finite "
+                    f"number >= 0, not {bw!r}")
+            starts.append(t0)
+            prev = t0
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "_starts", starts)
 

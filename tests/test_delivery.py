@@ -5,9 +5,10 @@ import pytest
 
 from conftest import link_capacity, steady_off_durations
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss, OnOffM,
-                       OnOffS, PacketEvent, StreamSpec, Throttling, preset,
+                       OnOffS, StreamSpec, Throttling, preset,
                        simulate_multi_connection_waste, simulate_session)
 from streamsim.delivery import EVENT_TICK_S
+from streamsim.streams import event_order
 
 
 def _data(events):
@@ -472,7 +473,7 @@ def test_abandon_truncates_delivery(hd_stream, link4):
 
 def test_events_sorted_with_deterministic_tiebreak(hd_stream, link4):
     events, _ = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
-    assert events == sorted(events, key=PacketEvent.sort_key)
+    assert events == sorted(events, key=event_order)
 
 
 def test_determinism_same_inputs_same_events(hd_stream, link4):

@@ -27,7 +27,7 @@ from streamsim.energy import integrate_energy
 from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
-from streamsim.streams import ChunkTrain, TickSeq, TransferSpan
+from streamsim.streams import ChunkTrain, TickSeq, TransferSpan, event_order
 from test_playback_report import assert_engine_playback
 from test_span_equivalence import (_session_variants, _sweep_points,
                                    _throttled_below_rate)
@@ -175,7 +175,7 @@ def test_tick_seq_reads_like_the_expanded_list():
         seq[5]
     with pytest.raises(IndexError):
         seq[-6]
-    assert sorted(seq, key=PacketEvent.sort_key) == ticks
+    assert sorted(seq, key=event_order) == ticks
     assert TickSeq([], TransferSpan.event) == []
 
 
@@ -725,6 +725,34 @@ def test_long_link_is_sought_once_per_deliver_call(seed, monkeypatch):
     assert len(calls) <= 10 < runs <= 700
 
 
+def test_long_link_segments_are_read_once_per_deliver_call(monkeypatch):
+    """Throttling calls deliver once per chunk, over 2,000 times on the
+    seeded link.  Each call starts reading the segments at the one holding
+    its clock, so the session reads each segment about once plus a few per
+    call, not every segment before the clock again on each call."""
+    class Counting(tuple):   # the link's segments, counting reads
+        reads = 0
+
+        def __getitem__(self, k):
+            Counting.reads += 1
+            return tuple.__getitem__(self, k)
+
+        def __iter__(self):
+            for seg in tuple.__iter__(self):
+                Counting.reads += 1
+                yield seg
+
+    calls, deliver = [], delivery._Engine.deliver
+    monkeypatch.setattr(delivery._Engine, "deliver", lambda eng, *a, **kw: (
+        calls.append(eng.t) or deliver(eng, *a, **kw)))
+    sc = _long_inputs(1)[0]
+    link = LinkModel(sc.link.segments, sc.link.rtt_ms)
+    object.__setattr__(link, "segments", Counting(link.segments))
+    simulate_session(sc.stream, link, Throttling(), seed=sc.seed)
+    assert len(calls) > 2000
+    assert Counting.reads <= len(sc.link.segments) + 2 * len(calls)
+
+
 def test_long_link_run_step_makes_two_calls():
     """A run step on the seeded link makes about two Python-level calls:
     its _fill and its TransferSpan.  The link segment is walked to, not
@@ -779,7 +807,7 @@ def test_long_link_run_step_line_events_are_pinned():
     _fill and pinned, so work added to a run step shows as a count."""
     sc = _long_inputs(1)[0]
     assert _line_events(("deliver", "_fill"),
-                        lambda: run_session(sc)) == 99_985
+                        lambda: run_session(sc)) == 98_617
 
 
 def test_sweeps_line_events_do_not_grow(tmp_path, capsys):

@@ -104,7 +104,7 @@ def test_packet_event_invariants():
     with pytest.raises(ValueError):
         PacketEvent(0.0, 500, 0, kind="persist_probe")  # control <= 100 B
     e = PacketEvent(1.0, 100, 2, "flow_control")
-    assert e.sort_key() < PacketEvent(1.0, 100, 3, "data").sort_key()
+    assert event_order(e) < event_order(PacketEvent(1.0, 100, 3, "data"))
 
 
 def test_event_order_reads_kinds_in_event_kinds_order():

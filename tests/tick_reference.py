@@ -26,7 +26,7 @@ from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
                              RadioTimeline, WifiPsmConfig, wifi_sleep_current)
 from streamsim.streams import (FLOW_CONTROL_BYTES, PROBE_BYTES,
                                REQUEST_BYTES, LinkModel, PacketEvent,
-                               StreamSpec)
+                               StreamSpec, event_order)
 from streamsim.techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM,
                                   OnOffS, FASTSTART_TARGET_S,
                                   RESUME_THRESHOLD_S, START_THRESHOLD_S,
@@ -369,7 +369,7 @@ class _Engine:
             raise AssertionError(
                 f"byte conservation broken: delivered={delivered:.1f} "
                 f"consumed+buffered+wasted={accounted:.1f}")
-        self.events.sort(key=PacketEvent.sort_key)
+        self.events.sort(key=event_order)
         return self.events, self.log
 
 
