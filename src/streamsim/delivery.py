@@ -23,8 +23,10 @@ stepped.  A VBR run's prediction is refined from the exact state it
 reaches.  The drivers' periodic loops get the same treatment
 one level up (_Engine.repeat_cycles): a cycle that repeats the one before
 it makes the two a ChunkTrain, and whole runs of repeats are applied in
-closed form.  The event list and the delivery log expand spans and trains
-into per-tick entries when read; delivery_log.csv writes one per run.
+closed form.  The delivery log is the engine's one record of what it sent
+and decided: finalize reads the event list and the ON/OFF periods from
+it.  Both expand spans and trains into per-tick entries when read;
+delivery_log.csv writes one per run.
 
 The engine is deterministic: equal inputs always produce identical event
 streams (ties broken by connection id, then event kind).
@@ -36,15 +38,16 @@ import math
 import random
 from bisect import bisect_right
 from collections import deque
-from dataclasses import MISSING, field
+from dataclasses import MISSING, field, replace
 from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .streams import (FLOW_CONTROL_BYTES, PROBE_BYTES, REQUEST_BYTES,
-                      ChunkTrain, LinkModel, MutableRecord, PacketEvent,
-                      StreamSpec, TickSeq, TransferSpan, event_order, fold_sum)
+from .streams import (EVENT_KINDS, FLOW_CONTROL_BYTES, PROBE_BYTES,
+                      REQUEST_BYTES, ChunkTrain, LinkModel, MutableRecord,
+                      PacketEvent, StreamSpec, TickSeq, TransferSpan,
+                      event_order, fold_sum)
 from .techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM, OnOffS,
                          FASTSTART_TARGET_S, RESUME_THRESHOLD_S,
                          START_THRESHOLD_S, Technique, Throttling)
@@ -171,6 +174,21 @@ def _run_row(span: TransferSpan, event: str, nbytes: float) -> LogRecord:
     return r
 
 
+def _wire(e):
+    """Log entry e as the event list holds it: a span as it is, a control
+    packet's record as its PacketEvent, a train as the train of its
+    cycle's wire entries, sorted as the list is; None for a decision."""
+    if isinstance(e, TransferSpan):
+        return e
+    if isinstance(e, ChunkTrain):
+        return replace(e, cycle=tuple(sorted(filter(None, map(_wire, e.cycle)),
+                                             key=event_order)))
+    if e.event in EVENT_KINDS:
+        return PacketEvent(e.t_s, int(round(e.bytes)), e.connection_id,
+                           e.event)
+    return None
+
+
 def _log_records() -> TickSeq:
     return TickSeq([], _data_record)
 
@@ -182,8 +200,9 @@ class DeliveryLog(MutableRecord):
     records holds one LogRecord per decision and per data tick; the data
     ticks are stored as TransferSpans, repeated cycles (with their
     decisions) as ChunkTrains, both expanded when read, and rows() writes
-    them one row per run.  playback is the buffer timeline the engine's
-    playback wrote, the one a session reports.
+    them one row per run.  on_spans and off_spans are the ON and OFF
+    periods its on and off rows bound.  playback is the buffer timeline the
+    engine's playback wrote, the one a session reports.
     """
     records: TickSeq = field(default_factory=_log_records)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
@@ -304,23 +323,20 @@ class _Cycle(MutableRecord):
     buffer_s: float            # content buffered at t0
     phase: tuple[bool, bool]   # (playback started, stalled) at t0
     marks: SimpleNamespace     # _Engine._marks() at t0
-    events: tuple = ()         # the turn's entries in the event list
-    records: tuple = ()        # and in the log
+    records: tuple = ()        # the turn's entries in the log
     spans: tuple[TransferSpan, ...] = ()
     period_s: float = 0.0      # t0 to the next turn's start
     dbuffer_s: float = 0.0     # buffer change over the turn
     buffered: float = 0.0      # bytes that entered the buffer in the turn
 
     def __init__(self, t0: float, buffer_s: float, phase: tuple[bool, bool],
-                 marks: SimpleNamespace, events: tuple = (),
-                 records: tuple = (), spans: tuple[TransferSpan, ...] = (),
-                 period_s: float = 0.0, dbuffer_s: float = 0.0,
-                 buffered: float = 0.0):
+                 marks: SimpleNamespace, records: tuple = (),
+                 spans: tuple[TransferSpan, ...] = (), period_s: float = 0.0,
+                 dbuffer_s: float = 0.0, buffered: float = 0.0):
         self.t0 = t0
         self.buffer_s = buffer_s
         self.phase = phase
         self.marks = marks
-        self.events = events
         self.records = records
         self.spans = spans
         self.period_s = period_s
@@ -383,8 +399,6 @@ class _Engine:
             self.watch_end_s = min(abandon_at_s, stream.duration_s)
 
         self.t = 0.0
-        # PacketEvents and TransferSpans, in emission order
-        self.events: list = []
         # the playback this engine drives, as the session reports it
         self.playback = BufferTimeline(JOIN_FAILURE_S, 0.0, self.watch_end_s,
                                        resume_threshold_s=resume_threshold_s,
@@ -409,11 +423,8 @@ class _Engine:
             self.playback_start = self.playback.joining_time_s = 0.0
         self.starved = False      # link died with no recovery ahead
         self.seed, self._rng = seed, None   # _rng is built at the first draw
-        self._conn_seq = -1
-        self._on_since: Optional[float] = None
-        self._off_since: Optional[float] = None
-        # the span that is the last entry of both the events and the log,
-        # which the next tick may still extend
+        self._on = False   # delivery is ON: the last on/off row is on
+        # the log's last entry, a span the next tick may still extend
         self._open_span: Optional[TransferSpan] = None
         # whether the last buffer sample is the open span's last tick
         self._tail = False
@@ -556,17 +567,17 @@ class _Engine:
     # -- wire --------------------------------------------------------------
 
     def open_connection(self) -> int:
-        self._conn_seq += 1
+        conn = self.log.connections_opened
         self.log.connections_opened += 1
-        self._emit(self._conn_seq, REQUEST_BYTES, "request")
-        self._record("open", self._conn_seq, 0.0)
-        return self._conn_seq
+        self._emit(conn, REQUEST_BYTES, "request")
+        self._record("open", conn, 0.0)
+        return conn
 
     def request(self, count: int = 1) -> int:
         """Open count connections and wait one round trip for the first
         byte: delivery is ON from then.  Returns the first one's id; the
         others follow it."""
-        conn = self._conn_seq + 1
+        conn = self.log.connections_opened
         for _ in range(count):
             self.open_connection()
         self.wait_until(self.t + self.link.rtt_s)
@@ -577,18 +588,12 @@ class _Engine:
         self._record("close", conn, 0.0)
 
     def mark_on(self) -> None:
-        if self._off_since is not None:
-            self.log.off_spans.append((self._off_since, self.t))
-            self._off_since = None
-        if self._on_since is None:
-            self._on_since = self.t
+        if not self._on:
+            self._on = True
             self._record("on", -1, 0.0)
 
     def mark_off(self) -> None:
-        if self._on_since is not None:
-            self.log.on_spans.append((self._on_since, self.t))
-            self._on_since = None
-        self._off_since = self.t
+        self._on = False
         self._record("off", -1, 0.0)
 
     def _record(self, event: str, conn: int, nbytes: float) -> None:
@@ -598,7 +603,6 @@ class _Engine:
 
     def _emit(self, conn: int, nbytes: float, kind: str) -> None:
         """A control packet: request, persist probe or window update."""
-        self.events.append(PacketEvent(self.t, int(round(nbytes)), conn, kind))
         self.log.overhead_bytes += nbytes
         self._record(kind, conn, nbytes)
 
@@ -793,7 +797,6 @@ class _Engine:
                     samples.pop()
             else:
                 sp = TransferSpan(t, dt, n, conn, step, s0, dbuffer_s)
-                self.events.append(sp)
                 lg.records.items.append(sp)
                 self._open_span = sp
                 samples.append(_new_sample((t, s0, b0)))
@@ -848,13 +851,12 @@ class _Engine:
         A turn that repeats the last one (the same entries a period later,
         on connections as many further on as it opened, one content rate
         buffered, and the decision state and playback phase as it found
-        them) makes the two a ChunkTrain, in the event list and the log,
-        which then grows by the longest run of whole repeats that crosses
-        no decision point -- a link boundary, the end of the content or
-        the watch, playback start, stall or resume, or lower_s -- in
-        closed form.
+        them) makes the two a ChunkTrain in the log, which then grows by
+        the longest run of whole repeats that crosses no decision point --
+        a link boundary, the end of the content or the watch, playback
+        start, stall or resume, or lower_s -- in closed form.
         """
-        prev = trains = None   # the last turn that could repeat, its trains
+        prev = train = None   # the last turn that could repeat, its train
         state: object = None   # the decision state before the turn
         while not self.ended:
             self._pushed, self._stopped = 0.0, False
@@ -863,29 +865,29 @@ class _Engine:
             before, (state, cur.period_s) = state, cycle()
             if self.ended:
                 break
+            # a decision row alone is no progress
             if (self.t == cur.t0 and not self._pushed
-                    and len(self.events) == cur.marks.events):
+                    and self.log.bytes_delivered == cur.marks.delivered
+                    and self.log.overhead_bytes == cur.marks.overhead):
                 raise ValueError(f"a delivery loop turn at t={self.t} moved "
                                  "neither the clock nor a byte")
             crate = self._close_cycle(cur)
             if (crate is not None and prev is not None and before == state
                     and cur.repeats(prev, self._phase())):
-                trains = self._extend_train(trains, prev, cur)
+                train = self._extend_train(train, prev, cur)
                 m = self._whole_cycles(cur, crate, lower_s)
                 if m > 0:
-                    self._jump_cycles(trains, cur, m, crate, lower_s)
+                    self._jump_cycles(train, cur, m, crate, lower_s)
             else:
-                trains = None
+                train = None
             prev = cur if crate is not None else None
 
     def _marks(self) -> SimpleNamespace:
         """The state a loop turn may change; fixed: lists no repeat adds to."""
         lg, pb = self.log, self.playback
         return SimpleNamespace(
-            events=len(self.events), records=len(lg.records.items),
-            samples=len(pb.samples), on_spans=len(lg.on_spans),
-            off_spans=len(lg.off_spans), conn=self._conn_seq,
-            since=(self._on_since, self._off_since),
+            records=len(lg.records.items), samples=len(pb.samples),
+            conn=lg.connections_opened, delivered=lg.bytes_delivered,
             overhead=lg.overhead_bytes,
             rates={seg[2] for seg in self.buf.segments},
             fixed=(len(lg.quality_switches), len(pb.stall_events),
@@ -897,9 +899,8 @@ class _Engine:
         quality switch, a stall or a note, or met a buffer threshold and
         moved the buffer (later turns would meet it on other ticks)."""
         c.dbuffer_s, c.buffered = self.buf.seconds - c.buffer_s, self._pushed
-        c.events = tuple(self.events[c.marks.events:])
         c.records = tuple(self.log.records.items[c.marks.records:])
-        c.spans = tuple(e for e in c.events if isinstance(e, TransferSpan))
+        c.spans = tuple(e for e in c.records if isinstance(e, TransferSpan))
         end = self._marks()
         rates = c.marks.rates | end.rates
         if (end.fixed != c.marks.fixed or len(rates) != 1 or not c.buffered
@@ -910,28 +911,21 @@ class _Engine:
     def _phase(self) -> tuple[bool, bool]:
         return self.playback_start is not None, self.stalled
 
-    def _extend_train(self, trains: Optional[tuple], prev: _Cycle,
-                      cur: _Cycle) -> tuple[ChunkTrain, ChunkTrain]:
-        """Fold cur, a repeat of prev, into the trains prev ends, the event
-        list's and the log's; without them, prev and cur become new ones."""
-        if trains is None:
-            # the event list's cycle is sorted as finalize sorts the list
-            events = tuple(sorted(prev.events, key=event_order))
-            trains = tuple(ChunkTrain(cycle, 1, prev.period_s, prev.dbuffer_s,
-                                      cur.marks.conn - prev.marks.conn)
-                           for cycle in (events, prev.records))
-            cut = prev.marks
+    def _extend_train(self, train: Optional[ChunkTrain], prev: _Cycle,
+                      cur: _Cycle) -> ChunkTrain:
+        """Fold cur, a repeat of prev, into the log's train prev ends;
+        without one, prev and cur become a new one."""
+        items = self.log.records.items
+        if train is None:
+            train = ChunkTrain(prev.records, 1, prev.period_s, prev.dbuffer_s,
+                               cur.marks.conn - prev.marks.conn)
+            del items[prev.marks.records:]
+            items.append(train)
         else:
-            cut = cur.marks
-        del self.events[cut.events:]
-        del self.log.records.items[cut.records:]
+            del items[cur.marks.records:]
         self._open_span = None     # a train's ticks are not extended
-        if trains[0].m == 1:
-            self.events.append(trains[0])
-            self.log.records.items.append(trains[1])
-        for train in trains:
-            train.m += 1
-        return trains
+        train.m += 1
+        return train
 
     def _whole_cycles(self, c: _Cycle, crate: float,
                       lower_s: Optional[float]) -> int:
@@ -963,32 +957,19 @@ class _Engine:
                     (watch_left - 1e-6) / p)
         return int(x) - 1
 
-    def _jump_cycles(self, trains: tuple, c: _Cycle, m: int, crate: float,
-                     lower_s: Optional[float]) -> None:
+    def _jump_cycles(self, train: ChunkTrain, c: _Cycle, m: int,
+                     crate: float, lower_s: Optional[float]) -> None:
         """Apply m whole repeats of cycle c that cross no decision point:
-        each opens c's connections, sends its control bytes and adds its
-        on and off spans, and a gated loop's its buffer samples, shifted
-        (the sawtooth)."""
-        lg, pb, p, d = self.log, self.playback, trains[0].period_s, c.dbuffer_s
-        shifts = range(1, m + 1)
+        each opens c's connections and sends its control bytes, and a gated
+        loop's adds its buffer samples, shifted (the sawtooth)."""
+        lg, pb, p, d = self.log, self.playback, train.period_s, c.dbuffer_s
         delivered = fold_sum(s.n * s.nbytes for s in c.spans)
         if lower_s is not None:
             pb.samples += [
                 BufferSample(s.t_s + j * p, s.buffered_seconds + j * d,
                              s.buffered_bytes + j * d * crate / 8.0)
-                for j in shifts for s in pb.samples[c.marks.samples:]]
-        for spans, k in ((lg.on_spans, c.marks.on_spans),
-                         (lg.off_spans, c.marks.off_spans)):
-            if len(spans) > k:    # a long train of no on or off costs nothing
-                spans += [(a + j * p, b + j * p) for j in shifts
-                          for a, b in spans[k:]]
-        # an on or off period the turn began is the last repeat's
-        self._on_since, self._off_since = (
-            t if t is None or t == t0 else t + m * p
-            for t, t0 in zip((self._on_since, self._off_since), c.marks.since))
-        opened = self._conn_seq - c.marks.conn
-        self._conn_seq += m * opened
-        lg.connections_opened += m * opened
+                for j in range(1, m + 1) for s in pb.samples[c.marks.samples:]]
+        lg.connections_opened += m * (lg.connections_opened - c.marks.conn)
         lg.overhead_bytes += m * (lg.overhead_bytes - c.marks.overhead)
         lg.bytes_delivered += m * delivered
         # bytes that never entered the buffer (interleaved audio) count as
@@ -996,8 +977,7 @@ class _Engine:
         lg.bytes_consumed += m * (delivered - c.buffered)
         self._fill(m * c.buffered, crate, m * p if self.playing else 0.0)
         self.t += m * p
-        for train in trains:
-            train.m += m
+        train.m += m
 
     # -- waits -------------------------------------------------------------
 
@@ -1020,13 +1000,9 @@ class _Engine:
             self.advance(self.t + min(gap, end_play))
 
     def finalize(self) -> tuple[TickSeq, DeliveryLog]:
-        """Drain remaining playback, close spans and check conservation."""
-        if self._on_since is not None:
-            self.log.on_spans.append((self._on_since, self.t))
-            self._on_since = None
-        if self._off_since is not None:
-            self.log.off_spans.append((self._off_since, self.t))
-            self._off_since = None
+        """Drain remaining playback and check conservation; read the event
+        list and the ON/OFF periods from the log."""
+        self._on_off_spans()
         if self.start_at is not None and self.start_at < math.inf:
             self.advance(self.start_at)
         if self.playback_start is not None:
@@ -1052,13 +1028,39 @@ class _Engine:
             raise AssertionError(
                 f"byte conservation broken: delivered={delivered:.1f} "
                 f"consumed+buffered+wasted={accounted:.1f}")
-        # Runs are emitted in time order and a span's ticks come strictly
-        # after what was emitted before it; an event tied with its last
+        # Runs are logged in time order and a span's ticks come strictly
+        # after what was logged before it; an event tied with its last
         # tick is on the same or a newer connection.  So sorting runs by
         # their first tick sorts the ticks (a probe and its window update
         # share a time and swap), as in each train's cycle.
-        self.events.sort(key=event_order)
-        return TickSeq(self.events, TransferSpan.event), self.log
+        events = sorted(filter(None, map(_wire, self.log.records.items)),
+                        key=event_order)
+        return TickSeq(events, TransferSpan.event), self.log
+
+    def _on_off_spans(self) -> None:
+        """Replay the log's on and off rows (a train's at t_s + j * period_s)
+        into its ON and OFF periods: a row ends the one the row before began
+        (an off row after an off row drops it), and one still open ends now."""
+        spans = {"on": self.log.on_spans, "off": self.log.off_spans}
+        last = None   # the row that began the period still open
+        for it in self.log.records.items:
+            if isinstance(it, ChunkTrain):
+                rows = [r for r in it.cycle
+                        if isinstance(r, LogRecord) and r.event in spans]
+                m = it.m if rows else 0
+            elif isinstance(it, LogRecord) and it.event in spans:
+                rows, m = (it,), 1
+            else:
+                continue
+            for j in range(m):
+                for r in rows:
+                    if j:   # repeat j of a train's rows
+                        r = r.shifted(j * it.period_s, 0.0, 0)
+                    if last is not None and not last.event == r.event == "off":
+                        spans[last.event].append((last.t_s, r.t_s))
+                    last = r
+        if last is not None:
+            spans[last.event].append((last.t_s, self.t))
 
     def _end_stalled(self, since: float, end: float) -> None:
         """Close the timeline with a stall from since to end."""
@@ -1213,7 +1215,15 @@ def _run_onoff_m(eng: _Engine, tech: OnOffM) -> None:
                       and tech.off_fixed_s is None else math.inf)
 
 
-def _measured_bandwidth(eng: _Engine, nbytes: float, t0: float) -> float:
+def _fetch(eng: _Engine, conn: int, chunk_s: float,
+           rate_bps: float) -> Optional[float]:
+    """Fetch chunk_s content seconds at rate_bps, or what is left of the
+    content: the bandwidth measured, or None if under 1 ms is left."""
+    dur = min(chunk_s, eng.content_remaining_s)
+    if dur <= 1e-3:
+        return None
+    nbytes, t0 = dur * rate_bps / 8.0, eng.t
+    eng.deliver(conn, math.inf, nbytes=nbytes, content_rate_bps=rate_bps)
     dt = eng.t - t0
     return nbytes * 8.0 / dt if dt > 0 else math.inf
 
@@ -1239,25 +1249,17 @@ def _run_hls(eng: _Engine, tech: Hls) -> None:
         eng._sample()   # empty until the re-fetch's first tick
         # re-fetch the discarded span at the new quality, back to back
         rate = ladder[state["rung"]][1]
-        refetch = secs
-        while refetch > 1e-3 and not eng.finished:
-            dur = min(tech.chunk_s, refetch, eng.content_remaining_s)
-            if dur <= 1e-3:
+        while secs > 1e-3 and not eng.finished:
+            dur = min(tech.chunk_s, secs)
+            if _fetch(eng, conn, dur, rate) is None:
                 break
-            eng.deliver(conn, math.inf, nbytes=dur * rate / 8.0,
-                        content_rate_bps=rate)
-            refetch -= dur
+            secs -= dur
 
     def fetch_chunk() -> None:
-        dur = min(tech.chunk_s, eng.content_remaining_s)
-        if dur <= 1e-3:
-            return
         rung = state["rung"]
-        nbytes = dur * ladder[rung][1] / 8.0
-        t0 = eng.t
-        eng.deliver(conn, math.inf, nbytes=nbytes,
-                    content_rate_bps=ladder[rung][1])
-        bw = _measured_bandwidth(eng, nbytes, t0)
+        bw = _fetch(eng, conn, tech.chunk_s, ladder[rung][1])
+        if bw is None:
+            return
         state["up"] = state["up"] + 1 if (
             rung + 1 < len(ladder) and bw > ladder[rung + 1][1]) else 0
         state["down"] = state["down"] + 1 if bw < ladder[rung][1] else 0
@@ -1308,17 +1310,13 @@ def _run_mss(eng: _Engine, tech: Mss) -> None:
     conn = eng.request()
 
     def fetch_video() -> None:
-        dur = min(tech.video_chunk_s, eng.content_remaining_s)
-        if dur <= 1e-3:
-            return
         rung = state["rung"]
-        nbytes = dur * ladder[rung][1] / 8.0
-        t0 = eng.t
-        eng.deliver(conn, math.inf, nbytes=nbytes,
-                    content_rate_bps=ladder[rung][1])
+        bw = _fetch(eng, conn, tech.video_chunk_s, ladder[rung][1])
+        if bw is None:
+            return
         state["pos"] = (state["pos"] + 1) % tech.audio_every_n_video_chunks
         if len(measured) < 3:
-            measured.append(_measured_bandwidth(eng, nbytes, t0))
+            measured.append(bw)
             if len(measured) == 3:
                 bw = min(measured)
                 best = 0

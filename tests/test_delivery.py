@@ -232,6 +232,21 @@ def test_onoff_m_steady_cycles_are_periodic(hd_stream, link4):
             assert max(seq) - min(seq) <= 5 * EVENT_TICK_S
 
 
+@pytest.mark.parametrize("name", ["vimeo_iphone5", "legacy_onoffs",
+                                  "vimeo_onoffs"])
+def test_on_off_periods_begin_at_the_logs_rows(name):
+    """Each ON and OFF period begins exactly at an on or off row of the
+    delivery log, those of a train's jumped repeats included."""
+    stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
+    _, dlog = simulate_session(stream, LinkModel.constant(8e6), preset(name))
+    assert any(getattr(it, "m", 0) > 2 for it in dlog.records.items)
+    rows = {(r.event, r.t_s) for r in dlog.records if r.event in ("on", "off")}
+    assert dlog.on_spans and dlog.off_spans
+    for event, spans in (("on", dlog.on_spans), ("off", dlog.off_spans)):
+        for start, _ in spans:
+            assert (event, start) in rows, (event, start)
+
+
 def test_onoff_m_chunked_vimeo_iphone5_off_duration(hd_stream, link4):
     events, dlog = simulate_session(hd_stream, link4, preset("vimeo_iphone5"))
     offs = steady_off_durations(dlog)[:-1]

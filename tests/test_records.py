@@ -171,8 +171,7 @@ RUNTIME = [
      "quality_switches=[])"),
     (_Cycle(0.0, 1.0, (True, False), None),
      "_Cycle(t0=0.0, buffer_s=1.0, phase=(True, False), marks=None, "
-     "events=(), records=(), spans=(), period_s=0.0, dbuffer_s=0.0, "
-     "buffered=0.0)"),
+     "records=(), spans=(), period_s=0.0, dbuffer_s=0.0, buffered=0.0)"),
     (BufferTimeline(0.5, 10.0, 9.5),
      "BufferTimeline(joining_time_s=0.5, playback_end_s=10.0, duration_s=9.5, "
      "samples=[], resume_threshold_s=4.0, completed=True, stall_events=[])"),
@@ -294,7 +293,7 @@ def test_hand_written_initialisers_take_keywords_and_defaults():
     assert PacketEvent(t_s=1.0, bytes=5, connection_id=0) == \
         PacketEvent(1.0, 5, 0, "data")
     assert TransferSpan(0.0, 0.05, 2, 0, 10.0).buffer_s == 0.0
-    assert _Cycle(0.0, 1.0, (False, False), None, period_s=2.0).events == ()
+    assert _Cycle(0.0, 1.0, (False, False), None, period_s=2.0).records == ()
     with pytest.raises(TypeError, match="connection_id"):
         PacketEvent(1.0, 5)
     with pytest.raises(TypeError, match="bogus"):

@@ -807,7 +807,7 @@ def test_long_link_run_step_line_events_are_pinned():
     _fill and pinned, so work added to a run step shows as a count."""
     sc = _long_inputs(1)[0]
     assert _line_events(("deliver", "_fill"),
-                        lambda: run_session(sc)) == 98_617
+                        lambda: run_session(sc)) == 97_966
 
 
 def test_sweeps_line_events_do_not_grow(tmp_path, capsys):
