@@ -13,7 +13,7 @@ import math
 from dataclasses import field, replace
 from typing import Optional, Sequence
 
-from .scenario import Scenario
+from .scenario import ConfigError, Scenario
 from .session import run_session
 from .streams import LinkModel, MutableRecord, Record, StreamSpec
 from .techniques import FastCaching, OnOffM, technique_kind
@@ -113,7 +113,9 @@ def buffer_size_sweep(scenario: Scenario,
     smallest swept buffer size.
     """
     if not isinstance(scenario.technique, OnOffM):
-        raise ValueError("buffer-size sweep needs an on_off_m technique")
+        raise ConfigError("technique.kind", "buffer-size sweep needs an "
+                          "on_off_m technique, not "
+                          + technique_kind(scenario.technique))
     sizes = sorted(dynamic_buffer_sizes_s)
     if not sizes or any(s <= 0 for s in sizes):
         raise ValueError("buffer sizes must be > 0")

@@ -26,8 +26,8 @@ from .session import run_session
 
 
 def _write_atomic(path: str, text: str) -> None:
+    """text into path, whose directory exists, through a rename."""
     d = os.path.dirname(path) or "."
-    os.makedirs(d, exist_ok=True)
     # open() gives the file the umask's mode, where mkstemp's would be 0600
     tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.path.basename(path)}")
     try:
@@ -45,6 +45,7 @@ def cmd_simulate(args) -> int:
     res = run_session(sc)
     out = args.out
     write_t0 = time.perf_counter()
+    os.makedirs(out, exist_ok=True)
     _write_atomic(os.path.join(out, "session_summary.json"),
                   res.summary.to_json() + "\n")
     _write_atomic(os.path.join(out, "buffer.csv"),
@@ -86,6 +87,7 @@ def cmd_sweep_abandon(args) -> int:
     sc = load_scenario(args.scenario)
     grid = _parse_grid(args.grid, "--grid", top=1.0)
     results = analysis.abandonment_sweep(sc, grid)
+    os.makedirs(args.out, exist_ok=True)
     series = {}
     for name, sweep in results.items():
         path = os.path.join(args.out, f"abandon_{name}.csv")
@@ -104,7 +106,13 @@ def cmd_sweep_buffer(args) -> int:
     grid = _parse_grid(args.grid, "--grid")
     ratios = (_parse_grid(args.ratios, "--ratios") if args.ratios
               else [2.0, 4.0, 8.0])
+    rate = sc.stream.encoding_rate_bps
+    for ratio in ratios:
+        if not math.isfinite(ratio * rate):
+            raise ConfigError("--ratios", f"{ratio:g} times the encoding rate "
+                              f"({rate:g} bps) is past the largest float")
     results = analysis.buffer_size_sweep(sc, grid, ratios)
+    os.makedirs(args.out, exist_ok=True)
     series = {}
     for ratio, sweep in results.items():
         path = os.path.join(args.out, f"buffer_c{ratio:g}x.csv")
@@ -187,9 +195,19 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return ap
 
 
+# command, or None for the full parser -> the parser main reuses for it
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    # argparse spends far longer building a parser than parsing with it, so
+    # in-process callers build each once; parse_args leaves it unchanged
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    ap = _PARSERS.get(command)
+    if ap is None:
+        ap = _PARSERS[command] = build_parser(command)
+    args = ap.parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError) as exc:

@@ -412,6 +412,8 @@ def test_an_infinite_throttle_factor_still_simulates(tmp_path):
     ("sweep-abandon", "--grid", "2"),
     ("sweep-buffer", "--grid", "-5"),
     ("sweep-buffer", "--ratios", "inf"),
+    # finite, but the link it asks for (ratio x encoding rate) is not
+    ("sweep-buffer", "--ratios", "1e303"),
 ])
 def test_sweep_grid_exits_2_naming_its_flag(tmp_path, capsys, command, flag,
                                             value):
@@ -419,6 +421,16 @@ def test_sweep_grid_exits_2_naming_its_flag(tmp_path, capsys, command, flag,
                flag, value])
     assert rc == 2
     assert f"{flag}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_sweep_buffer_on_another_technique_exits_2_naming_it(capsys,
+                                                            tmp_path):
+    scn = str(ir.files("streamsim") / "scenarios" / "fast_caching_wifi.scn")
+    rc = main(["sweep-buffer", "--scenario", scn, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "technique.kind: " in err and "on_off_m" in err
     assert not (tmp_path / "o").exists()
 
 
@@ -500,7 +512,8 @@ def test_an_unknown_command_exits_2_listing_every_command(capsys):
 
 
 def test_a_command_builds_only_its_own_subparser(tmp_path, monkeypatch):
-    """Each main call builds a fresh parser holding one subcommand."""
+    """main builds a command's parser once per process, holding that one
+    subcommand, and reuses it on every later call."""
     built = []
 
     def spy(command=None):
@@ -508,11 +521,32 @@ def test_a_command_builds_only_its_own_subparser(tmp_path, monkeypatch):
         return built[-1]
     real = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(cli, "_PARSERS", {})
     for _ in range(2):
         assert main(["simulate", "--scenario", BUNDLED,
                      "--out", str(tmp_path / "o")]) == 0
-    assert len(built) == 2 and built[0] is not built[1]
-    for ap in built:
-        [sub] = [a for a in ap._actions
-                 if isinstance(a, argparse._SubParsersAction)]
-        assert list(sub.choices) == ["simulate"]
+    assert len(built) == 1
+    [sub] = [a for a in built[0]._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["simulate"]
+
+
+def test_a_reused_parser_leaks_nothing_between_calls(tmp_path, monkeypatch,
+                                                     capsys):
+    """Usage errors, a configuration error and help between two runs of one
+    scenario in one process leave its artifacts the same bytes, and the
+    table holds a parser per command plus the full one at most."""
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(a)]) == 0
+    assert _exit(main, ["simulate", "--no-such-flag"], capsys)[0] == 2
+    assert main(["sweep-buffer", "--scenario", BUNDLED,
+                 "--out", str(tmp_path / "o"), "--grid", "-5"]) == 2
+    assert _exit(main, ["--help"], capsys)[0] == 0
+    assert _exit(main, ["bogus"], capsys)[0] == 2
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(b)]) == 0
+    for name in ARTIFACTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert sorted(p.name for p in b.iterdir()) == sorted(ARTIFACTS)
+    assert not (tmp_path / "o").exists()
+    assert len(cli._PARSERS) <= len(cli._COMMANDS) + 1
