@@ -25,14 +25,24 @@ from .scenario import ConfigError, _number, load_scenario
 from .session import run_session
 
 
+# O_BINARY keeps Windows from writing "\r\n" for "\n"
+_CREATE = os.O_WRONLY | os.O_CREAT | os.O_TRUNC | getattr(os, "O_BINARY", 0)
+
+
 def _write_atomic(path: str, text: str) -> None:
-    """text into path, whose directory exists, through a rename."""
+    """text as UTF-8 bytes into path, whose directory exists, through a
+    rename."""
     d = os.path.dirname(path) or "."
-    # open() gives the file the umask's mode, where mkstemp's would be 0600
     tmp = os.path.join(d, f".tmp-{os.getpid()}-{os.path.basename(path)}")
+    data = memoryview(text.encode())
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        # mode 0o666 less the umask, as open() gives; mkstemp's would be 0600
+        fd = os.open(tmp, _CREATE, 0o666)
+        try:
+            while data:     # a write may take fewer bytes than it is given
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,23 +50,27 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
+def _load(path: str):
+    """The scenario at path; a file that cannot be read as UTF-8 text is a
+    configuration error naming --scenario."""
+    try:
+        return load_scenario(path)
+    except OSError as exc:
+        raise ConfigError("--scenario", f"cannot read {path!r}: "
+                          f"{exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("--scenario", f"{path!r} is not UTF-8 text: "
+                          f"{exc.reason} (byte {exc.start})") from exc
+
+
 def cmd_simulate(args) -> int:
-    sc = load_scenario(args.scenario)
+    sc = _load(args.scenario)
     res = run_session(sc)
     out = args.out
     write_t0 = time.perf_counter()
     os.makedirs(out, exist_ok=True)
-    _write_atomic(os.path.join(out, "session_summary.json"),
-                  res.summary.to_json() + "\n")
-    _write_atomic(os.path.join(out, "buffer.csv"),
-                  "\n".join(res.buffer.to_csv_lines()) + "\n")
-    rt_lines = ["t_start_s,t_end_s,state,current_mA"]
-    for t0, t1, state, ma in res.radio.to_csv_rows():
-        rt_lines.append(f"{t0:.6f},{t1:.6f},{state},{ma:.3f}")
-    _write_atomic(os.path.join(out, "radio_timeline.csv"),
-                  "\n".join(rt_lines) + "\n")
-    _write_atomic(os.path.join(out, "delivery_log.csv"),
-                  "\n".join(res.dlog.to_csv_lines()) + "\n")
+    for name, text in res.artifact_texts():
+        _write_atomic(os.path.join(out, name), text)
     if args.stats:
         # timings vary run to run, so they go here and never into the four
         # deterministic artifacts
@@ -84,7 +98,7 @@ def _parse_grid(raw: str, flag: str, top: float = math.inf) -> list[float]:
 
 def cmd_sweep_abandon(args) -> int:
     from . import analysis, svgplot
-    sc = load_scenario(args.scenario)
+    sc = _load(args.scenario)
     grid = _parse_grid(args.grid, "--grid", top=1.0)
     results = analysis.abandonment_sweep(sc, grid)
     os.makedirs(args.out, exist_ok=True)
@@ -102,7 +116,7 @@ def cmd_sweep_abandon(args) -> int:
 
 def cmd_sweep_buffer(args) -> int:
     from . import analysis, svgplot
-    sc = load_scenario(args.scenario)
+    sc = _load(args.scenario)
     grid = _parse_grid(args.grid, "--grid")
     ratios = (_parse_grid(args.ratios, "--ratios") if args.ratios
               else [2.0, 4.0, 8.0])

@@ -100,6 +100,9 @@ class BufferTimeline(MutableRecord):
     stall_events: list[tuple[float, float]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,buffered_seconds,buffered_bytes"
+    # a row's %-format: %.6f writes what an f-string's {:.6f} writes, and %s
+    # what its {} writes, so each row is formatted in C, one pass a file
+    CSV_ROW = "%.6f,%.6f,%.1f"
 
     def __init__(self, joining_time_s: float, playback_end_s: float,
                  duration_s: float, samples: list[BufferSample] = MISSING,
@@ -115,11 +118,8 @@ class BufferTimeline(MutableRecord):
         self.stall_events = [] if stall_events is MISSING else stall_events
 
     def to_csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for s in self.samples:
-            lines.append(f"{s.t_s:.6f},{s.buffered_seconds:.6f},"
-                         f"{s.buffered_bytes:.1f}")
-        return lines
+        """buffer.csv's lines: the header, then a row per sample."""
+        return [self.CSV_HEADER, *map(self.CSV_ROW.__mod__, self.samples)]
 
     def value_at(self, t_s: float) -> float:
         """Buffered seconds at wall time t_s, interpolated linearly
@@ -189,6 +189,10 @@ def _wire(e):
     return None
 
 
+_csv_fields = attrgetter("t_s", "event", "connection_id", "bytes",
+                         "buffer_s_after")
+
+
 def _log_records() -> TickSeq:
     return TickSeq([], _data_record)
 
@@ -220,6 +224,7 @@ class DeliveryLog(MutableRecord):
     quality_switches: list[tuple[float, str, str]] = field(default_factory=list)
 
     CSV_HEADER = "t_s,event,connection_id,bytes,buffer_s_after"
+    CSV_ROW = "%.6f,%s,%s,%.1f,%.6f"     # as BufferTimeline.CSV_ROW
 
     def __init__(self, records: TickSeq = MISSING,
                  on_spans: list[tuple[float, float]] = MISSING,
@@ -271,11 +276,9 @@ class DeliveryLog(MutableRecord):
                     if isinstance(s, TransferSpan)))
 
     def to_csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for r in self.rows():
-            lines.append(f"{r.t_s:.6f},{r.event},{r.connection_id},"
-                         f"{r.bytes:.1f},{r.buffer_s_after:.6f}")
-        return lines
+        """delivery_log.csv's lines: the header, then rows()."""
+        return [self.CSV_HEADER,
+                *map(self.CSV_ROW.__mod__, map(_csv_fields, self.rows()))]
 
 
 class _Buffer:

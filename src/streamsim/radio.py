@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import MISSING, field
+from operator import itemgetter
 from typing import Iterable, Optional
 
 from .profiles import PowerProfile
@@ -130,6 +131,9 @@ class RadioTimeline(MutableRecord):
     technology: str
     intervals: list[RadioInterval] = field(default_factory=list)
 
+    CSV_HEADER = "t_start_s,t_end_s,state,current_mA"
+    CSV_ROW = "%.6f,%.6f,%s,%.3f"     # as delivery.BufferTimeline.CSV_ROW
+
     def __init__(self, technology: str,
                  intervals: list[RadioInterval] = MISSING):
         self.technology = technology
@@ -205,7 +209,17 @@ class RadioTimeline(MutableRecord):
                     f"timeline ends at {prev:.6f}, session ends at {want:.6f}")
 
     def to_csv_rows(self) -> list[tuple]:
-        return [(t0, t1, state, ma) for state, t0, t1, ma in self.spans()]
+        """(t_start_s, t_end_s, state, current_ma) of each interval."""
+        return list(map(_csv_order, self.spans()))
+
+    def to_csv_lines(self) -> list[str]:
+        """radio_timeline.csv's lines: the header, then a row per interval."""
+        return [self.CSV_HEADER,
+                *map(self.CSV_ROW.__mod__, self.to_csv_rows())]
+
+
+# a span's fields in the order radio_timeline.csv writes them
+_csv_order = itemgetter(1, 2, 0, 3)
 
 
 def _spans(runs: list, end: float) -> list[tuple]:

@@ -15,9 +15,8 @@ The format is deliberately diff-friendly: one dotted key per line,
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import replace
+import os
 from typing import Optional, Union
 
 from . import techniques as T
@@ -134,18 +133,13 @@ def parse_scenario_text(text: str, name: str = "scenario") -> Scenario:
     return scenario_from_table(table, name)
 
 
-def load_scenario(path: str) -> Scenario:
+def load_scenario(path: Union[str, os.PathLike]) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    name = path.rsplit("/", 1)[-1]
+    name = os.path.basename(os.fspath(path))
     if name.endswith(".scn"):
         name = name[:-4]
     return parse_scenario_text(text, name)
-
-
-def _section(table: dict, prefix: str) -> dict[str, object]:
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in table.items() if k.startswith(prefix + ".")}
 
 
 def _pop_required(section: dict, key: str, prefix: str):
@@ -196,8 +190,7 @@ def _build(base, fields: dict, prefix: str):
     (a preset, a built-in profile, a default radio config) with fields
     overridden; any bad field is named prefix.key."""
     cls = base if isinstance(base, type) else type(base)
-    # the config modules postpone annotations, so a type is its text
-    kinds = {f.name: f.type for f in dataclasses.fields(cls)}
+    kinds = cls._kinds
     for k, v in fields.items():
         if k not in kinds:
             raise ConfigError(f"{prefix}.{k}",
@@ -205,8 +198,14 @@ def _build(base, fields: dict, prefix: str):
         fields[k] = _checked(v, kinds[k], f"{prefix}.{k}")
     if "ladder" in fields:
         fields["ladder"] = _parse_ladder(fields["ladder"], f"{prefix}.ladder")
+    if base is not cls and not fields:
+        return base     # frozen and already checked, as a copy would be
     try:
-        return cls(**fields) if base is cls else replace(base, **fields)
+        if base is cls:
+            return cls(**fields)
+        # a copy, built as replace() builds one but from positional values
+        return cls(*[fields.get(name, value) for name, value
+                     in zip(cls._names, base._values())])
     except (TypeError, ValueError) as exc:
         raise _field_error(exc, cls, prefix) from exc
 
@@ -223,18 +222,25 @@ def _parse_ladder(raw: str, prefix: str) -> tuple[tuple[str, float], ...]:
     return tuple(rungs)
 
 
+_SECTIONS = ("stream", "link", "technique", "radio", "profile")
+
+
 def scenario_from_table(table: dict[str, object], name: str = "scenario"
                         ) -> Scenario:
-    known_roots = {"stream", "link", "technique", "radio", "profile"}
-    for key in table:
-        root = key.split(".", 1)[0]
-        if root not in known_roots and key not in ("abandon_at_s", "seed", "name"):
-            raise ConfigError(key, "unknown scenario key")
+    # each section's keys without their "section." prefix, in one pass
+    sections: dict[str, dict] = {root: {} for root in _SECTIONS}
+    for key, value in table.items():
+        root, dot, rest = key.partition(".")
+        section = sections.get(root)
+        if section is None:
+            if key not in ("abandon_at_s", "seed", "name"):
+                raise ConfigError(key, "unknown scenario key")
+        elif dot:
+            section[rest] = value
 
-    s = _section(table, "stream")
-    stream = _build(StreamSpec, s, "stream")
+    stream = _build(StreamSpec, sections["stream"], "stream")
 
-    li = _section(table, "link")
+    li = sections["link"]
     rtt = _number(li.pop("rtt_ms", 70.0), "link.rtt_ms")
     if "segments" in li:
         segs = []
@@ -257,7 +263,7 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
     if li:
         raise ConfigError(f"link.{sorted(li)[0]}", "unknown field for LinkModel")
 
-    te = _section(table, "technique")
+    te = sections["technique"]
     preset_name = te.pop("preset", None)
     kind = te.pop("kind", None)
     if preset_name is not None:
@@ -284,9 +290,9 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
                               f"{tech.lower_s:g} s is at or above upper_bytes "
                               f"({upper_s:.1f} s at the highest rate)")
 
-    ra = _section(table, "radio")
+    ra = sections["radio"]
     radio_tech = str(_pop_required(ra, "technology", "radio"))
-    prof_section = _section(table, "profile")
+    prof_section = sections["profile"]
     prof_name = str(_pop_required(prof_section, "name", "profile"))
     if prof_name not in BUILTIN_PROFILES:
         raise ConfigError("profile.name",

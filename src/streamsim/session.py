@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import MISSING, field
 
 from . import delivery, playback
@@ -38,6 +39,17 @@ class SessionResult(MutableRecord):
         self.radio = radio
         self.summary = summary
         self.compute_ms = {} if compute_ms is MISSING else compute_ms
+
+    def artifact_texts(self) -> Iterator[tuple[str, str]]:
+        """The four artifacts `streamsim simulate` writes, as (file name,
+        text) pairs in the order it writes them, each made as it is read:
+        the summary JSON, buffer.csv, radio_timeline.csv and
+        delivery_log.csv, every line ended by "\n"."""
+        yield "session_summary.json", self.summary.to_json() + "\n"
+        for name, lines in (("buffer.csv", self.buffer.to_csv_lines),
+                            ("radio_timeline.csv", self.radio.to_csv_lines),
+                            ("delivery_log.csv", self.dlog.to_csv_lines)):
+            yield name, "\n".join(lines()) + "\n"
 
     @property
     def stats(self) -> dict:

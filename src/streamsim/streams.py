@@ -82,13 +82,15 @@ class Record:
     replace() and library callers all pass through it.  __post_init__
     keeps the rules that tie fields together.  Each error starts with the
     field it names, as in "factor must be > 1, not 1.0".  The config
-    modules postpone annotations, so a field's type is its text.
+    modules postpone annotations, so a field's type is its text, and
+    _kinds maps each field's name to it.
     """
 
     def __init_subclass__(cls):
         dataclass(init=False, repr=False, eq=False)(cls)
         fs = fields(cls)
         cls._names = tuple(f.name for f in fs)
+        cls._kinds = {f.name: f.type for f in fs}
         cls._defaults = {f.name: f.default for f in fs
                          if f.default is not MISSING}
         cls._factories = {f.name: f.default_factory for f in fs

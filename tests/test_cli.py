@@ -1,4 +1,6 @@
 import argparse
+import errno
+import hashlib
 import importlib.resources as ir
 import json
 import os
@@ -9,6 +11,7 @@ import pytest
 
 from streamsim import cli
 from streamsim.cli import build_parser, main
+from streamsim.scenario import load_scenario
 
 BUNDLED = str(ir.files("streamsim") / "scenarios" / "youtube_onoffm_hspa.scn")
 GOLDEN = Path(__file__).parent / "golden" / "youtube_onoffm_hspa_summary.json"
@@ -109,6 +112,117 @@ def test_artifacts_get_the_umask_mode_and_leave_no_temp_file(tmp_path, umask):
         "buffer.csv", "session_summary.json"]
 
 
+# SHA-256 of the four artifacts (ARTIFACTS order) that `simulate` writes for
+# each bundled scenario and for the base scenario re-run with another
+# technique
+PINNED = {
+    "youtube_onoffm_hspa": (
+        "6dc4b28479936d424b3a67b3bececd549fa186056d2b46dabc8cc3836e666494",
+        "f0de199c9094f66bb32c3046d5d55c658dbb219f6a44f4bb961ed4dd98c18bca",
+        "b52d0089a8b5e1630482ad98ec851074f74c2b684c87120e1751ba5716999eed",
+        "997c58ddaa2ca534a9777ad75d36db4d1b13e10dab656cc6d30cbddf63a44e0f",
+    ),
+    "encoding_rate_lte": (
+        "46732717398e004a31ebd9ed6541c1219b58516d0eca9410977b7b493e71c645",
+        "c8802c77794e7e7da3f37b7120bb41412df2fd0d36ca128873e226141e06f1be",
+        "de27d28170bece5ee4254b6528e14877c75f4da847c9c3812f1409a04d9afc85",
+        "b82ee16b61db72f7d20a47454643ffab469bd578014129789560e00063b82a70",
+    ),
+    "fast_caching_wifi": (
+        "e4b56f6cb7b3cefff470b2dafbf574c1f05a2aba81c159206e8077d5b0aadeb0",
+        "981c5d8f52ea37ed2a29d4485ac65f17bbcb58fe69893c33596d975fb2733ac0",
+        "6d9d957f40d426f309f6de521f476a4fc3d9ac98c42ad0c1bdca0e3c9c86e158",
+        "80522ac173e0ac8ed6645e1d2c93f2c1f27535fa0acc917956be0babeaf7bab9",
+    ),
+    "hls": (
+        "07bec51fdac28c358aac7cd28c7edf10604805c9b02ff908598e3951bb7269e1",
+        "782a8fcea378de65422b1ee02a63bedf961bd08f36c0bbb51a5efab6f747bb85",
+        "a3cf3982d89892f7a042f7e7cf13f131d13050f259122405c097613a3fb32bf7",
+        "8436d53e5c5fb522e0c8fcd87611ea211953c227dfb6d58fe8902235baf19980",
+    ),
+    "mss": (
+        "67910d2ee2f53ffb99ae2467822b9e0e808887390f8b17750e58a2ae89648661",
+        "6ff810acff7aae4a3f7104ca7e831a96a6520aa48428585037c577cf1b293961",
+        "3b5eed98ee5a883cff0e79ec304fa1fbe0eb41fa4a938c3d34f9a7a75e759380",
+        "1ea4dc2aca0c74623b2afc04c854c978d100c42ebb6bc97ed5a08e5be4e587ef",
+    ),
+    "throttling": (
+        "a1a766fffd000d4362d36cce8e2ddf1217eccf291d7aa0a03fe7105206f35981",
+        "a144bb1019839cc85f532b490e01913cd9477f5fb35ab7b64e0346251e9e09aa",
+        "1d22dc8ad8f12c212f1946ebbed79dfa4aced0b37da8222704cbd02b196b13f9",
+        "92d2201e4bc2b3c7e64bf3d5e523bdac5c2d324241b8104cd6bed20926fdbb93",
+    ),
+    "vimeo_onoffs": (
+        "b31e8a1033a935cda8c10a632ed85e66cd426b852284472800143434b106a558",
+        "ac0fa4e2ef731033022ffc3de12e24764b12dda9dba7a45cced3ca797a55bdd9",
+        "cbdfa83314dd7f82f4c8ee614aef1ec319e70d5a517b6d17743cca94450d302d",
+        "5c7be27b885a175759c30ebcaedc2a86c2ad77eda1ba11d51300d1c76459a61a",
+    ),
+}
+VARIANTS = {"hls": "technique.kind = hls", "mss": "technique.kind = mss",
+            "throttling": "technique.kind = throttling",
+            "vimeo_onoffs": "technique.preset = vimeo_onoffs"}
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_simulate_writes_the_pinned_bytes(tmp_path, name):
+    """Every artifact `simulate` writes, down to the last byte: the three
+    bundled scenarios and the base scenario with HLS, MSS, throttling and
+    the vimeo_onoffs preset."""
+    scn = ir.files("streamsim") / "scenarios" / f"{name}.scn"
+    if name in VARIANTS:
+        scn = tmp_path / f"{name}.scn"
+        scn.write_text(Path(BUNDLED).read_text(encoding="utf-8").replace(
+            "technique.preset = youtube_onoffm", VARIANTS[name]),
+            encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(scn), "--out", str(out)]) == 0
+    assert tuple(hashlib.sha256((out / artifact).read_bytes()).hexdigest()
+                 for artifact in ARTIFACTS) == PINNED[name]
+
+
+def test_short_writes_still_write_every_byte(tmp_path, monkeypatch):
+    """An artifact whose writes each take only part of what they are given
+    is written whole."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(a)]) == 0
+    real_write = os.write
+    with monkeypatch.context() as m:
+        m.setattr(os, "write", lambda fd, data: real_write(fd, data[:1000]))
+        assert main(["simulate", "--scenario", BUNDLED, "--out", str(b)]) == 0
+    for name in ARTIFACTS:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("artifact", ARTIFACTS)
+def test_a_write_that_fails_partway_keeps_the_old_artifact(
+        tmp_path, monkeypatch, artifact):
+    """A write that fails after some bytes leaves the artifact already at
+    the path as it was, and no temporary file in --out."""
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", BUNDLED, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    opened = {}
+    real_open, real_write = os.open, os.write
+
+    def open_(path, *args):
+        fd = real_open(path, *args)
+        opened[fd] = os.path.basename(path)
+        return fd
+
+    def write(fd, data):
+        if not opened.get(fd, "").endswith(artifact):
+            return real_write(fd, data)
+        real_write(fd, data[:10])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    with monkeypatch.context() as m:
+        m.setattr(os, "open", open_)
+        m.setattr(os, "write", write)
+        with pytest.raises(OSError, match="No space left"):
+            main(["simulate", "--scenario", BUNDLED, "--out", str(out)])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_csv_headers_fixed(tmp_path):
     out = tmp_path / "run"
     main(["simulate", "--scenario", BUNDLED, "--out", str(out)])
@@ -138,6 +252,46 @@ def test_missing_scenario_file_exits_2(tmp_path, capsys):
     rc = main(["simulate", "--scenario", str(tmp_path / "nope.scn"),
                "--out", str(tmp_path)])
     assert rc == 2
+
+
+def _unreadable_scenario(tmp_path, kind: str) -> str:
+    """A directory, or a scenario file that is not UTF-8 text."""
+    if kind == "directory":
+        return str(tmp_path)
+    scn = tmp_path / "latin1.scn"
+    scn.write_bytes(Path(BUNDLED).read_bytes() + b"# caf\xe9\n")
+    return str(scn)
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep-abandon",
+                                     "sweep-buffer"])
+@pytest.mark.parametrize("kind", ["directory", "not_utf8"])
+def test_an_unreadable_scenario_exits_2_naming_the_flag(tmp_path, capsys,
+                                                        command, kind):
+    rc = main([command, "--scenario", _unreadable_scenario(tmp_path, kind),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --scenario: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate"], ["sweep-abandon", "--grid", "1"],
+    ["sweep-buffer", "--grid", "10", "--ratios", "2"]])
+def test_an_unwritable_out_is_no_configuration_error(tmp_path, argv):
+    """Only reading the scenario is a configuration error: an --out that
+    is a file fails as a runtime error."""
+    (tmp_path / "o").write_text("")
+    with pytest.raises(FileExistsError):
+        main([*argv, "--scenario", BUNDLED, "--out", str(tmp_path / "o")])
+
+
+def test_load_scenario_takes_a_path_object():
+    sc = load_scenario(Path(BUNDLED))
+    assert sc.name == "youtube_onoffm_hspa"
+    assert sc == load_scenario(BUNDLED)
 
 
 def test_unknown_technique_field_exits_2(tmp_path, capsys):
@@ -451,7 +605,6 @@ def test_scenario_key_given_twice_exits_2_naming_it(tmp_path, capsys):
 def test_a_whole_float_reaches_an_int_field_as_an_int(tmp_path):
     """1e300 is a whole number: the record gets int(1e300), which range()
     takes, where the float crashed it."""
-    from streamsim.scenario import load_scenario
     scn = _scenario_with(tmp_path, "technique.kind = hls",
                          "technique.initial_chunks = 1e300", "seed = 7.0")
     sc = load_scenario(scn)

@@ -16,12 +16,13 @@ from streamsim.playback import BufferTimeline, QoeReport
 from streamsim.profiles import BUILTIN_PROFILES, PowerProfile
 from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
                              RadioTimeline, WifiPsmConfig)
-from streamsim.scenario import Scenario, load_scenario
+from streamsim.scenario import (Scenario, default_radio_config,
+                                load_scenario, parse_scenario_text)
 from streamsim.session import SessionResult
 from streamsim.streams import (ChunkTrain, LinkModel, MutableRecord,
                                PacketEvent, Record, StreamSpec, TransferSpan)
 from streamsim.techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM,
-                                  OnOffS, Throttling)
+                                  OnOffS, Throttling, preset)
 from streamsim.traces import Classification, FlowRecord
 
 SCENARIOS = ir.files("streamsim") / "scenarios"
@@ -66,6 +67,37 @@ def test_fields_and_replace(cfg):
     assert same == cfg and same is not cfg
     if not isinstance(cfg, StreamSpec):   # a VBR trace is a list
         assert hash(same) == hash(cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)
+def test_kinds_are_the_field_types(cfg):
+    """The table a scenario build reads field kinds from is fields()'s."""
+    assert type(cfg)._kinds == {f.name: f.type for f in fields(cfg)}
+
+
+@pytest.mark.parametrize("lines,attr,want", [
+    (["technique.preset = vimeo_onoffs", "technique.persist_cap_s = 4.5"],
+     "technique", replace(preset("vimeo_onoffs"), persist_cap_s=4.5)),
+    (["profile.nominal_voltage_v = 3.7"], "profile",
+     replace(BUILTIN_PROFILES["gs3-lte"], nominal_voltage_v=3.7)),
+    (["radio.fd_timer_s = 6.5"], "radio_cfg",
+     replace(default_radio_config("hspa", "gs3-lte"), fd_timer_s=6.5)),
+    ([], "technique", preset("youtube_onoffm")),
+    ([], "profile", BUILTIN_PROFILES["gs3-lte"]),
+    ([], "radio_cfg", default_radio_config("hspa", "gs3-lte"))],
+    ids=["technique", "profile", "radio", "technique_as_is", "profile_as_is",
+         "radio_as_is"])
+def test_a_scenario_override_is_what_replace_builds(lines, attr, want):
+    """A preset, profile or radio default overridden in a scenario file
+    equals dataclasses.replace's copy, and one left alone equals its
+    base."""
+    text = (SCENARIOS / "youtube_onoffm_hspa.scn").read_text()
+    for line in lines:
+        key = line.partition(" = ")[0]
+        text = "".join(l for l in text.splitlines(True)
+                       if not l.startswith(key + " ")) + line + "\n"
+    got = getattr(parse_scenario_text(text), attr)
+    assert got == want and repr(got) == repr(want)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS, ids=IDS)

@@ -562,8 +562,7 @@ def test_radio_outputs_are_pinned(technique, technology, rows, digest,
     the exact state residency of five sessions, so that a change to how
     a timeline is stored or read moves neither."""
     res = _base_scenario_on(technique, technology)
-    lines = [f"{t0:.6f},{t1:.6f},{state},{ma:.3f}"
-             for t0, t1, state, ma in res.radio.to_csv_rows()]
+    lines = res.radio.to_csv_lines()[1:]
     assert len(lines) == rows
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
     assert res.summary.state_residency == residency
@@ -851,14 +850,8 @@ def test_long_vbr_lookups_are_pinned(monkeypatch):
 
 
 def _artifact_texts(res):
-    """The four artifacts, as `streamsim simulate` writes them: the
-    summary JSON, buffer.csv, radio_timeline.csv and delivery_log.csv."""
-    radio = ["t_start_s,t_end_s,state,current_mA"] + [
-        f"{t0:.6f},{t1:.6f},{state},{ma:.3f}"
-        for t0, t1, state, ma in res.radio.to_csv_rows()]
-    return [res.summary.to_json() + "\n"] + [
-        "\n".join(lines) + "\n" for lines in
-        (res.buffer.to_csv_lines(), radio, res.dlog.to_csv_lines())]
+    """The four artifacts' texts, as `streamsim simulate` writes them."""
+    return [text for _, text in res.artifact_texts()]
 
 
 @pytest.mark.parametrize("case,counts,digest", [
