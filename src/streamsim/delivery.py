@@ -25,8 +25,8 @@ one level up (_Engine.repeat_cycles): a cycle that repeats the one before
 it makes the two a ChunkTrain, and whole runs of repeats are applied in
 closed form.  The delivery log is the engine's one record of what it sent
 and decided: finalize reads the event list and the ON/OFF periods from
-it.  Both expand spans and trains into per-tick entries when read;
-delivery_log.csv writes one per run.
+it.  The log and the event list hold the runs as stored, never an entry
+per tick; delivery_log.csv writes one row per run.
 
 The engine is deterministic: equal inputs always produce identical event
 streams (ties broken by connection id, then event kind).
@@ -46,8 +46,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .streams import (EVENT_KINDS, FLOW_CONTROL_BYTES, PROBE_BYTES,
                       REQUEST_BYTES, ChunkTrain, LinkModel, MutableRecord,
-                      PacketEvent, StreamSpec, TickSeq, TransferSpan,
-                      event_order, fold_sum)
+                      PacketEvent, StreamSpec, TransferSpan, event_order,
+                      fold_sum, per_packet)
 from .techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM, OnOffS,
                          FASTSTART_TARGET_S, RESUME_THRESHOLD_S,
                          START_THRESHOLD_S, Technique, Throttling)
@@ -162,16 +162,11 @@ class LogRecord(MutableRecord):
                          self.buffer_s_after + dbuffer)
 
 
-def _data_record(span: TransferSpan, k: int) -> LogRecord:
-    return LogRecord(span.tick_t(k), "data", span.connection_id, span.nbytes,
-                     span.buffer_s + k * span.dbuffer_s)
-
-
 def _run_row(span: TransferSpan, event: str, nbytes: float) -> LogRecord:
     """A row at span's last tick, with that tick's time and buffer."""
-    r = _data_record(span, span.n - 1)
-    r.event, r.bytes = event, nbytes
-    return r
+    k = span.n - 1
+    return LogRecord(span.tick_t(k), event, span.connection_id, nbytes,
+                     span.buffer_s + k * span.dbuffer_s)
 
 
 def _wire(e):
@@ -193,22 +188,18 @@ _csv_fields = attrgetter("t_s", "event", "connection_id", "bytes",
                          "buffer_s_after")
 
 
-def _log_records() -> TickSeq:
-    return TickSeq([], _data_record)
-
-
 class DeliveryLog(MutableRecord):
     """Session-level record of what the delivery layer did, and of the
     playback it drove.
 
-    records holds one LogRecord per decision and per data tick; the data
-    ticks are stored as TransferSpans, repeated cycles (with their
-    decisions) as ChunkTrains, both expanded when read, and rows() writes
-    them one row per run.  on_spans and off_spans are the ON and OFF
+    records is the list of what the engine logged, in order: a LogRecord
+    per decision, a TransferSpan per run of data ticks and a ChunkTrain
+    per run of repeated cycles, decisions included.  rows() writes them
+    one row per run.  on_spans and off_spans are the ON and OFF
     periods its on and off rows bound.  playback is the buffer timeline the
     engine's playback wrote, the one a session reports.
     """
-    records: TickSeq = field(default_factory=_log_records)
+    records: list = field(default_factory=list)
     on_spans: list[tuple[float, float]] = field(default_factory=list)
     off_spans: list[tuple[float, float]] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
@@ -226,7 +217,7 @@ class DeliveryLog(MutableRecord):
     CSV_HEADER = "t_s,event,connection_id,bytes,buffer_s_after"
     CSV_ROW = "%.6f,%s,%s,%.1f,%.6f"     # as BufferTimeline.CSV_ROW
 
-    def __init__(self, records: TickSeq = MISSING,
+    def __init__(self, records: list = MISSING,
                  on_spans: list[tuple[float, float]] = MISSING,
                  off_spans: list[tuple[float, float]] = MISSING,
                  notes: list[str] = MISSING, connections_opened: int = 0,
@@ -237,7 +228,7 @@ class DeliveryLog(MutableRecord):
                  content_delivered_s: float = 0.0,
                  content_consumed_s: float = 0.0,
                  quality_switches: list[tuple[float, str, str]] = MISSING):
-        self.records = _log_records() if records is MISSING else records
+        self.records = [] if records is MISSING else records
         self.on_spans = [] if on_spans is MISSING else on_spans
         self.off_spans = [] if off_spans is MISSING else off_spans
         self.notes = [] if notes is MISSING else notes
@@ -263,7 +254,7 @@ class DeliveryLog(MutableRecord):
         carrying the bytes of the other cycles and the buffer after that
         tick; it stands for those cycles' decision rows too.
         """
-        for it in self.records.items:
+        for it in self.records:
             train = isinstance(it, ChunkTrain)
             for e in it.cycle if train else (it,):
                 yield (_run_row(e, "data", e.n * e.nbytes)
@@ -600,7 +591,7 @@ class _Engine:
         self._record("off", -1, 0.0)
 
     def _record(self, event: str, conn: int, nbytes: float) -> None:
-        self.log.records.items.append(
+        self.log.records.append(
             LogRecord(self.t, event, conn, nbytes, self.buf.seconds))
         self._open_span = None
 
@@ -800,7 +791,7 @@ class _Engine:
                     samples.pop()
             else:
                 sp = TransferSpan(t, dt, n, conn, step, s0, dbuffer_s)
-                lg.records.items.append(sp)
+                lg.records.append(sp)
                 self._open_span = sp
                 samples.append(_new_sample((t, s0, b0)))
                 self.t = t + (n - 1) * dt
@@ -889,7 +880,7 @@ class _Engine:
         """The state a loop turn may change; fixed: lists no repeat adds to."""
         lg, pb = self.log, self.playback
         return SimpleNamespace(
-            records=len(lg.records.items), samples=len(pb.samples),
+            records=len(lg.records), samples=len(pb.samples),
             conn=lg.connections_opened, delivered=lg.bytes_delivered,
             overhead=lg.overhead_bytes,
             rates={seg[2] for seg in self.buf.segments},
@@ -902,7 +893,7 @@ class _Engine:
         quality switch, a stall or a note, or met a buffer threshold and
         moved the buffer (later turns would meet it on other ticks)."""
         c.dbuffer_s, c.buffered = self.buf.seconds - c.buffer_s, self._pushed
-        c.records = tuple(self.log.records.items[c.marks.records:])
+        c.records = tuple(self.log.records[c.marks.records:])
         c.spans = tuple(e for e in c.records if isinstance(e, TransferSpan))
         end = self._marks()
         rates = c.marks.rates | end.rates
@@ -918,7 +909,7 @@ class _Engine:
                       cur: _Cycle) -> ChunkTrain:
         """Fold cur, a repeat of prev, into the log's train prev ends;
         without one, prev and cur become a new one."""
-        items = self.log.records.items
+        items = self.log.records
         if train is None:
             train = ChunkTrain(prev.records, 1, prev.period_s, prev.dbuffer_s,
                                cur.marks.conn - prev.marks.conn)
@@ -1002,7 +993,7 @@ class _Engine:
             end_play = self.watch_end_s - self.log.content_consumed_s
             self.advance(self.t + min(gap, end_play))
 
-    def finalize(self) -> tuple[TickSeq, DeliveryLog]:
+    def finalize(self) -> tuple[list, DeliveryLog]:
         """Drain remaining playback and check conservation; read the event
         list and the ON/OFF periods from the log."""
         self._on_off_spans()
@@ -1036,9 +1027,9 @@ class _Engine:
         # tick is on the same or a newer connection.  So sorting runs by
         # their first tick sorts the ticks (a probe and its window update
         # share a time and swap), as in each train's cycle.
-        events = sorted(filter(None, map(_wire, self.log.records.items)),
+        events = sorted(filter(None, map(_wire, self.log.records)),
                         key=event_order)
-        return TickSeq(events, TransferSpan.event), self.log
+        return events, self.log
 
     def _on_off_spans(self) -> None:
         """Replay the log's on and off rows (a train's at t_s + j * period_s)
@@ -1046,7 +1037,7 @@ class _Engine:
         (an off row after an off row drops it), and one still open ends now."""
         spans = {"on": self.log.on_spans, "off": self.log.off_spans}
         last = None   # the row that began the period still open
-        for it in self.log.records.items:
+        for it in self.log.records:
             if isinstance(it, ChunkTrain):
                 rows = [r for r in it.cycle
                         if isinstance(r, LogRecord) and r.event in spans]
@@ -1372,12 +1363,16 @@ def simulate_session(stream: StreamSpec, link: LinkModel, tech: Technique,
                      start_threshold_s: float = START_THRESHOLD_S,
                      resume_threshold_s: float = RESUME_THRESHOLD_S,
                      seed: int = 0, start_delay_s: float = 0.0
-                     ) -> tuple[TickSeq, DeliveryLog]:
-    """Simulate one streaming session and return its wire events and log.
+                     ) -> tuple[list, DeliveryLog]:
+    """Simulate one streaming session and return its runs and log.
 
-    The events are a sorted sequence of per-tick PacketEvents, stored as
-    transfer spans and expanded when read.  The log's playback is the
-    buffer timeline the session's playback wrote.
+    The runs are the wire events as the engine stores them, sorted by
+    their first tick: a TransferSpan per run of data ticks, a ChunkTrain
+    per run of repeated cycles and a PacketEvent per control packet.  A
+    span stands for its n ticks, PacketEvents of nbytes rounded at
+    t_s + k * dt_s, and a train for its cycle's entries in each repeat;
+    nothing expands them.  The log's playback is the buffer timeline the
+    session's playback wrote.
 
     Events end when the content is fully delivered or the viewer walks away
     after abandon_at_s seconds of watched content; a link slower than the
@@ -1403,7 +1398,8 @@ def replay_arrivals(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     buffer and playback clock, and return the log of that playback.
 
     Each data event's bytes enter the buffer as the stream's own content
-    at its time, clipped at the content's end.  Playback starts at join_s
+    at its time, clipped at the content's end; a stored run, which stands
+    for many packets, raises TypeError.  Playback starts at join_s
     (never, if it is inf) or, with None, by the engine's start rule;
     watch_end_s bounds consumption for abandoned sessions.
     """
@@ -1411,8 +1407,8 @@ def replay_arrivals(arrivals: Iterable[PacketEvent], stream: StreamSpec,
                   resume_threshold_s=resume_threshold_s)
     eng.start_at = join_s
     duration, lowest_bps = stream.duration_s, eng.buf.rates_bps[0]
-    for e in sorted((e for e in arrivals if e.kind == "data"),
-                    key=attrgetter("t_s")):
+    for e in sorted((e for e in per_packet(arrivals, "replay_arrivals")
+                     if e.kind == "data"), key=attrgetter("t_s")):
         eng.advance(e.t_s)
         if eng.finished:
             break
@@ -1435,7 +1431,7 @@ def simulate_multi_connection_waste(
         reopen_free_bytes: Optional[float] = None,
         throttle_factor: float = 2.0,
         abandon_at_s: Optional[float] = None
-        ) -> tuple[TickSeq, DeliveryLog]:
+        ) -> tuple[list, DeliveryLog]:
     """Keyframe-waste variant of throttled delivery over many connections.
 
     The player holds a fixed byte buffer; when it fills, the connection

@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .profiles import PowerProfile
-from .streams import (ChunkTrain, MutableRecord, PacketEvent, Record, TickSeq,
+from .streams import (ChunkTrain, MutableRecord, PacketEvent, Record,
                       TransferSpan, domain)
 
 # Packets below this size can be served in CELL_FACH without a DCH promotion.
@@ -258,9 +258,7 @@ def _bursts(events: Iterable[PacketEvent],
     below, upto = joins
     out: list = []
     prev = 0.0
-    # a TickSeq's runs as they are, any other events one by one
-    runs = events.items if isinstance(events, TickSeq) else events
-    for i, ev in enumerate(runs):
+    for i, ev in enumerate(events):
         t = ev.t_s
         if t < 0:
             raise ValueError(f"event {i} has negative time {t}")

@@ -237,6 +237,9 @@ def scenario_from_table(table: dict[str, object], name: str = "scenario"
                 raise ConfigError(key, "unknown scenario key")
         elif dot:
             section[rest] = value
+        else:
+            raise ConfigError(key, f"a section, not a key: name one of its "
+                                   f"keys, as in {key}.<key>")
 
     stream = _build(StreamSpec, sections["stream"], "stream")
 

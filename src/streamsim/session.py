@@ -10,14 +10,15 @@ from . import delivery, playback
 from .energy import SessionSummary, summarize
 from .radio import RadioTimeline, promotion_latency, simulate_radio
 from .scenario import Scenario
-from .streams import ChunkTrain, MutableRecord, TickSeq, TransferSpan
+from .streams import ChunkTrain, MutableRecord, TransferSpan
 
 
 class SessionResult(MutableRecord):
     """One session through every layer: its scenario, what each layer
-    produced, and the host time each took."""
+    produced, and the host time each took.  events are the delivery
+    engine's stored runs (see delivery.simulate_session)."""
     scenario: Scenario
-    events: TickSeq
+    events: list
     dlog: delivery.DeliveryLog
     buffer: delivery.BufferTimeline
     qoe: playback.QoeReport
@@ -26,7 +27,7 @@ class SessionResult(MutableRecord):
     # host milliseconds spent in each layer of run_session
     compute_ms: dict[str, float] = field(default_factory=dict)
 
-    def __init__(self, scenario: Scenario, events: TickSeq,
+    def __init__(self, scenario: Scenario, events: list,
                  dlog: delivery.DeliveryLog, buffer: delivery.BufferTimeline,
                  qoe: playback.QoeReport, radio: RadioTimeline,
                  summary: SessionSummary,
@@ -55,7 +56,7 @@ class SessionResult(MutableRecord):
     def stats(self) -> dict:
         """The run report: per-layer compute_ms and the work each layer
         did, as counts."""
-        runs = [it for it in self.events.items
+        runs = [it for it in self.events
                 if isinstance(it, (TransferSpan, ChunkTrain))]
         return {
             "compute_ms": dict(self.compute_ms),
@@ -75,6 +76,19 @@ class SessionResult(MutableRecord):
         }
 
 
+def _last_tick_s(events: list) -> float:
+    """When the runs' last tick lands (0 with none): a train's is its last
+    repeat's last entry's, read as DeliveryLog.rows() reads it."""
+    if not events:
+        return 0.0
+    last = events[-1]
+    if isinstance(last, ChunkTrain):
+        *_, last = last.repeats(last.m - 1)
+    if isinstance(last, TransferSpan):
+        return last.tick_t(last.n - 1)
+    return last.t_s
+
+
 def run_session(sc: Scenario) -> SessionResult:
     """Run one scenario through every layer and fuse the summary.
 
@@ -90,7 +104,7 @@ def run_session(sc: Scenario) -> SessionResult:
     buffer = dlog.playback
     qoe = playback.detect_stalls(buffer)
     t2 = time.perf_counter()
-    wall_end = max(buffer.playback_end_s, events[-1].t_s if events else 0.0)
+    wall_end = max(buffer.playback_end_s, _last_tick_s(events))
     radio = simulate_radio(sc.radio_tech, events, sc.radio_cfg, sc.profile,
                            session_end_s=wall_end)
     t3 = time.perf_counter()

@@ -4,12 +4,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from functools import reduce
 from itertools import accumulate
 from operator import add, attrgetter
-from typing import Callable, ClassVar, Iterable, Optional
+from typing import ClassVar, Iterable, Iterator, Optional
 
 EVENT_KINDS = ("data", "flow_control", "persist_probe", "request")
 # The event list's order: time, connection id, then kind (EVENT_KINDS is in
@@ -240,9 +239,6 @@ class TransferSpan(MutableRecord):
     def tick_t(self, k: int) -> float:
         return self.t_s + k * self.dt_s
 
-    def event(self, k: int) -> PacketEvent:
-        return PacketEvent(self.tick_t(k), self.bytes, self.connection_id)
-
     def shifted(self, dt: float, dbuffer: float, dconn: int) -> "TransferSpan":
         return TransferSpan(self.t_s + dt, self.dt_s, self.n,
                             self.connection_id + dconn, self.nbytes,
@@ -290,11 +286,6 @@ class ChunkTrain(MutableRecord):
         last = self.cycle[-1]
         return getattr(last, "t_end_s", last.t_s) + (self.m - 1) * self.period_s
 
-    @property
-    def n(self) -> int:
-        """Entries of the whole train in the per-tick view."""
-        return self.m * sum(map(_size, self.cycle))
-
     def repeats(self, j0: int = 0, j1: Optional[int] = None):
         """The entries of repeats j0 .. j1 - 1, in cycle order."""
         for j in range(j0, self.m if j1 is None else j1):
@@ -302,84 +293,17 @@ class ChunkTrain(MutableRecord):
             for e in self.cycle:
                 yield e.shifted(shift, db, dc)
 
-    def tick(self, k: int) -> tuple[object, int]:
-        """The entry holding entry k of the view, and k's index in it."""
-        j, k = divmod(k, self.n // self.m)
-        for e in self.repeats(j, j + 1):
-            if k < _size(e):
-                return e, k
-            k -= _size(e)
-        raise IndexError("tick index out of range")
 
-
-def _size(it) -> int:
-    """Entries a stored entry stands for in the per-tick view."""
-    return it.n if isinstance(it, (TransferSpan, ChunkTrain)) else 1
-
-
-class TickSeq(Sequence):
-    """Read-only per-tick view of a list of runs.
-
-    items holds single entries, TransferSpans and ChunkTrains.  A span
-    stands for its n ticks, each built by expand(span, k) only when it is
-    read, and a train for the entries of its repeats; expansion is
-    streamed and never cached.  The view compares equal to a list (or
-    another view) holding the same entries in the same order.
-    """
-
-    def __init__(self, items: list,
-                 expand: Callable[[TransferSpan, int], object]):
-        self.items = items
-        self._expand = expand
-
-    def __iter__(self):
-        expand = self._expand
-        for it in self.items:
-            if isinstance(it, TransferSpan):
-                for k in range(it.n):
-                    yield expand(it, k)
-            elif isinstance(it, ChunkTrain):
-                for e in it.repeats():
-                    if isinstance(e, TransferSpan):
-                        for k in range(e.n):
-                            yield expand(e, k)
-                    else:
-                        yield e
-            else:
-                yield it
-
-    def __len__(self) -> int:
-        return sum(map(_size, self.items))
-
-    def __bool__(self) -> bool:   # no stored entry stands for zero ticks
-        return bool(self.items)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self)[index]
-        items = self.items if index >= 0 else reversed(self.items)
-        want = index if index >= 0 else -index - 1   # ticks to skip
-        for it in items:
-            size = _size(it)
-            if want < size:
-                k = want if index >= 0 else size - 1 - want
-                if isinstance(it, ChunkTrain):
-                    it, k = it.tick(k)
-                return (self._expand(it, k) if isinstance(it, TransferSpan)
-                        else it)
-            want -= size
-        raise IndexError("tick index out of range")
-
-    def __eq__(self, other):
-        if not isinstance(other, (TickSeq, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"TickSeq({len(self)} ticks in {len(self.items)} runs)"
+def per_packet(events: Iterable, consumer: str) -> Iterator[PacketEvent]:
+    """events one by one, for a consumer that reads each as one packet.
+    A TransferSpan or ChunkTrain stands for many packets but reads as
+    one, so it raises TypeError."""
+    for e in events:
+        if isinstance(e, (TransferSpan, ChunkTrain)):
+            raise TypeError(
+                f"{consumer} needs per-packet PacketEvents, not a "
+                f"{type(e).__name__}: expand stored runs into ticks first")
+        yield e
 
 
 class StreamSpec(Record):

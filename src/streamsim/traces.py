@@ -23,7 +23,8 @@ from dataclasses import field
 from typing import Iterable, Optional
 
 from .delivery import BufferTimeline, replay_arrivals
-from .streams import MutableRecord, PacketEvent, Record, StreamSpec
+from .streams import (MutableRecord, PacketEvent, Record, StreamSpec,
+                      per_packet)
 
 log = logging.getLogger(__name__)
 
@@ -117,8 +118,9 @@ def ingest(path: str) -> list[FlowRecord]:
 
 
 def records_from_events(events: Iterable[PacketEvent]) -> list[FlowRecord]:
+    """A flow record per PacketEvent; a stored run raises TypeError."""
     out = []
-    for e in events:
+    for e in per_packet(events, "records_from_events"):
         direction, flags = _KIND_TO_WIRE[e.kind]
         out.append(FlowRecord(e.t_s, e.bytes, e.connection_id, direction, flags))
     return out

@@ -15,14 +15,14 @@ from dataclasses import replace
 from streamsim.profiles import PowerProfile
 from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioTimeline,
                              WifiPsmConfig, wifi_sleep_current)
-from streamsim.streams import PacketEvent
+from streamsim.streams import PacketEvent, per_packet
 
 
 def quantize_events(events, step_s: float = 0.001):
     """Snap event times to the step grid (order is preserved)."""
     out = []
     prev = 0.0
-    for e in events:
+    for e in per_packet(events, "quantize_events"):
         t = round(e.t_s / step_s) * step_s
         t = max(t, prev)
         out.append(replace(e, t_s=t))

@@ -24,6 +24,7 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        simulate_radio, simulate_session, simulate_wifi)
 from streamsim.session import run_session
 from streamsim.traces import records_from_events
+from tick_reference import expand_ticks, log_tick
 
 
 @contextmanager
@@ -99,20 +100,20 @@ def test_criterion_05_buffer_plateaus():
                       "segmented [55,75]s"):
         events, _ = simulate_session(HD, LINK4, EncodingRate())
         join = joining_time(EncodingRate(), HD, LINK4, "wifi")
-        tl = compute_buffer(events, HD, join)
+        tl = compute_buffer(expand_ticks(events), HD, join)
         vals = [tl.value_at(t) for t in range(100, 500, 20)]
         assert all(25.0 <= v <= 45.0 for v in vals), (min(vals), max(vals))
 
         link120 = LinkModel.constant(HD.size_bytes * 8 / 120.0, rtt_ms=70)
         ev2, _ = simulate_session(HD, link120, FastCaching())
         j2 = joining_time(FastCaching(), HD, link120, "wifi")
-        tl2 = compute_buffer(ev2, HD, j2)
+        tl2 = compute_buffer(expand_ticks(ev2), HD, j2)
         at50 = tl2.value_at(j2 + 50.0)
         assert 160.0 <= at50 <= 240.0, at50
 
         link_fast = LinkModel.constant(20_000_000, rtt_ms=30)
         _, dlog = simulate_session(HD, link_fast, Hls())
-        mid = [r.buffer_s_after for r in dlog.records
+        mid = [r.buffer_s_after for r in expand_ticks(dlog.records, log_tick)
                if r.event == "data" and 200 < r.t_s < 500]
         assert 55.0 <= min(mid) and max(mid) <= 75.0, (min(mid), max(mid))
 
@@ -125,12 +126,13 @@ def test_criterion_06_onoff_mechanics():
         assert offs and all(abs(o - 60.0) <= 1.0 for o in offs), offs
 
         _, dlog2 = simulate_session(HD, LINK4, OnOffM(upper_s=100, lower_s=40))
-        refills = [r.buffer_s_after for r in dlog2.records
+        refills = [r.buffer_s_after
+                   for r in expand_ticks(dlog2.records, log_tick)
                    if r.event == "open"][1:]
         assert refills and all(abs(v - 40.0) <= 1.0 for v in refills), refills
 
         for name, cap in (("vimeo_onoffs", 5.0), ("netflix_onoffs", 10.0)):
-            events, _ = simulate_session(HD, LINK4, preset(name))
+            events = expand_ticks(simulate_session(HD, LINK4, preset(name))[0])
             probes = [e.t_s for e in events if e.kind == "persist_probe"]
             datas = [e.t_s for e in events if e.kind == "data"]
             gaps = [b - a for a, b in zip(probes, probes[1:])
@@ -242,9 +244,10 @@ def test_criterion_10_conservation_suite_1000_scenarios():
         t0 = time.perf_counter()
         for i in range(1000):
             stream, link, tech, radio_tech, cfg = _random_scenario(rng)
-            events, dlog = simulate_session(stream, link, tech,
-                                            start_threshold_s=1.0,
-                                            resume_threshold_s=1.0)
+            runs, dlog = simulate_session(stream, link, tech,
+                                          start_threshold_s=1.0,
+                                          resume_threshold_s=1.0)
+            events = expand_ticks(runs)
             # byte conservation
             total = (dlog.bytes_consumed + dlog.bytes_buffered_end
                      + dlog.bytes_wasted)
@@ -296,12 +299,12 @@ def test_criterion_11_closed_loop_classification():
         ]
         for tech, want in cases:
             events, _ = simulate_session(stream, link, tech)
-            cls = classify(records_from_events(events))
+            cls = classify(records_from_events(expand_ticks(events)))
             assert cls.technique == want, (type(tech).__name__, cls.technique)
             assert cls.confidence >= 0.8, (want, cls.confidence)
         for factor in (1.25, 2.0):
             events, _ = simulate_session(stream, link, Throttling(factor=factor))
-            cls = classify(records_from_events(events),
+            cls = classify(records_from_events(expand_ticks(events)),
                            encoding_rate_bps=stream.encoding_rate_bps)
             est = cls.evidence["estimated_factor"]
             assert abs(est - factor) / factor <= 0.10, (factor, est)

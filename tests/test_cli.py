@@ -12,6 +12,7 @@ import pytest
 from streamsim import cli
 from streamsim.cli import build_parser, main
 from streamsim.scenario import load_scenario
+from tick_reference import expand_ticks
 
 BUNDLED = str(ir.files("streamsim") / "scenarios" / "youtube_onoffm_hspa.scn")
 GOLDEN = Path(__file__).parent / "golden" / "youtube_onoffm_hspa_summary.json"
@@ -352,7 +353,7 @@ def test_analyze_trace_json_output(tmp_path, capsys):
     link = LinkModel.constant(1_600_000, rtt_ms=70)
     events, _ = simulate_session(stream, link, Throttling())
     trace = tmp_path / "trace.csv"
-    trace.write_text(records_to_csv(records_from_events(events)))
+    trace.write_text(records_to_csv(records_from_events(expand_ticks(events))))
     rc = main(["analyze", str(trace), "--rate", "400000"])
     out = capsys.readouterr().out
     assert rc == 0
@@ -438,6 +439,10 @@ def _scenario_with(tmp_path, *lines):
     ("radio.t1_s = abc", "radio.t1_s"),
     ("profile.wifi_active = abc", "profile.wifi_active"),
     ("radio.foo = 1", "radio.foo"),
+    # a section's name alone names no field: it used to be dropped
+    ("stream = 600", "stream"), ("link = 8000000", "link"),
+    ("technique = hls", "technique"), ("radio = lte", "radio"),
+    ("profile = nonsense", "profile"),
     # NaN, which every range check used to let through or crash on
     ("technique.kind = on_off_m; technique.lower_s = nan",
      "technique.lower_s"),

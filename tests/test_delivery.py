@@ -9,10 +9,16 @@ from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss, OnOffM,
                        simulate_multi_connection_waste, simulate_session)
 from streamsim.delivery import EVENT_TICK_S
 from streamsim.streams import event_order
+from tick_reference import expand_ticks, log_tick
 
 
 def _data(events):
-    return [e for e in events if e.kind == "data"]
+    return [e for e in expand_ticks(events) if e.kind == "data"]
+
+
+def _log(dlog):
+    """The delivery log's records, a row per decision and per data tick."""
+    return expand_ticks(dlog.records, log_tick)
 
 
 def _cum_at(events, t):
@@ -124,7 +130,7 @@ def test_encoding_rate_steady_arrival_tracks_consumption(hd_stream, link4):
 
 def test_encoding_rate_buffer_plateaus_at_target(hd_stream, link4):
     _, dlog = simulate_session(hd_stream, link4, EncodingRate())
-    mid = [r.buffer_s_after for r in dlog.records
+    mid = [r.buffer_s_after for r in _log(dlog)
            if r.event == "data" and 100 < r.t_s < 500]
     assert min(mid) >= 39.0 and max(mid) <= 41.0
 
@@ -147,7 +153,8 @@ def test_encoding_rate_bandwidth_cap_carries_deficit(hd_stream):
 def _probe_timer_gaps(events):
     """Gaps between consecutive probes with no data in between: these are
     realised persist-timer values."""
-    probes = [e.t_s for e in events if e.kind == "persist_probe"]
+    probes = [e.t_s for e in expand_ticks(events)
+              if e.kind == "persist_probe"]
     datas = [e.t_s for e in _data(events)]
     gaps = []
     for a, b in zip(probes, probes[1:]):
@@ -175,7 +182,7 @@ def test_onoff_s_netflix_probe_cap_exactly_10s(hd_stream, link4):
 
 def test_onoff_s_probes_only_during_off(hd_stream, link4):
     events, dlog = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
-    for e in events:
+    for e in expand_ticks(events):
         if e.kind == "persist_probe":
             assert any(a - 1e-6 <= e.t_s <= b + 1e-6
                        for a, b in dlog.off_spans), e
@@ -209,15 +216,15 @@ def test_onoff_m_fixed_mode_off_is_60s(hd_stream, link4):
     offs = steady_off_durations(dlog)
     assert offs and all(abs(o - 60.0) <= 1.0 for o in offs)
     # 100 s upper and 40 s lower translate to a 60 s dynamic buffer
-    closes = [r.buffer_s_after for r in dlog.records if r.event == "close"]
-    opens = [r.buffer_s_after for r in dlog.records if r.event == "open"][1:]
+    closes = [r.buffer_s_after for r in _log(dlog) if r.event == "close"]
+    opens = [r.buffer_s_after for r in _log(dlog) if r.event == "open"][1:]
     assert max(closes) == pytest.approx(100.0, abs=1.0)
     assert min(opens) == pytest.approx(40.0, abs=1.0)
 
 
 def test_onoff_m_threshold_mode_refills_at_lower(hd_stream, link4):
     _, dlog = simulate_session(hd_stream, link4, OnOffM(upper_s=100, lower_s=40))
-    opens = [r.buffer_s_after for r in dlog.records if r.event == "open"][1:]
+    opens = [r.buffer_s_after for r in _log(dlog) if r.event == "open"][1:]
     assert opens and all(abs(v - 40.0) <= 1.0 for v in opens)
 
 
@@ -239,8 +246,8 @@ def test_on_off_periods_begin_at_the_logs_rows(name):
     delivery log, those of a train's jumped repeats included."""
     stream = StreamSpec(duration_s=600.0, encoding_rate_bps=2e6)
     _, dlog = simulate_session(stream, LinkModel.constant(8e6), preset(name))
-    assert any(getattr(it, "m", 0) > 2 for it in dlog.records.items)
-    rows = {(r.event, r.t_s) for r in dlog.records if r.event in ("on", "off")}
+    assert any(getattr(it, "m", 0) > 2 for it in dlog.records)
+    rows = {(r.event, r.t_s) for r in _log(dlog) if r.event in ("on", "off")}
     assert dlog.on_spans and dlog.off_spans
     for event, spans in (("on", dlog.on_spans), ("off", dlog.off_spans)):
         for start, _ in spans:
@@ -253,7 +260,7 @@ def test_onoff_m_chunked_vimeo_iphone5_off_duration(hd_stream, link4):
     want = 5 * 1024 * 1024 * 8 / hd_stream.encoding_rate_bps
     assert statistics.median(offs) == pytest.approx(want, rel=0.05)
     # 30 MB fast start on the first connection
-    first_close = next(r for r in dlog.records if r.event == "close")
+    first_close = next(r for r in _log(dlog) if r.event == "close")
     first_bytes = sum(e.bytes for e in _data(events)
                       if e.t_s <= first_close.t_s and e.connection_id == 0)
     assert first_bytes == pytest.approx(30 * 1024 * 1024, rel=0.01)
@@ -271,7 +278,7 @@ def test_onoff_m_collapsed_thresholds_equal_encoding_rate(hd_stream, link4):
 def test_onoff_m_refills_open_new_connections(hd_stream, link4):
     events, dlog = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
     assert dlog.connections_opened >= 3
-    reqs = [e for e in events if e.kind == "request"]
+    reqs = [e for e in expand_ticks(events) if e.kind == "request"]
     assert len(reqs) == dlog.connections_opened
 
 
@@ -375,7 +382,7 @@ def test_waste_monotone_in_keyframe_interval():
 def test_hls_steady_buffer_60_to_70s(hd_stream):
     link = LinkModel.constant(20_000_000, rtt_ms=30)
     _, dlog = simulate_session(hd_stream, link, Hls())
-    mid = [r.buffer_s_after for r in dlog.records
+    mid = [r.buffer_s_after for r in _log(dlog)
            if r.event == "data" and 200 < r.t_s < 500]
     assert min(mid) >= 55.0 and max(mid) <= 75.0
 
@@ -391,7 +398,7 @@ def test_hls_upswitch_discards_buffered_lower_quality(hd_stream):
     t_switch = dlog.quality_switches[0][0]
     # three consecutive fast chunks after the 200 s bandwidth step
     assert 200.0 + 2 * 10.0 <= t_switch <= 200.0 + 4.5 * 10.0
-    recs = dlog.records
+    recs = _log(dlog)
     idx = next(i for i, r in enumerate(recs) if r.event == "discard")
     # discarded bytes equal the buffered sd seconds right before the switch
     buffered_before = recs[idx - 1].buffer_s_after
@@ -436,7 +443,7 @@ def test_mss_audio_after_every_four_video_chunks(hd_stream):
 def test_mss_startup_buffers_60s(hd_stream):
     link = LinkModel.constant(20_000_000, rtt_ms=30)
     _, dlog = simulate_session(hd_stream, link, Mss())
-    peak_early = max(r.buffer_s_after for r in dlog.records if r.t_s < 30)
+    peak_early = max(r.buffer_s_after for r in _log(dlog) if r.t_s < 30)
     assert peak_early == pytest.approx(60.0, abs=4.5)
 
 
@@ -489,13 +496,15 @@ def test_abandon_truncates_delivery(hd_stream, link4):
 def test_events_sorted_with_deterministic_tiebreak(hd_stream, link4):
     events, _ = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
     assert events == sorted(events, key=event_order)
+    ticks = expand_ticks(events)
+    assert ticks == sorted(ticks, key=event_order)
 
 
 def test_determinism_same_inputs_same_events(hd_stream, link4):
     tech = preset("youtube_onoffm")
     a, _ = simulate_session(hd_stream, link4, tech)
     b, _ = simulate_session(hd_stream, link4, tech)
-    assert a == b
+    assert expand_ticks(a) == expand_ticks(b)
 
 
 def test_link_respected_per_segment(hd_stream):
@@ -513,9 +522,9 @@ def test_link_respected_per_segment(hd_stream):
 def test_throttling_jittered_chunks_deterministic_by_seed(ld_stream):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     tech = Throttling(factor=1.25, chunk_jitter=True)
-    a, _ = simulate_session(ld_stream, link, tech, seed=5)
-    b, _ = simulate_session(ld_stream, link, tech, seed=5)
-    c, _ = simulate_session(ld_stream, link, tech, seed=6)
+    a, b, c = (expand_ticks(simulate_session(ld_stream, link, tech,
+                                             seed=seed)[0])
+               for seed in (5, 5, 6))
     assert a == b and a != c
     # jitter varies sizes but preserves the long-run throttled pace
     t0, t1 = 60.0, 400.0

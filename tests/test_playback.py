@@ -6,7 +6,10 @@ import pytest
 from streamsim import (EncodingRate, FastCaching, LinkModel, OnOffS,
                        PacketEvent, StreamSpec, compute_buffer, detect_stalls,
                        joining_time, preset, simulate_session)
+from streamsim.delivery import replay_arrivals
 from streamsim.playback import JOIN_FAILURE_S
+from streamsim.streams import ChunkTrain, TransferSpan
+from tick_reference import expand_ticks
 
 
 def test_no_arrivals_one_stall_spanning_playback(hd_stream):
@@ -21,7 +24,7 @@ def test_no_arrivals_one_stall_spanning_playback(hd_stream):
 
 
 def test_encoding_rate_buffer_plateau(hd_stream, link4):
-    events, _ = simulate_session(hd_stream, link4, EncodingRate())
+    events = expand_ticks(simulate_session(hd_stream, link4, EncodingRate())[0])
     join = joining_time(EncodingRate(), hd_stream, link4, "wifi")
     tl = compute_buffer(events, hd_stream, join)
     vals = [tl.value_at(t) for t in range(100, 500, 25)]
@@ -32,7 +35,7 @@ def test_fast_caching_buffer_at_50s_of_playback(hd_stream):
     """Content sized to drain in 120 s: at 50 s of playback roughly 200 s
     of content sit in the buffer."""
     link = LinkModel.constant(hd_stream.size_bytes * 8 / 120.0, rtt_ms=70)
-    events, _ = simulate_session(hd_stream, link, FastCaching())
+    events = expand_ticks(simulate_session(hd_stream, link, FastCaching())[0])
     join = joining_time(FastCaching(), hd_stream, link, "wifi")
     tl = compute_buffer(events, hd_stream, join)
     assert tl.value_at(join + 50.0) == pytest.approx(200.0, abs=15.0)
@@ -67,7 +70,8 @@ def test_joining_time_dead_link_is_failure_sentinel(hd_stream):
 
 
 def test_buffer_never_negative(hd_stream, link4):
-    events, _ = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
+    events = expand_ticks(simulate_session(hd_stream, link4,
+                                           preset("youtube_onoffm"))[0])
     join = joining_time(preset("youtube_onoffm"), hd_stream, link4, "hspa")
     tl = compute_buffer(events, hd_stream, join)
     assert all(s.buffered_seconds >= 0.0 for s in tl.samples)
@@ -125,21 +129,21 @@ def test_onoff_s_dip_at_off_end_stalls_only_with_dried_buffer(ld_stream):
 
     ev1, _ = simulate_session(ld_stream, link, legacy)
     q1 = detect_stalls(compute_buffer(
-        ev1, ld_stream, joining_time(legacy, ld_stream, link, "hspa")))
+        expand_ticks(ev1), ld_stream, joining_time(legacy, ld_stream, link, "hspa")))
     assert q1.stall_total_s > 5.0
 
     safe = OnOffS(upper_bytes=5 * 1024 * 1024, lower_s=40.0,
                   keepalive_interval_s=16.0)
     ev2, _ = simulate_session(ld_stream, link, safe)
     q2 = detect_stalls(compute_buffer(
-        ev2, ld_stream, joining_time(safe, ld_stream, link, "hspa")))
+        expand_ticks(ev2), ld_stream, joining_time(safe, ld_stream, link, "hspa")))
     assert q2.stall_total_s == 0.0
 
 
 def test_stall_complementarity(ld_stream):
     """Total playback wall time equals watch duration plus stall time."""
     link = LinkModel(((0.0, 1_600_000.0), (50.0, 0.0), (80.0, 1_600_000.0)), 70)
-    events, _ = simulate_session(ld_stream, link, EncodingRate())
+    events = expand_ticks(simulate_session(ld_stream, link, EncodingRate())[0])
     join = joining_time(EncodingRate(), ld_stream, link, "hspa")
     tl = compute_buffer(events, ld_stream, join)
     qoe = detect_stalls(tl)
@@ -167,8 +171,10 @@ def test_more_bandwidth_never_hurts(ld_stream):
         assert j_hi <= j_lo + 1e-9
         ev_lo, _ = simulate_session(ld_stream, lo, tech)
         ev_hi, _ = simulate_session(ld_stream, hi, tech)
-        s_lo = detect_stalls(compute_buffer(ev_lo, ld_stream, j_lo))
-        s_hi = detect_stalls(compute_buffer(ev_hi, ld_stream, j_hi))
+        s_lo = detect_stalls(compute_buffer(expand_ticks(ev_lo), ld_stream,
+                                            j_lo))
+        s_hi = detect_stalls(compute_buffer(expand_ticks(ev_hi), ld_stream,
+                                            j_hi))
         assert s_hi.stall_total_s <= s_lo.stall_total_s + 0.5
 
 
@@ -177,7 +183,7 @@ def test_flat_vbr_matches_cbr_exactly():
                         vbr_trace=[(0.0, 1_000_000.0)])
     link = LinkModel.constant(4_000_000, rtt_ms=70)
     events, _ = simulate_session(stream, link, EncodingRate())
-    tl = compute_buffer(events, stream, 2.0)
+    tl = compute_buffer(expand_ticks(events), stream, 2.0)
     for s in tl.samples:
         assert s.buffered_bytes == pytest.approx(
             s.buffered_seconds * stream.bytes_per_second, abs=1e-6)
@@ -200,7 +206,8 @@ def test_abandoned_session_watch_end(hd_stream, link4):
     events, _ = simulate_session(hd_stream, link4, EncodingRate(),
                                  abandon_at_s=120.0)
     join = joining_time(EncodingRate(), hd_stream, link4, "hspa")
-    tl = compute_buffer(events, hd_stream, join, watch_end_s=120.0)
+    tl = compute_buffer(expand_ticks(events), hd_stream, join,
+                        watch_end_s=120.0)
     assert tl.completed
     assert tl.playback_end_s == pytest.approx(join + 120.0, abs=0.2)
     assert detect_stalls(tl).stall_events == []
@@ -246,10 +253,11 @@ def _value_at_by_scan(tl, t):
 
 
 def test_value_at_bisects_like_a_linear_scan(hd_stream, link4):
-    events, _ = simulate_session(hd_stream, link4, preset("youtube_onoffm"))
+    events = expand_ticks(simulate_session(hd_stream, link4,
+                                           preset("youtube_onoffm"))[0])
     join = joining_time(preset("youtube_onoffm"), hd_stream, link4, "hspa")
     # a plain event list is replayed event by event: one sample per arrival
-    tl = compute_buffer(list(events), hd_stream, join)
+    tl = compute_buffer(events, hd_stream, join)
     assert len(tl.samples) > 5000
     rng = random.Random(11)
     times = [rng.uniform(-1.0, tl.playback_end_s + 5.0) for _ in range(300)]
@@ -257,3 +265,19 @@ def test_value_at_bisects_like_a_linear_scan(hd_stream, link4):
     for t in times:
         assert tl.value_at(t) == pytest.approx(_value_at_by_scan(tl, t),
                                                abs=1e-12), t
+
+
+def test_replay_refuses_stored_runs(hd_stream, link4):
+    """A stored run stands for many packets but reads as one data packet
+    of one tick's bytes, so replaying a session's runs as they are would
+    buffer a tick per run: they are refused, and their ticks replay."""
+    runs, _ = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
+    train = next(it for it in runs if isinstance(it, ChunkTrain))
+    for events in (runs, [train]):
+        with pytest.raises(TypeError, match="per-packet PacketEvents"):
+            compute_buffer(events, hd_stream, 2.0)
+        with pytest.raises(TypeError, match="per-packet PacketEvents"):
+            replay_arrivals(events, hd_stream, 2.0)
+    assert any(isinstance(it, TransferSpan) for it in runs)
+    assert compute_buffer(expand_ticks(runs), hd_stream, 2.0).completed
+

@@ -18,23 +18,23 @@ from pathlib import Path
 import pytest
 
 import tick_reference as ref
+from tick_reference import expand_ticks, log_tick
 from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
                        PacketEvent, StreamSpec, Throttling, compute_buffer,
                        detect_stalls, playback, simulate_session)
 from streamsim.cli import main
 from streamsim.scenario import default_radio_config, parse_scenario_text
 from streamsim.session import run_session
-from streamsim.streams import TickSeq
 from test_span_equivalence import (_session_variants, _text,
                                    _throttled_below_rate, _throttling)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def exact_ticks(events) -> TickSeq:
-    """A session's events with each data tick's exact bytes (the wire
-    events round them to whole bytes)."""
-    return TickSeq(events.items, lambda sp, k: PacketEvent(
+def exact_ticks(events) -> list:
+    """A session's per-tick events with each data tick's exact bytes (the
+    wire events round them to whole bytes)."""
+    return expand_ticks(events, lambda sp, k: PacketEvent(
         sp.tick_t(k), sp.nbytes, sp.connection_id))
 
 
@@ -49,7 +49,8 @@ def assert_engine_playback(tech, stream, events, dlog, watched,
     if isinstance(tech, (Hls, Mss)):
         # the engine's buffer after every tick and decision peaks where
         # the report does
-        peak = max(r.buffer_s_after for r in dlog.records)
+        peak = max(r.buffer_s_after
+                   for r in expand_ticks(dlog.records, log_tick))
         assert max(s.buffered_seconds for s in got.samples) == \
             pytest.approx(peak, abs=1e-9)
         return
@@ -95,7 +96,7 @@ def assert_session_playback(res):
     assert res.summary.stall_total_s == sum(
         d for _, d in res.dlog.playback.stall_events)
     assert res.summary.wall_time_s == max(res.dlog.playback.playback_end_s,
-                                          res.events[-1].t_s)
+                                          expand_ticks(res.events)[-1].t_s)
 
 
 def _on_radio(sc, radio_tech):
@@ -232,7 +233,8 @@ def test_short_stream_starts_once_delivered(hd_stream, link4):
     stream = replace(hd_stream, duration_s=3.0, size_bytes=None)
     events, dlog = simulate_session(stream, link4, FastCaching(),
                                     start_delay_s=2.0)
-    assert dlog.playback.joining_time_s == pytest.approx(events[-1].t_s + 2.0)
+    assert dlog.playback.joining_time_s == pytest.approx(
+        expand_ticks(events)[-1].t_s + 2.0)
     assert dlog.playback.completed and dlog.playback.stall_events == []
 
 
@@ -250,7 +252,8 @@ def test_stall_at_the_end_of_the_content_resumes_once_it_is_delivered():
     assert len(played.stall_events) == 7
     since, duration = played.stall_events[-1]
     assert since == pytest.approx(628.4675, abs=1e-9)
-    assert since + duration == pytest.approx(events[-1].t_s, abs=1e-9)
+    assert since + duration == pytest.approx(expand_ticks(events)[-1].t_s,
+                                             abs=1e-9)
     assert duration == pytest.approx(3.1814, abs=1e-4)
     assert played.playback_end_s == pytest.approx(since + duration + 3.0675,
                                                   abs=1e-6)

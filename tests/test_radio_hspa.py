@@ -5,7 +5,8 @@ import pytest
 
 from oracles import hspa_energy, quantize_events, step_hspa
 from streamsim import HspaRrcConfig, PacketEvent, simulate_hspa
-from streamsim.streams import TickSeq, TransferSpan
+from streamsim.streams import TransferSpan
+from tick_reference import expand_ticks
 
 
 def _energy(tl):
@@ -124,11 +125,10 @@ def test_a_timer_within_round_off_of_a_tick_spacing_splits_the_span(gs3):
     within 1e-9 s, so the second tick finds the radio in PCH and promotes
     it again.  The span and its per-tick list say so alike."""
     cfg = HspaRrcConfig(fd_timer_s=None)
-    events = TickSeq([PacketEvent(0.0, 50_000, 0),
-                      TransferSpan(8.5, 3.0 - 5e-10, 2, 0, 500.0)],
-                     TransferSpan.event)
+    runs = [PacketEvent(0.0, 50_000, 0),
+            TransferSpan(8.5, 3.0 - 5e-10, 2, 0, 500.0)]
     want = ["dch", "fach", "dch", "fach", "pch"]
-    for view in (events, list(events)):
+    for view in (runs, expand_ticks(runs)):
         tl = simulate_hspa(view, cfg, gs3, session_end_s=30.0)
         assert [iv.state for iv in tl.intervals] == want
 

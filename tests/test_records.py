@@ -193,7 +193,7 @@ RUNTIME = [
      "LogRecord(t_s=1.0, event='on', connection_id=1, bytes=0.0, "
      "buffer_s_after=2.5)"),
     (DeliveryLog(),
-     "DeliveryLog(records=TickSeq(0 ticks in 0 runs), on_spans=[], "
+     "DeliveryLog(records=[], on_spans=[], "
      "off_spans=[], notes=[], connections_opened=0, "
      "playback=BufferTimeline(joining_time_s=inf, playback_end_s=0.0, "
      "duration_s=0.0, samples=[], resume_threshold_s=4.0, completed=False, "

@@ -25,6 +25,7 @@ from types import SimpleNamespace
 import pytest
 
 import tick_reference as ref
+from tick_reference import expand_ticks, log_tick
 from test_acceptance import _random_scenario
 from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, Mss, OnOffM, PacketEvent,
@@ -105,10 +106,11 @@ def _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream,
                    t_tol=1e-9) -> bool:
     """Assert the events, records and log totals agree, times within
     t_tol; False for a threshold tick shift."""
-    if not _same_records(list(log_a.records), list(log_b.records), tech,
+    if not _same_records(expand_ticks(log_a.records, log_tick),
+                         expand_ticks(log_b.records, log_tick), tech,
                          stream, t_tol):
         return False
-    ev_b = list(ev_b)
+    ev_a, ev_b = expand_ticks(ev_a), expand_ticks(ev_b)
     assert len(ev_a) == len(ev_b)
     for i, (x, y) in enumerate(zip(ev_a, ev_b)):
         assert (x.kind, x.connection_id, x.bytes) == \
@@ -146,7 +148,8 @@ def _same_delivery(ev_a, log_a, ev_b, log_b, tech, stream,
 
 
 def _wall(buffer, events) -> float:
-    return max(buffer.playback_end_s, events[-1].t_s if events else 0.0)
+    ticks = expand_ticks(events)
+    return max(buffer.playback_end_s, ticks[-1].t_s if ticks else 0.0)
 
 
 def _compare(a, b, tech, stream) -> bool:
@@ -409,7 +412,7 @@ def _throttled_below_rate(factor, **fields):
 
 
 def _trains(events):
-    return [it for it in events.items if isinstance(it, ChunkTrain)]
+    return [it for it in events if isinstance(it, ChunkTrain)]
 
 
 @pytest.mark.parametrize("name", list(THROTTLING_CASES) + ["factor_0.8"])
@@ -623,7 +626,7 @@ def test_hls_discard_empties_the_buffer_timeline():
     when only a stall sampled a discard).  The 9.07 s discard starts a
     stall, which shares the discard's sample."""
     res = run_session(_session_variants()[3])
-    records = list(res.dlog.records)
+    records = expand_ticks(res.dlog.records, log_tick)
     discards = [r for r in records if r.event == "discard"]
     assert [round(r.t_s, 2) for r in discards] == [1.57, 9.07]
     for d in discards:
@@ -708,14 +711,14 @@ def test_boundaries_the_cap_hides_on_the_tick_grid_are_no_decisions():
     events, dlog = _capped_delivery(delivery, link)
     want_events, want_log = _capped_delivery(delivery,
                                              LinkModel.constant(12e6))
-    assert events.items == want_events.items
-    assert dlog.records.items == want_log.records.items
+    assert events == want_events
+    assert dlog.records == want_log.records
     assert dlog.playback.samples == want_log.playback.samples
-    assert len(events.items) <= 4
+    assert len(events) <= 4
     # an open receive window lifts the cap: each boundary is a decision
     events, _ = _capped_delivery(delivery, link, window_s=1e9)
-    assert events.items == _capped_delivery(delivery, link, math.inf)[0].items
-    assert len(events.items) > 50
+    assert events == _capped_delivery(delivery, link, math.inf)[0]
+    assert len(events) > 50
 
 
 def test_boundaries_off_the_tick_grid_cut_a_tick():
@@ -725,7 +728,7 @@ def test_boundaries_off_the_tick_grid_cut_a_tick():
     ev_b, log_b = _capped_delivery(delivery, link)
     assert _same_delivery(*_capped_delivery(ref, link), ev_b, log_b,
                           SimpleNamespace(), GRID_STREAM)
-    ticks = [e.t_s for e in ev_b if e.kind == "data"]
+    ticks = [e.t_s for e in expand_ticks(ev_b) if e.kind == "data"]
     crossed = [t0 for t0, _ in link.segments if 0.0 < t0 < ticks[-1]]
     assert len(crossed) > 200
     assert all(min(abs(t - t0) for t in ticks) <= 1e-9 for t0 in crossed)
@@ -784,7 +787,7 @@ def test_boundaries_the_cap_hides_are_never_sought(monkeypatch):
     ev_b, log_b = _capped_delivery(delivery, link)
     assert _same_delivery(ev_a, log_a, ev_b, log_b, SimpleNamespace(),
                           GRID_STREAM)
-    end = ev_b[-1].t_s
+    end = expand_ticks(ev_b)[-1].t_s
     segs = link.segments
     below = [t0 for (t0, bw), (_, prev) in zip(segs[1:], segs)
              if t0 < end and min(bw, prev) < GRID_CAP_BPS]
@@ -824,7 +827,7 @@ def test_zero_bandwidth_then_recovery_matches_tick_engine(tech):
                       (35.017, 6e6)), rtt_ms=70.0)
     a, b = _both(stream, link, tech, "hspa", HspaRrcConfig())
     assert _compare(a, b, tech, stream)
-    ticks = [e.t_s for e in b[0] if e.kind == "data"]
+    ticks = [e.t_s for e in expand_ticks(b[0]) if e.kind == "data"]
     assert not any(20.013 < t < 35.017 for t in ticks)
     assert min(t for t in ticks if t > 20.013) == pytest.approx(
         35.017 + 0.05, abs=1e-9)
@@ -880,7 +883,7 @@ def test_a_boundary_within_tie_of_the_clock_is_reached(shift_s):
                                    math.inf)
     assert _same_delivery(ev_a, log_a, ev_b, log_b, SimpleNamespace(),
                           GRID_STREAM)
-    ticks = [e for e in ev_b if e.kind == "data"]
+    ticks = [e for e in expand_ticks(ev_b) if e.kind == "data"]
     k = min(i for i, e in enumerate(ticks) if e.t_s > t + 1e-9)
     assert ticks[k - 1].t_s == pytest.approx(t, abs=1e-9)
     assert ticks[k].bytes == 2e6 * 0.05 / 8

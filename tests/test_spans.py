@@ -1,4 +1,4 @@
-"""Transfer spans: the cost model and the per-tick views built on them."""
+"""Transfer spans: the cost model, and the per-tick view of them."""
 
 import collections
 import functools
@@ -21,14 +21,16 @@ from streamsim import (EncodingRate, FastCaching, Hls, HspaRrcConfig,
                        LinkModel, LteDrxConfig, Mss, OnOffM, OnOffS,
                        PacketEvent, StreamSpec, Throttling, WifiPsmConfig,
                        compute_buffer, delivery, preset, radio,
-                       simulate_radio, simulate_session, streams)
-from streamsim.delivery import LogRecord, _data_record
+                       simulate_radio, simulate_session)
+from streamsim.delivery import LogRecord
 from streamsim.energy import integrate_energy
 from streamsim.radio import promotion_latency
 from streamsim.scenario import load_scenario, parse_scenario_text
 from streamsim.session import run_session
-from streamsim.streams import ChunkTrain, TickSeq, TransferSpan, event_order
+from streamsim.streams import ChunkTrain, TransferSpan, event_order
+from test_cli import VARIANTS
 from test_playback_report import assert_engine_playback
+from tick_reference import expand_ticks, log_tick
 from test_span_equivalence import (_session_variants, _sweep_points,
                                    _throttled_below_rate)
 
@@ -39,8 +41,8 @@ def test_encoding_rate_lte_cost_follows_state_changes():
     """11,221 per-tick events come from a handful of spans, and the
     buffer keeps samples only at span ends and state changes."""
     res = run_session(load_scenario(str(SCENARIOS / "encoding_rate_lte.scn")))
-    spans = [it for it in res.events.items if isinstance(it, TransferSpan)]
-    assert len(res.events) == 11_221
+    spans = [it for it in res.events if isinstance(it, TransferSpan)]
+    assert len(expand_ticks(res.events)) == 11_221
     assert len(spans) <= 20
     assert len(res.buffer.samples) <= 50
 
@@ -52,11 +54,11 @@ def test_throttling_cost_follows_state_changes():
     text = text.replace("technique.preset = youtube_onoffm",
                         "technique.kind = throttling")
     res = run_session(parse_scenario_text(text))
-    assert len(res.events) == 4_449
-    assert len(res.events.items) <= 20
+    assert len(expand_ticks(res.events)) == 4_449
+    assert len(res.events) <= 20
     assert len(res.buffer.samples) <= 50
     # the buffer keeps the ticks of the train's first and last cycle
-    (train,) = [it for it in res.events.items if isinstance(it, ChunkTrain)]
+    (train,) = [it for it in res.events if isinstance(it, ChunkTrain)]
     for j in (0, train.m - 1):
         for sp in train.repeats(j, j + 1):
             for t in (sp.t_s, sp.t_end_s):
@@ -75,7 +77,7 @@ def test_ladder_steady_state_is_a_train(kind, entries, lines, samples):
     text = text.replace("technique.preset = youtube_onoffm",
                         f"technique.kind = {kind}")
     res = run_session(parse_scenario_text(text))
-    assert len(res.events.items) <= entries
+    assert len(res.events) <= entries
     assert len(res.dlog.to_csv_lines()) <= lines
     assert len(res.buffer.samples) == samples
 
@@ -92,11 +94,11 @@ def test_onoff_steady_state_is_a_train():
     buffer_c2_10 = {sc.name: sc for sc in _sweep_points()}["buffer_c2_10"]
     res = run_session(buffer_c2_10)
     assert res.dlog.connections_opened == 22
-    assert len(res.events.items) <= 16
+    assert len(res.events) <= 16
     assert len(res.dlog.to_csv_lines()) <= 45
     assert len(res.buffer.samples) == 50
     res = run_session(_session_variants()[6])
-    assert len(res.events.items) <= 120
+    assert len(res.events) <= 120
     assert len(res.dlog.to_csv_lines()) <= 130
 
 
@@ -153,66 +155,47 @@ def test_a_turn_repeats_the_last_only_if_every_log_entry_does():
     assert not _cycle(120.0, 3, _turn(120.0, 3)).repeats(prev, playing)
 
 
-def _seq():
+def test_expand_ticks_reads_a_span_as_its_ticks():
     span = TransferSpan(1.0, 0.5, 3, 0, 1000.4)
-    items = [PacketEvent(0.0, 500, 0, "request"), span,
-             PacketEvent(2.5, 60, 0, "persist_probe")]
+    runs = [PacketEvent(0.0, 500, 0, "request"), span,
+            PacketEvent(2.5, 60, 0, "persist_probe")]
     ticks = [PacketEvent(0.0, 500, 0, "request"), PacketEvent(1.0, 1000, 0),
              PacketEvent(1.5, 1000, 0), PacketEvent(2.0, 1000, 0),
              PacketEvent(2.5, 60, 0, "persist_probe")]
-    return TickSeq(items, TransferSpan.event), ticks
+    assert expand_ticks(runs) == ticks
+    assert sorted(expand_ticks(runs), key=event_order) == ticks
+    assert expand_ticks([]) == []
 
 
-def test_tick_seq_reads_like_the_expanded_list():
-    seq, ticks = _seq()
-    assert len(seq) == 5
-    assert list(seq) == ticks
-    assert seq == ticks and ticks == seq
-    assert seq != ticks[:-1]
-    assert [seq[i] for i in range(-5, 5)] == ticks + ticks
-    assert seq[1:4] == ticks[1:4]
-    with pytest.raises(IndexError):
-        seq[5]
-    with pytest.raises(IndexError):
-        seq[-6]
-    assert sorted(seq, key=event_order) == ticks
-    assert TickSeq([], TransferSpan.event) == []
-
-
-def test_tick_seq_expands_chunk_trains():
+def test_expand_ticks_expands_chunk_trains():
     cycle = (TransferSpan(1.0, 0.5, 2, 0, 1000.0, 3.0, 0.25),
              TransferSpan(1.75, 0.25, 1, 0, 400.0, 3.5))
     train = ChunkTrain(cycle, 3, 2.0, 0.1)
-    seq = TickSeq([PacketEvent(0.0, 500, 0, "request"), train],
-                  _data_record)
+    got = expand_ticks([PacketEvent(0.0, 500, 0, "request"), train],
+                       log_tick)
     want = [PacketEvent(0.0, 500, 0, "request")]
     for j in range(3):
         want += [LogRecord(1.0 + 2 * j, "data", 0, 1000.0, 3.0 + 0.1 * j),
                  LogRecord(1.5 + 2 * j, "data", 0, 1000.0, 3.25 + 0.1 * j),
                  LogRecord(1.75 + 2 * j, "data", 0, 400.0, 3.5 + 0.1 * j)]
-    assert train.n == len(seq) - 1 == 9
     assert train.t_end_s == 5.75
-    assert len(list(seq)) == len(want)
-    for i in range(-len(want), len(want)):
-        got = seq[i]
-        assert type(got) is type(want[i])
-        assert got.t_s == pytest.approx(want[i].t_s, abs=1e-12)
-        if isinstance(got, LogRecord):
-            assert (got.bytes, got.buffer_s_after) == pytest.approx(
-                (want[i].bytes, want[i].buffer_s_after), abs=1e-12)
-    assert [r.t_s for r in seq] == [seq[i].t_s for i in range(len(want))]
-    with pytest.raises(IndexError):
-        seq[len(want)]
+    assert len(got) == len(want) == 10
+    for a, b in zip(got, want):
+        assert type(a) is type(b)
+        assert a.t_s == pytest.approx(b.t_s, abs=1e-12)
+        if isinstance(a, LogRecord):
+            assert (a.bytes, a.buffer_s_after) == pytest.approx(
+                (b.bytes, b.buffer_s_after), abs=1e-12)
 
 
-def test_tick_seq_expands_trains_of_packets():
+def test_expand_ticks_expands_trains_of_packets():
     """A train whose cycle opens a connection: its request and its span
     move to the next connection each repeat."""
     cycle = (PacketEvent(10.0, 500, 1, "request"),
              TransferSpan(10.12, 0.05, 2, 1, 25_000.0, 90.0, 0.05))
     train = ChunkTrain(cycle, 3, 20.0, 0.0, dconn=1)
-    seq = TickSeq([PacketEvent(0.0, 500, 0, "request"), train,
-                   PacketEvent(80.0, 500, 4, "request")], TransferSpan.event)
+    got = expand_ticks([PacketEvent(0.0, 500, 0, "request"), train,
+                        PacketEvent(80.0, 500, 4, "request")])
     ticks = [PacketEvent(0.0, 500, 0, "request")]
     for j in range(3):
         t = 10.0 + 20.0 * j
@@ -220,56 +203,94 @@ def test_tick_seq_expands_trains_of_packets():
                   PacketEvent(t + 0.12, 25_000, 1 + j),
                   PacketEvent(t + 0.17, 25_000, 1 + j)]
     ticks.append(PacketEvent(80.0, 500, 4, "request"))
-    assert train.n == len(seq) - 2 == 9
-    assert len(seq) == len(ticks) == 11
-
-    def same(a, b):
-        return (a.kind, a.connection_id, a.bytes) == (b.kind, b.connection_id,
-                                                      b.bytes) \
-            and a.t_s == pytest.approx(b.t_s, abs=1e-12)
-    assert all(same(a, b) for a, b in zip(seq, ticks))
-    assert all(same(seq[i], ticks[i]) for i in range(-11, 11))
-    assert all(same(a, b) for a, b in zip(seq[2:9], ticks[2:9]))
-    assert len(seq[2:9]) == 7
-    with pytest.raises(IndexError):
-        seq[11]
-    with pytest.raises(IndexError):
-        seq[-12]
+    assert len(got) == len(ticks) == 11
+    assert all((a.kind, a.connection_id, a.bytes)
+               == (b.kind, b.connection_id, b.bytes)
+               and a.t_s == pytest.approx(b.t_s, abs=1e-12)
+               for a, b in zip(got, ticks))
 
 
-def test_tick_seq_truth_sums_no_sizes(monkeypatch):
-    """A view is true when it stores any entry: none stands for zero
-    ticks, so its truth reads no entry's size."""
-    span = TransferSpan(1.0, 0.5, 3, 0, 1000.4)
-    train = ChunkTrain((span,), 2, 5.0, 0.0)
-    monkeypatch.setattr(streams, "_size", None)   # a size read would raise
-    assert not TickSeq([], TransferSpan.event)
-    assert TickSeq([span], TransferSpan.event)
-    assert TickSeq([train], TransferSpan.event)
+# The per-tick view of the seven sessions `simulate` writes pinned bytes
+# for, as the package's own view read it when it still kept one: the
+# SHA-256 of a line per event, (repr(t_s), bytes, connection_id, kind),
+# and of a line per log record, (repr(t_s), event, connection_id,
+# repr(bytes), repr(buffer_s_after)), with the number of each.
+PINNED_TICKS = {
+    "youtube_onoffm_hspa": (
+        5358, "70b1334ab3fde0a5f689c32815d7b45fa2cef7e911bc353938ebb66fd6113c7f",
+        5377, "35bfe3327f77bcec7511aad870bdb020cd6b88e3ae29cc7a2b156684ab21381b"),
+    "encoding_rate_lte": (
+        11221, "e52f5a1292f26bc827e7354cc820aca8b17b4d2089e16918d700cd96915791a5",
+        11224, "963407424e312c58e283f23b411b633c76b577f344d67f5ff0abbc00f9af6eb2"),
+    "fast_caching_wifi": (
+        2401, "ece69682a297ba3cd5b213ab6c26ab3e5089f726fe0af997a86c854b83e42367",
+        2404, "ad5bd00b72f88439aba24b1db61ca1d8c4c49d575348a2710bac7e439315ad51"),
+    "hls": (
+        3147, "51e508ba35eaa0bd029adf937924930faa483c35f47fa1ea6b65bc8ca38cae3d",
+        3152, "3d41e8e7e6900177ea629a43d30f9229f24439793e52620c51f7db4f1469ac20"),
+    "mss": (
+        3064, "8667acc000e0739f97d2de7c01134f617b7614177a7265a626946a7f3094ca60",
+        3067, "79aea8199ac4545e5d6129dcfbfc3d5b14eb4d8c7f78e457bd09254b74ea93b3"),
+    "throttling": (
+        4449, "11b9a540c6d52cde911d9b5d27c4832d52b674e9255c4e5e4d33528c825e5601",
+        4452, "af8ad5ba17508e9fb46f07877c905ccc668a4c39a7d0e071125a3bfb58703066"),
+    "vimeo_onoffs": (
+        3229, "baad4cbba39f9aa36cc1254dfcafa086621fbc8b81800f8ef71fcf8548ff4e14",
+        3242, "4d69cb3ac2afee7870bf58f49732c75b9c247aa5a282891a92ff6812888c9870"),
+}
+
+
+def _rows_digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_TICKS)
+def test_expand_ticks_reads_the_pinned_ticks(name):
+    """expand_ticks reads a session's stored runs and log as the ticks
+    the engine's own per-tick view read, down to the last bit."""
+    scn = "youtube_onoffm_hspa" if name in VARIANTS else name
+    text = (SCENARIOS / f"{scn}.scn").read_text(encoding="utf-8")
+    if name in VARIANTS:
+        text = text.replace("technique.preset = youtube_onoffm",
+                            VARIANTS[name])
+    res = run_session(parse_scenario_text(text, name))
+    events = expand_ticks(res.events)
+    records = expand_ticks(res.dlog.records, log_tick)
+    assert (len(events), _rows_digest(
+                (repr(e.t_s), e.bytes, e.connection_id, e.kind)
+                for e in events),
+            len(records), _rows_digest(
+                (repr(r.t_s), r.event, r.connection_id, repr(r.bytes),
+                 repr(r.buffer_s_after)) for r in records)) \
+        == PINNED_TICKS[name]
 
 
 def test_delivery_log_rows_are_runs_and_decisions(hd_stream, link4):
-    """Four decision records and three spans are seven rows; the in-memory
-    log still reads per tick."""
+    """Four decision records and three spans are seven rows, for the
+    11,220 data ticks of the per-tick log."""
     _, dlog = simulate_session(hd_stream, link4, EncodingRate())
     rows = dlog.to_csv_lines()
-    assert len(rows) == len(dlog.records.items) + 1 == 8
-    assert sum(r.event == "data" for r in dlog.records) == 11_220
+    assert len(rows) == len(dlog.records) + 1 == 8
+    assert sum(r.event == "data"
+               for r in expand_ticks(dlog.records, log_tick)) == 11_220
 
 
 def assert_log_rows_are_its_runs(dlog):
     """Each row of the written log stands for one stored entry: a data row
     is its span's last tick and a repeat row its train's, with the buffer
     the per-tick log holds there and the bytes of the ticks it covers."""
-    ticks = list(dlog.records)
+    ticks = expand_ticks(dlog.records, log_tick)
     want = []      # (the tick a row is written at, event, ticks it covers)
     i = 0          # index of the entry's first tick in the per-tick log
-    for it in dlog.records.items:
+    for it in dlog.records:
         if isinstance(it, TransferSpan):
             want.append((ticks[i + it.n - 1], "data", ticks[i:i + it.n]))
             i += it.n
         elif isinstance(it, ChunkTrain):
-            k = i
+            k, n = i, len(expand_ticks([it], log_tick))
             for s in it.cycle:
                 if isinstance(s, TransferSpan):
                     want.append((ticks[k + s.n - 1], "data",
@@ -280,9 +301,9 @@ def assert_log_rows_are_its_runs(dlog):
                     k += 1
             if it.m > 1:
                 # the later cycles' data ticks; their records have no row
-                data = [r for r in ticks[k:i + it.n] if r.event == "data"]
+                data = [r for r in ticks[k:i + n] if r.event == "data"]
                 want.append((data[-1], "repeat", data))
-            i += it.n
+            i += n
         else:
             want.append((it, it.event, []))
             i += 1
@@ -304,8 +325,8 @@ def assert_log_rows_are_its_runs(dlog):
     assert all(a.t_s <= b.t_s for a, b in zip(rows, rows[1:]))
     # at most one row per entry, plus a train's other cycle spans and its
     # repeat row
-    trains = [it for it in dlog.records.items if isinstance(it, ChunkTrain)]
-    assert len(rows) <= len(dlog.records.items) + sum(
+    trains = [it for it in dlog.records if isinstance(it, ChunkTrain)]
+    assert len(rows) <= len(dlog.records) + sum(
         len(t.cycle) for t in trains)
     lines = dlog.to_csv_lines()
     assert len(lines) == len(rows) + 1
@@ -420,10 +441,11 @@ def test_radio_on_spans_equals_radio_on_ticks(radio_tech, cfg, tech, gs3):
     So is a chunk train, by every spacing between its ticks."""
     stream = StreamSpec(duration_s=120.0, encoding_rate_bps=2e6)
     events, _ = simulate_session(stream, LinkModel.constant(8e6), tech)
-    end = events[-1].t_s + 30.0
+    ticks = expand_ticks(events)
+    end = ticks[-1].t_s + 30.0
     _assert_same_timeline(
         simulate_radio(radio_tech, events, cfg, gs3, end),
-        ref.simulate_radio_per_packet(radio_tech, events, cfg, gs3, end))
+        ref.simulate_radio_per_packet(radio_tech, ticks, cfg, gs3, end))
 
 
 def _fach_train(first_bytes):
@@ -431,10 +453,8 @@ def _fach_train(first_bytes):
     a request."""
     cycle = (TransferSpan(9.0, 0.01, 1, 0, first_bytes),
              TransferSpan(9.05, 0.05, 3, 0, 20_000.0))
-    return TickSeq([PacketEvent(0.0, 50_000, 0),
-                    ChunkTrain(cycle, 40, 0.3, 0.0),
-                    PacketEvent(40.0, 500, 0, "request")],
-                   TransferSpan.event)
+    return [PacketEvent(0.0, 50_000, 0), ChunkTrain(cycle, 40, 0.3, 0.0),
+            PacketEvent(40.0, 500, 0, "request")]
 
 
 @pytest.mark.parametrize("first_bytes", [50_000.0, 500.0])
@@ -448,7 +468,8 @@ def test_radio_on_a_train_equals_radio_on_its_ticks(radio_tech, cfg,
     events = _fach_train(first_bytes)
     _assert_same_timeline(
         simulate_radio(radio_tech, events, cfg, gs3, 60.0),
-        ref.simulate_radio_per_packet(radio_tech, events, cfg, gs3, 60.0))
+        ref.simulate_radio_per_packet(radio_tech, expand_ticks(events), cfg,
+                                      gs3, 60.0))
 
 
 @functools.lru_cache(maxsize=None)
@@ -473,7 +494,8 @@ def test_radio_equals_the_per_packet_walk(radio_tech, cfg, case, gs3):
     end = res.summary.wall_time_s
     _assert_same_timeline(
         simulate_radio(radio_tech, res.events, cfg, gs3, end),
-        ref.simulate_radio_per_packet(radio_tech, res.events, cfg, gs3, end))
+        ref.simulate_radio_per_packet(radio_tech, expand_ticks(res.events),
+                                      cfg, gs3, end))
 
 
 def _bursts_walked(monkeypatch, res):
@@ -617,8 +639,8 @@ def test_radio_on_sweep_trains_equals_the_per_packet_walk(radio_tech, cfg,
     res = run_session({sc.name: sc for sc in _sweep_points()}[name])
     end = res.summary.wall_time_s
     got = simulate_radio(radio_tech, res.events, cfg, gs3, end)
-    want = ref.simulate_radio_per_packet(radio_tech, res.events, cfg, gs3,
-                                         end)
+    want = ref.simulate_radio_per_packet(radio_tech, expand_ticks(res.events),
+                                         cfg, gs3, end)
     _assert_same_timeline(got, want)
     residency = got.residency()
     assert residency.keys() == want.residency().keys()
@@ -636,13 +658,14 @@ def test_link_boundaries_on_the_tick_grid_leave_no_slivers():
                            for i in range(300)), rtt_ms=70.0)
     stream = StreamSpec(duration_s=60.0, encoding_rate_bps=2e6)
     events, dlog = simulate_session(stream, link, FastCaching())
-    data = [e for e in events if e.kind == "data"][:-1]   # not the last
+    data = [e for e in expand_ticks(events)
+            if e.kind == "data"][:-1]   # not the last
     assert min(e.bytes for e in data) >= 0.2 * 2e6 * 0.05 / 8
     assert dlog.bytes_delivered == pytest.approx(stream.size_bytes, abs=2.0)
     # a run meets a boundary on its tick grid with a whole tick: the one
     # tick a span holds next to a boundary is the cut of one off the grid
     starts = [t0 for t0, _ in link.segments]
-    spans = [it for it in events.items if isinstance(it, TransferSpan)]
+    spans = [it for it in events if isinstance(it, TransferSpan)]
     for s in spans[:-1]:
         if s.n == 1 and any(abs(t - t0) <= 1e-9 for t0 in starts
                             for t in (s.t_s - s.dt_s, s.t_s)):
@@ -675,7 +698,7 @@ def _long_inputs(seed):
 
 def _stored_runs(res):
     return sum(isinstance(it, (TransferSpan, ChunkTrain))
-               for it in res.events.items)
+               for it in res.events)
 
 
 @pytest.mark.parametrize("seed,steps,drains,runs", [
@@ -719,7 +742,7 @@ def test_long_link_is_sought_once_per_deliver_call(seed, monkeypatch):
         sc.stream, sc.link, sc.technique, seed=sc.seed,
         start_delay_s=promotion_latency(sc.radio_tech, sc.radio_cfg))
     runs = sum(isinstance(it, (TransferSpan, ChunkTrain))
-               for it in events.items)
+               for it in events)
     assert seeks == calls
     assert len(calls) <= 10 < runs <= 700
 

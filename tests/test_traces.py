@@ -7,10 +7,12 @@ from streamsim import (EncodingRate, FastCaching, Hls, LinkModel, Mss,
                        PacketEvent, StreamSpec, Throttling, classify,
                        detect_stalls, estimate_buffer, preset,
                        simulate_session)
+from streamsim.streams import ChunkTrain, TransferSpan
 from streamsim.techniques import START_THRESHOLD_S
 from streamsim.traces import (FlowRecord, ingest_text, records_from_events,
                               records_to_csv, records_to_events)
 import tick_reference as ref
+from tick_reference import expand_ticks
 from test_acceptance import _random_scenario
 
 
@@ -53,13 +55,25 @@ def test_ingest_empty_file_gives_empty_list():
 
 
 def test_delivery_log_roundtrip(hd_stream, link4):
-    events, _ = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
+    events = expand_ticks(simulate_session(hd_stream, link4,
+                                           preset("vimeo_onoffs"))[0])
     recs = records_from_events(events)
     back = ingest_text(records_to_csv(recs))
     assert back == recs
     again = records_to_events(back)
     assert [(e.t_s, e.bytes, e.connection_id, e.kind) for e in again] == \
            [(e.t_s, e.bytes, e.connection_id, e.kind) for e in events]
+
+
+def test_flow_records_refuse_stored_runs(hd_stream, link4):
+    """A flow record is one packet: a stored run, one record of a tick's
+    bytes, would drop the rest of its ticks, so it is refused."""
+    runs, _ = simulate_session(hd_stream, link4, preset("vimeo_onoffs"))
+    for run in (TransferSpan, ChunkTrain):
+        first = next(it for it in runs if isinstance(it, run))
+        with pytest.raises(TypeError, match="per-packet PacketEvents"):
+            records_from_events([first])
+    assert len(records_from_events(expand_ticks(runs))) > len(runs)
 
 
 LADDER = (("ld", 200_000.0), ("sd", 400_000.0))
@@ -78,7 +92,7 @@ LADDER = (("ld", 200_000.0), ("sd", 400_000.0))
 def test_closed_loop_classification(ld_stream, name, tech, want):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     events, _ = simulate_session(ld_stream, link, tech)
-    cls = classify(records_from_events(events))
+    cls = classify(records_from_events(expand_ticks(events)))
     assert cls.technique == want, (name, cls)
     assert cls.confidence >= 0.8
 
@@ -87,7 +101,7 @@ def test_closed_loop_classification(ld_stream, name, tech, want):
 def test_throttle_factor_estimation_within_10pct(ld_stream, factor):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     events, _ = simulate_session(ld_stream, link, Throttling(factor=factor))
-    cls = classify(records_from_events(events),
+    cls = classify(records_from_events(expand_ticks(events)),
                    encoding_rate_bps=ld_stream.encoding_rate_bps)
     assert cls.technique == "throttling"
     est = cls.evidence["estimated_factor"]
@@ -105,7 +119,7 @@ def test_constant_rate_trace_with_hint_is_encoding_rate():
 def test_onoffm_median_off_evidence(ld_stream):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     events, _ = simulate_session(ld_stream, link, preset("youtube_onoffm"))
-    cls = classify(records_from_events(events))
+    cls = classify(records_from_events(expand_ticks(events)))
     assert cls.technique == "on_off_m"
     assert cls.evidence["median_off_s"] == pytest.approx(60.0, abs=2.0)
 
@@ -119,7 +133,7 @@ def test_short_trace_rejected():
 def test_estimate_buffer_reconstructs_plateau(ld_stream):
     link = LinkModel.constant(4 * ld_stream.encoding_rate_bps, rtt_ms=70)
     events, _ = simulate_session(ld_stream, link, EncodingRate())
-    recs = records_from_events(events)
+    recs = records_from_events(expand_ticks(events))
     tl = estimate_buffer(recs, ld_stream.encoding_rate_bps)
     vals = [tl.value_at(t) for t in range(100, 400, 50)]
     assert all(30.0 <= v <= 45.0 for v in vals)
@@ -175,7 +189,7 @@ def test_replayed_records_add_no_stall_to_the_sessions_own():
             continue    # a replay reads every byte at one rate
         events, dlog = simulate_session(stream, link, tech)
         played = dlog.playback
-        tl = estimate_buffer(records_from_events(events),
+        tl = estimate_buffer(records_from_events(expand_ticks(events)),
                              stream.encoding_rate_bps, played.joining_time_s)
         stalls = detect_stalls(tl).stall_events
         assert stalls == ref.detect_stalls(tl).stall_events, i

@@ -6,9 +6,10 @@ PacketEvents, one per tick.  compute_buffer below is the matching
 per-event buffer model, detect_stalls the walk over its samples that
 found stalls before timelines carried their playback's own, and
 simulate_radio_per_packet the radio machines as they were before they
-coalesced bursts: every packet is a run of its own.  The equivalence
-tests run the same scenarios through both and compare the outputs;
-nothing under src/ imports this.
+coalesced bursts: every packet is a run of its own.  expand_ticks reads
+the engine's stored runs as the per-tick list the frozen engine returns.
+The equivalence tests run the same scenarios through both and compare
+the outputs; nothing under src/ imports this.
 """
 
 from __future__ import annotations
@@ -19,14 +20,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
+from streamsim import delivery
 from streamsim.delivery import TIE_S, BufferSample
 from streamsim.playback import JOIN_FAILURE_S, BufferTimeline, QoeReport
 from streamsim.profiles import PowerProfile
 from streamsim.radio import (HspaRrcConfig, LteDrxConfig, RadioInterval,
                              RadioTimeline, WifiPsmConfig, wifi_sleep_current)
 from streamsim.streams import (FLOW_CONTROL_BYTES, PROBE_BYTES,
-                               REQUEST_BYTES, LinkModel, PacketEvent,
-                               StreamSpec, event_order)
+                               REQUEST_BYTES, ChunkTrain, LinkModel,
+                               PacketEvent, StreamSpec, TransferSpan,
+                               event_order, per_packet)
 from streamsim.techniques import (EncodingRate, FastCaching, Hls, Mss, OnOffM,
                                   OnOffS, FASTSTART_TARGET_S,
                                   RESUME_THRESHOLD_S, START_THRESHOLD_S,
@@ -786,7 +789,8 @@ def compute_buffer(arrivals: Iterable[PacketEvent], stream: StreamSpec,
     threshold is met again, and the zero span shows up in the samples.
     watch_end_s bounds consumption for abandoned sessions.
     """
-    data = sorted((e for e in arrivals if e.kind == "data"),
+    data = sorted((e for e in per_packet(arrivals, "compute_buffer")
+                   if e.kind == "data"),
                   key=lambda e: e.t_s)
     prev_t = 0.0
     for e in data:
@@ -948,7 +952,7 @@ def _packets(events: Iterable[PacketEvent],
              session_end_s: Optional[float]) -> tuple[list, float]:
     """(t, bytes) of every packet, checked sorted, and the session end."""
     packets, prev = [], 0.0
-    for i, ev in enumerate(events):
+    for i, ev in enumerate(per_packet(events, "simulate_radio_per_packet")):
         if ev.t_s < prev - _EPS:
             raise ValueError(f"events not sorted: event {i} at t={ev.t_s}")
         packets.append((ev.t_s, ev.bytes))
@@ -1106,3 +1110,37 @@ def simulate_radio_per_packet(technology: str, events: Iterable[PacketEvent],
     tl = machine(packets, end, cfg, profile)
     tl.validate(end)
     return tl
+
+
+# --------------------------------------------------------------------------
+# Per-tick view of stored runs
+# --------------------------------------------------------------------------
+
+def packet_tick(span: TransferSpan, k: int) -> PacketEvent:
+    """Tick k of span as the wire carries it."""
+    return PacketEvent(span.tick_t(k), span.bytes, span.connection_id)
+
+
+def log_tick(span: TransferSpan, k: int) -> delivery.LogRecord:
+    """Tick k of span as the delivery log's per-tick row: its bytes and
+    the buffer after it."""
+    return delivery.LogRecord(span.tick_t(k), "data", span.connection_id,
+                              span.nbytes, span.buffer_s + k * span.dbuffer_s)
+
+
+def expand_ticks(runs: Iterable,
+                 expand: Callable[[TransferSpan, int], object] = packet_tick
+                 ) -> list:
+    """The per-tick list that stored runs stand for: the events
+    simulate_session returns (expanded by packet_tick) or a DeliveryLog's
+    records (by log_tick).  A TransferSpan is its n ticks, expand(span,
+    k) each, a ChunkTrain the entries of its repeats, expanded alike, and
+    any other entry itself."""
+    out = []
+    for it in runs:
+        for e in it.repeats() if isinstance(it, ChunkTrain) else (it,):
+            if isinstance(e, TransferSpan):
+                out += [expand(e, k) for k in range(e.n)]
+            else:
+                out.append(e)
+    return out
